@@ -33,8 +33,17 @@ def worst_upper_bound(mu, lam, m: int) -> float:
     return max(nf, s_up, r_up)
 
 
+def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
+    """Reject a target outside (0, 1] or an m window other than 1 <= m_lo <= m_hi."""
+    if not 0 < p_target <= 1:
+        raise ValueError(f"p_target must be a probability in (0, 1], got {p_target}")
+    if m_lo > m_hi or m_lo < 1:
+        raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
+
+
 def config_crossings(mu, lam, p_target: float, m_lo: int, m_hi: int) -> dict[str, Verdict]:
     """First m where each per-configuration bound drops below p_target."""
+    _check_scan(p_target, m_lo, m_hi)
     out: dict[str, Verdict] = {}
     for name, fn in (
         ("no-faulty", lambda p: pf_no_faulty_exact(p).value),
@@ -63,17 +72,12 @@ def m_min_upper(
     is not assumed). Parameters outside the guaranteed region are rejected
     unless require_region=False, which reproduces the heatmap's grey cells.
     """
-    if m_lo > m_hi or m_lo < 1:
-        raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
+    _check_scan(p_target, m_lo, m_hi)
     if require_region and not in_guaranteed_region(mu, lam):
         raise ParameterError(f"(mu={mu}, lambda={lam}) outside the guaranteed exponential-security region")
     for m in range(m_lo, m_hi + 1):
-        try:
-            if worst_upper_bound(mu, lam, m) < p_target:
-                return m
-        except ParameterError:
-            # thresholds T, Q degenerate at very small m for some (mu, lam)
-            continue
+        if worst_upper_bound(mu, lam, m) < p_target:
+            return m
     return NOT_FOUND
 
 
@@ -127,12 +131,9 @@ def grid_search(g: GridSpec) -> list[tuple[Fraction, Fraction, Verdict]]:
                 continue
             verdict: Verdict = NOT_FOUND
             for m in g.m_candidates:
-                try:
-                    if worst_upper_bound(mu, lam, m) < g.p_target:
-                        verdict = m
-                        break
-                except ParameterError:
-                    continue
+                if worst_upper_bound(mu, lam, m) < g.p_target:
+                    verdict = m
+                    break
             table.append((mu, lam, verdict))
     return table
 

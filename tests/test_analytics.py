@@ -15,6 +15,7 @@ from wbcsim.analytics import (
     pf_S_bounds,
 )
 from wbcsim.protocol import AdversaryConfig, ProtocolParams
+from wbcsim.security import chernoff_R, chernoff_S
 
 NO_FAULTY = AdversaryConfig.NO_FAULTY
 S_FAULTY = AdversaryConfig.S_FAULTY
@@ -23,6 +24,10 @@ R0_FAULTY = AdversaryConfig.R0_FAULTY
 
 def params(mu, lam, m):
     return ProtocolParams.create(mu, lam, m)
+
+
+def all_reports(p, exact):
+    return [pf_no_faulty_exact(p, exact), *pf_S_bounds(p, exact), *pf_R_bounds(p, exact)]
 
 
 class TestNoFaulty:
@@ -68,6 +73,39 @@ class TestBounds:
         assert pf_S_bounds(params("0.272", "0.94", 245))[1].value >= 0.05
         assert pf_R_bounds(params("0.272", "0.94", 280))[1].value < 0.05
         assert pf_R_bounds(params("0.272", "0.94", 279))[1].value >= 0.05
+
+
+class TestFloatBackendRange:
+    @pytest.mark.parametrize("m", [280, 400])
+    def test_every_bound_matches_exact(self, m):
+        p = params("0.272", "0.94", m)
+        for exact, approx in zip(all_reports(p, exact=True), all_reports(p, exact=False)):
+            assert isinstance(approx.value, float)
+            assert math.isclose(approx.value, float(exact.value), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m", [4000, 10000])
+    @pytest.mark.parametrize("fn,chernoff", [(pf_S_bounds, chernoff_S), (pf_R_bounds, chernoff_R)])
+    def test_large_m_bounds_are_ordered(self, m, fn, chernoff):
+        lo, hi = fn(params("0.272", "0.94", m))
+        assert 0 <= lo.value <= hi.value <= chernoff("0.272", "0.94", m)
+
+    @pytest.mark.parametrize("m", [1000, 10000])
+    def test_bound_within_rounding_of_one_stays_a_probability(self, m):
+        # outside the security region the R0 bound is 1 up to float rounding,
+        # which must not push it above 1
+        lo, hi = pf_R_bounds(params("0.1", "0.6", m))
+        assert lo.value <= hi.value <= 1 and math.isclose(lo.value, 1.0, rel_tol=1e-9)
+
+    def test_s_upper_at_m_4000_matches_reference(self):
+        # Computed once offline in 50-digit mpmath (mp.dps = 50): the sum over
+        # l3 of binomial(m, l3) (1/3)^l3 (2/3)^(m-l3) times the two l1 tails
+        # given l3, each as a regularized incomplete beta (mpmath.betainc),
+        # plus the two l3 tails and dom * 2^-Q; T = 1088, Q = 66. The exact
+        # rational backend agrees with it to 48 significant digits.
+        reference = 2.4690045616747304498503102398965390179612088754897e-17
+        upper = pf_S_bounds(params("0.272", "0.94", 4000))[1].value
+        # the float pmf's relative error grows like 1e-15 * m (gammaln rounding)
+        assert math.isclose(upper, reference, rel_tol=1e-11)
 
 
 class TestBruteForceOracle:

@@ -40,6 +40,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "fidelity", "--counts", str(bad))
         assert code == EXIT_INPUT and "00110" in err
 
+    @pytest.mark.parametrize("pft", ["-1", "0", "1.5"])
+    def test_mmin_rejects_target_outside_unit_interval(self, capsys, pft):
+        code, out, err = run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", pft)
+        assert code == EXIT_USAGE and out == "" and "(0, 1]" in err
+
     def test_inexact_required_for_float_parsing(self, capsys):
         code, _, _ = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272e0", "--lambda", "0.94", "--m", "10")
         assert code == EXIT_PARAMETER

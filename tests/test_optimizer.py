@@ -49,6 +49,17 @@ class TestMMin:
         with pytest.raises(ValueError):
             m_min_upper(MU, LAM, 0.05, 10, 5)
 
+    def test_invalid_parameters_raise_without_region_check(self):
+        # mu >= 1/3 violates the protocol's own domain; the scan must not
+        # turn that into NOT_FOUND
+        with pytest.raises(ParameterError):
+            m_min_upper("0.4", "0.94", 0.05, 1, 20, require_region=False)
+
+    @pytest.mark.parametrize("m_lo,m_hi", [(50, 10), (0, 10)])
+    def test_crossings_reject_bad_window(self, m_lo, m_hi):
+        with pytest.raises(ValueError):
+            config_crossings(MU, LAM, 0.05, m_lo, m_hi)
+
     def test_crossing_is_first_not_last(self):
         # the bounds are sawtooth-shaped: within a constant-T run they creep
         # up with m and drop when T increments, so m = 283 pops back above
