@@ -61,7 +61,6 @@ from .source import (
     event_class_probability,
     global_counts,
     ideal_distribution,
-    project_R,
     project_S,
     sample_event,
     substream,

@@ -24,7 +24,6 @@ from .protocol import (
 )
 from .source import (
     OUTCOME_PROBS,
-    R0_BIT,
     Event,
     LocalCountListR,
     LocalCountListS,
@@ -250,12 +249,9 @@ def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams,
     if p.m > max_m:
         raise ValueError(f"brute force limited to m <= {max_m}")
     if cfg is AdversaryConfig.NO_FAULTY:
-        total = Fraction(0)
-        for event, weight in _all_events(p.m):
-            t = run_protocol(event, p, cfg, x_s=0)
-            if classify_transcript(cfg, t) is Outcome.FAILURE:
-                total += weight
-        return total
+        from .analytics import pf_bruteforce  # cycle: analytics enumerates _all_events
+
+        return pf_bruteforce(cfg, p, max_m=max_m).value
     total = Fraction(0)
     for _, events in _events_by_local_list(p.m, cfg).items():
         group_prob = sum(w for _, w in events)

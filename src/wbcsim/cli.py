@@ -165,15 +165,20 @@ def _cmd_optimize(args) -> int:
     table = optimizer.grid_search(spec)
     rows = [[float(mu), float(lam), verdict] for mu, lam, verdict in table]
     _emit_table(["mu", "lambda", "verdict"], rows, args)
-    _write_manifest(args, json.loads(optimizer.run_manifest(spec)))
+    manifest = {
+        "mu_range": [str(spec.mu_range[0]), str(spec.mu_range[1]), spec.mu_range[2]],
+        "lambda_range": [str(spec.lambda_range[0]), str(spec.lambda_range[1]), spec.lambda_range[2]],
+        "m_candidates": spec.m_candidates,
+        "p_target": spec.p_target,
+        "seed": None,
+        "timestamp": None,  # set by _write_manifest; listed here to keep its place before "command"
+    }
+    _write_manifest(args, manifest)
     return EXIT_OK
 
 
 def _cmd_mmin(args) -> int:
-    per_config = optimizer.config_crossings(
-        _parse_real(args.mu, args.inexact), _parse_real(args.lam, args.inexact), args.pft, args.m_lo, args.m_hi
-    )
-    overall = optimizer.m_min_upper(
+    table = optimizer.m_min_table(
         _parse_real(args.mu, args.inexact),
         _parse_real(args.lam, args.inexact),
         args.pft,
@@ -182,11 +187,10 @@ def _cmd_mmin(args) -> int:
         require_region=not args.no_region_check,
     )
     if args.per_config:
-        rows = [[name, value] for name, value in per_config.items()] + [["overall", overall]]
-        _emit_table(["config", "m_min"], rows, args)
+        _emit_table(["config", "m_min"], [[name, value] for name, value in table.items()], args)
     else:
-        print(overall)
-    _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "p_target": args.pft, "m_min": overall})
+        print(table["overall"])
+    _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "p_target": args.pft, "m_min": table["overall"]})
     return EXIT_OK
 
 
@@ -224,10 +228,7 @@ def _cmd_fidelity(args) -> int:
         out["quantum_fidelity"] = metrics.quantum_fidelity_pure_target(rho)
     if not out:
         raise ParameterError("fidelity needs --counts and/or --density")
-    if args.format == "csv":
-        _emit_table(["metric", "value"], [[k, repr(v)] for k, v in out.items()], args)
-    else:
-        _emit_table(["metric", "value"], [[k, v] for k, v in out.items()], args)
+    _emit_table(["metric", "value"], [[k, v] for k, v in out.items()], args)
     return EXIT_OK
 
 

@@ -10,11 +10,10 @@ workers.
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import IO
 
 from .protocol import (
     AdversaryConfig,
@@ -69,24 +68,20 @@ def estimate_pf(
     """Frequency estimate of the failure probability over n_trials runs.
 
     The trial outcomes are a pure function of (seed, trial number), so the
-    result is identical for every jobs value.
+    result is identical for every jobs value. At most one worker process
+    per CPU is started, however large jobs is.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be a positive count")
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive count, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
         failures = _count_failures(cfg, p, seed, 0, n_trials)
     else:
-        chunk = -(-n_trials // jobs)
+        chunk = -(-n_trials // workers)
         ranges = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_count_failures, cfg, p, seed, lo, hi) for lo, hi in ranges]
             failures = sum(f.result() for f in futures)
     return MonteCarloResult(cfg, p, n_trials, failures, seed)
-
-
-def dump_csv(results: list[MonteCarloResult], fh: IO[str]) -> None:
-    """Write one row per estimate: m, config, N, estimate, stderr, seed."""
-    writer = csv.writer(fh)
-    writer.writerow(["m", "config", "N", "estimate", "stderr", "seed"])
-    for r in results:
-        writer.writerow([r.params.m, r.config.value, r.n_trials, repr(r.estimate), repr(r.stderr), r.seed])

@@ -8,12 +8,9 @@ region, integer cells where a candidate m suffices, NOT_FOUND otherwise.
 
 from __future__ import annotations
 
-import csv
-import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
 from .protocol import ParameterError, ProtocolParams, as_fraction
@@ -23,14 +20,18 @@ NOT_FOUND = "NOT_FOUND"
 OUTSIDE_REGION = "OUTSIDE_REGION"
 Verdict = Union[int, str]
 
+# Exact/upper failure probability of each configuration, in report order.
+_UPPER_BOUNDS = (
+    ("no-faulty", lambda p: pf_no_faulty_exact(p).value),
+    ("s-faulty", lambda p: pf_S_bounds(p)[1].value),
+    ("r0-faulty", lambda p: pf_R_bounds(p)[1].value),
+)
+
 
 def worst_upper_bound(mu, lam, m: int) -> float:
     """max over configurations of the exact/upper failure probability."""
     p = ProtocolParams.create(mu, lam, m)
-    nf = pf_no_faulty_exact(p).value
-    s_up = pf_S_bounds(p)[1].value
-    r_up = pf_R_bounds(p)[1].value
-    return max(nf, s_up, r_up)
+    return max(bound(p) for _, bound in _UPPER_BOUNDS)
 
 
 def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
@@ -41,21 +42,53 @@ def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
 
 
+def _crossings(mu, lam, p_target: float, ms: Iterable[int]) -> dict[str, Verdict]:
+    """First m of the ascending ms where each configuration's bound, and all
+    three at once ("overall"), drop below p_target; NOT_FOUND where none does.
+
+    Each bound is evaluated once per m. The scan stops at the overall
+    crossing: there every bound is below the target, so each per-configuration
+    crossing is already recorded. Bound monotonicity in m is not assumed.
+    """
+    out: dict[str, Verdict] = {name: NOT_FOUND for name, _ in _UPPER_BOUNDS}
+    out["overall"] = NOT_FOUND
+    for m in ms:
+        p = ProtocolParams.create(mu, lam, m)
+        below = {name: bound(p) < p_target for name, bound in _UPPER_BOUNDS}
+        for name, crossed in below.items():
+            if crossed and out[name] == NOT_FOUND:
+                out[name] = m
+        if all(below.values()):
+            out["overall"] = m
+            break
+    return out
+
+
+def m_min_table(
+    mu,
+    lam,
+    p_target: float,
+    m_lo: int = 1,
+    m_hi: int = 400,
+    require_region: bool = True,
+) -> dict[str, Verdict]:
+    """Smallest m in [m_lo, m_hi] at which each configuration's upper bound,
+    and all three at once ("overall"), fall below p_target.
+
+    Parameters outside the guaranteed region are rejected before any bound
+    is evaluated, unless require_region=False, which reproduces the
+    heatmap's grey cells.
+    """
+    _check_scan(p_target, m_lo, m_hi)
+    if require_region and not in_guaranteed_region(mu, lam):
+        raise ParameterError(f"(mu={mu}, lambda={lam}) outside the guaranteed exponential-security region")
+    return _crossings(mu, lam, p_target, range(m_lo, m_hi + 1))
+
+
 def config_crossings(mu, lam, p_target: float, m_lo: int, m_hi: int) -> dict[str, Verdict]:
     """First m where each per-configuration bound drops below p_target."""
-    _check_scan(p_target, m_lo, m_hi)
-    out: dict[str, Verdict] = {}
-    for name, fn in (
-        ("no-faulty", lambda p: pf_no_faulty_exact(p).value),
-        ("s-faulty", lambda p: pf_S_bounds(p)[1].value),
-        ("r0-faulty", lambda p: pf_R_bounds(p)[1].value),
-    ):
-        out[name] = NOT_FOUND
-        for m in range(m_lo, m_hi + 1):
-            if fn(ProtocolParams.create(mu, lam, m)) < p_target:
-                out[name] = m
-                break
-    return out
+    table = m_min_table(mu, lam, p_target, m_lo, m_hi, require_region=False)
+    return {name: table[name] for name, _ in _UPPER_BOUNDS}
 
 
 def m_min_upper(
@@ -66,19 +99,9 @@ def m_min_upper(
     m_hi: int = 400,
     require_region: bool = True,
 ) -> Verdict:
-    """Smallest m in [m_lo, m_hi] with every upper bound below p_target.
-
-    Scans ascending and returns the first crossing (bound monotonicity in m
-    is not assumed). Parameters outside the guaranteed region are rejected
-    unless require_region=False, which reproduces the heatmap's grey cells.
-    """
-    _check_scan(p_target, m_lo, m_hi)
-    if require_region and not in_guaranteed_region(mu, lam):
-        raise ParameterError(f"(mu={mu}, lambda={lam}) outside the guaranteed exponential-security region")
-    for m in range(m_lo, m_hi + 1):
-        if worst_upper_bound(mu, lam, m) < p_target:
-            return m
-    return NOT_FOUND
+    """Smallest m in [m_lo, m_hi] with every upper bound below p_target
+    (the "overall" row of m_min_table)."""
+    return m_min_table(mu, lam, p_target, m_lo, m_hi, require_region)["overall"]
 
 
 @dataclass(frozen=True)
@@ -126,40 +149,9 @@ def grid_search(g: GridSpec) -> list[tuple[Fraction, Fraction, Verdict]]:
     table: list[tuple[Fraction, Fraction, Verdict]] = []
     for mu in g.mu_values():
         for lam in g.lambda_values():
-            if not in_guaranteed_region(mu, lam):
-                table.append((mu, lam, OUTSIDE_REGION))
-                continue
-            verdict: Verdict = NOT_FOUND
-            for m in g.m_candidates:
-                if worst_upper_bound(mu, lam, m) < g.p_target:
-                    verdict = m
-                    break
+            if in_guaranteed_region(mu, lam):
+                verdict = _crossings(mu, lam, g.p_target, g.m_candidates)["overall"]
+            else:
+                verdict = OUTSIDE_REGION
             table.append((mu, lam, verdict))
     return table
-
-
-def dump_heatmap_csv(table: list[tuple[Fraction, Fraction, Verdict]], fh: IO[str]) -> None:
-    """Write heatmap rows: mu, lambda, verdict."""
-    writer = csv.writer(fh)
-    writer.writerow(["mu", "lambda", "verdict"])
-    for mu, lam, verdict in table:
-        writer.writerow([float(mu), float(lam), verdict])
-
-
-def run_manifest(g: GridSpec, seed: int | None = None) -> str:
-    """JSON manifest recording the grid spec, target, and timestamp."""
-    return json.dumps(
-        {
-            "mu_range": [str(as_fraction(g.mu_range[0])), str(as_fraction(g.mu_range[1])), g.mu_range[2]],
-            "lambda_range": [
-                str(as_fraction(g.lambda_range[0])),
-                str(as_fraction(g.lambda_range[1])),
-                g.lambda_range[2],
-            ],
-            "m_candidates": list(g.m_candidates),
-            "p_target": g.p_target,
-            "seed": seed,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
-        indent=2,
-    )

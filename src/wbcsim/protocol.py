@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from .source import Event, global_counts, project_R, project_S
+from .source import Event, global_counts, project_S
 
 if TYPE_CHECKING:
     from .adversary import StrategyR, StrategyS

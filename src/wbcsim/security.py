@@ -9,10 +9,8 @@ numbers — clamping belongs to the reporting layer.
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
-from typing import IO
 
 from .protocol import ParameterError, as_fraction
 
@@ -76,24 +74,3 @@ def chernoff_R(mu, lam, m: int) -> float:
     x_bar = (3 * mu_f / 2 - 1 / 3) * m
     tails = 2 * math.exp(-(m / 9) * (1 - 3 * mu_f) ** 2) + 2 * math.exp(-(m / 18) * (1 - 3 * mu_f) ** 2)
     return tails + math.exp(-x_bar * delta**2 / 3)
-
-
-def dump_region_csv(
-    fh: IO[str],
-    mu_lo=Fraction(0, 1),
-    mu_hi=Fraction(1, 3),
-    lam_lo=Fraction(1, 2),
-    lam_hi=Fraction(1, 1),
-    steps: int = 200,
-) -> None:
-    """Write a steps x steps rasterization of the theorem region:
-    columns mu, lambda, inside (0/1)."""
-    mu_lo, mu_hi = as_fraction(mu_lo), as_fraction(mu_hi)
-    lam_lo, lam_hi = as_fraction(lam_lo), as_fraction(lam_hi)
-    writer = csv.writer(fh)
-    writer.writerow(["mu", "lambda", "inside"])
-    for i in range(steps):
-        mu = mu_lo + (mu_hi - mu_lo) * Fraction(i, steps - 1)
-        for j in range(steps):
-            lam = lam_lo + (lam_hi - lam_lo) * Fraction(j, steps - 1)
-            writer.writerow([float(mu), float(lam), int(in_guaranteed_region(mu, lam))])

@@ -190,14 +190,6 @@ def event_class_probability(g: GlobalCountList) -> Fraction:
     return multinomial(g.m, g.g) * weight
 
 
-def log_event_class_probability(g: GlobalCountList) -> float:
-    """log of event_class_probability, safe for m in the thousands."""
-    log_w = (g.g[0] + g.g[5]) * math.log(Fraction(1, 3)) + (g.g[1] + g.g[2] + g.g[3] + g.g[4]) * math.log(
-        Fraction(1, 12)
-    )
-    return log_multinomial(g.m, g.g) + log_w
-
-
 def multinomial(m: int, parts: Sequence[int]) -> int:
     """Exact multinomial coefficient m! / prod(parts!)."""
     if sum(parts) != m:
@@ -210,17 +202,6 @@ def multinomial(m: int, parts: Sequence[int]) -> int:
     return out
 
 
-def log_multinomial(m: int, parts: Sequence[int]) -> float:
-    if sum(parts) != m:
-        raise ValueError("parts must sum to m")
-    return math.lgamma(m + 1) - sum(math.lgamma(p + 1) for p in parts)
-
-
 def project_S(g: GlobalCountList) -> LocalCountListS:
     """(g1, g2+g3+g4+g5, g6): what S can distinguish."""
     return LocalCountListS(g.g[0], g.g[1] + g.g[2] + g.g[3] + g.g[4], g.g[5])
-
-
-def project_R(g: GlobalCountList) -> LocalCountListR:
-    """(g1, g3+g5, g2+g4+g6): what R0 can distinguish after the invocation."""
-    return LocalCountListR(g.g[0], g.g[2] + g.g[4], g.g[1] + g.g[3] + g.g[5])

@@ -2,10 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wbcsim
+import wbcsim.optimizer as optimizer
 from wbcsim.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_USAGE, OUTPUT_DIR_ENV, main
 from wbcsim.metrics import TARGET_STATE
 
@@ -14,6 +20,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """Count the optimizer's bound evaluations per (config, m)."""
+    calls = Counter()
+    for config, name in (
+        ("no-faulty", "pf_no_faulty_exact"),
+        ("s-faulty", "pf_S_bounds"),
+        ("r0-faulty", "pf_R_bounds"),
+    ):
+        def counted(p, _fn=getattr(optimizer, name), _config=config):
+            calls[_config, p.m] += 1
+            return _fn(p)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    return calls
 
 
 class TestExitCodes:
@@ -45,6 +68,18 @@ class TestExitCodes:
         code, out, err = run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", pft)
         assert code == EXIT_USAGE and out == "" and "(0, 1]" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_simulate_rejects_nonpositive_jobs(self, capsys, jobs):
+        code, out, _ = run(
+            capsys, "simulate", "--config", "no-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "4", "--jobs", jobs
+        )
+        assert code == EXIT_USAGE and out == ""
+
+    def test_mmin_outside_region_evaluates_no_bound(self, capsys, bound_calls):
+        code, out, _ = run(capsys, "mmin", "--mu", "0.25", "--lambda", "0.90", "--pft", "0.05")
+        assert code == EXIT_PARAMETER and out == ""
+        assert not bound_calls
+
     def test_inexact_required_for_float_parsing(self, capsys):
         code, _, _ = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272e0", "--lambda", "0.94", "--m", "10")
         assert code == EXIT_PARAMETER
@@ -55,16 +90,19 @@ class TestExitCodes:
 
 
 class TestCommands:
-    def test_mmin_prints_reference_value(self, capsys):
+    def test_mmin_prints_reference_value(self, capsys, bound_calls):
         code, out, _ = run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05")
         assert code == EXIT_OK and out.strip() == "280"
+        # one scan: three bounds at each m = 1..280, none evaluated twice
+        assert sum(bound_calls.values()) == 840 and set(bound_calls.values()) == {1}
 
-    def test_mmin_per_config(self, capsys):
+    def test_mmin_per_config(self, capsys, bound_calls):
         code, out, _ = run(
             capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05", "--per-config", "--format", "json"
         )
         rows = {r["config"]: r["m_min"] for r in json.loads(out)}
         assert rows == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280, "overall": 280}
+        assert sum(bound_calls.values()) == 840 and set(bound_calls.values()) == {1}
 
     def test_exact_value_below_target(self, capsys):
         code, out, _ = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", "143")
@@ -103,7 +141,11 @@ class TestCommands:
         counts.write_text(json.dumps({"0011": 4, "1100": 4, "0101": 1, "0110": 1, "1001": 1, "1010": 1}))
         code, out, _ = run(capsys, "fidelity", "--counts", str(counts), "--format", "json")
         assert code == EXIT_OK
-        assert json.loads(out)[0]["value"] == pytest.approx(1.0, abs=1e-12)
+        value = json.loads(out)[0]["value"]
+        assert value == pytest.approx(1.0, abs=1e-12)
+        code, out, _ = run(capsys, "fidelity", "--counts", str(counts), "--format", "csv")
+        assert code == EXIT_OK
+        assert out == f"metric,value\nclassical_fidelity,{value!r}\n"
 
     def test_fidelity_from_density_matrix(self, capsys, tmp_path):
         rho = np.outer(TARGET_STATE, TARGET_STATE)
@@ -131,8 +173,15 @@ class TestOutputFiles:
         assert code == EXIT_OK
         heatmap = (tmp_path / "sweep.csv").read_text()
         assert heatmap.splitlines()[0] == "mu,lambda,verdict"
+        assert len(heatmap.splitlines()) == 5
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["p_target"] == 0.05 and manifest["command"] == "optimize"
+        assert list(manifest) == [
+            "mu_range", "lambda_range", "m_candidates", "p_target", "seed", "timestamp", "command",
+        ]
+        assert manifest["mu_range"] == ["271/1000", "273/1000", 2]
+        assert manifest["m_candidates"] == [278, 279, 280, 281, 282]
+        assert manifest["seed"] is None and manifest["timestamp"]
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
@@ -141,3 +190,17 @@ class TestOutputFiles:
         first = (tmp_path / "mc.csv").read_bytes()
         run(capsys, *argv)
         assert (tmp_path / "mc.csv").read_bytes() == first
+        header, row = first.decode().splitlines()
+        assert header == "m,config,N,estimate,stderr,seed"
+        fields = row.split(",")
+        assert fields[:3] == ["8", "s-faulty", "150"] and fields[5] == "2"
+        assert float(fields[4]) == pytest.approx((float(fields[3]) * (1 - float(fields[3])) / 150) ** 0.5)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up on every command
+    src = str(Path(wbcsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, wbcsim.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

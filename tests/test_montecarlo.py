@@ -1,13 +1,15 @@
 """Tests for the Monte-Carlo failure probability estimator."""
 
-import io
 import math
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
 from wbcsim.analytics import pf_no_faulty_exact, pf_S_bounds
-from wbcsim.montecarlo import MonteCarloResult, dump_csv, estimate_pf
+import wbcsim.montecarlo as montecarlo
+from wbcsim.montecarlo import MonteCarloResult, estimate_pf
 from wbcsim.protocol import AdversaryConfig, ProtocolParams
 
 NO_FAULTY = AdversaryConfig.NO_FAULTY
@@ -63,12 +65,36 @@ class TestStatistics:
             estimate_pf(NO_FAULTY, params(2), 0, seed=0)
 
 
-class TestExport:
-    def test_csv_columns(self):
-        r = estimate_pf(R0_FAULTY, params(6), 100, seed=1)
-        buf = io.StringIO()
-        dump_csv([r], buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "m,config,N,estimate,stderr,seed"
-        fields = lines[1].split(",")
-        assert fields[0] == "6" and fields[1] == "r0-faulty" and fields[2] == "100" and fields[5] == "1"
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_nonpositive_jobs(self, jobs):
+        with pytest.raises(ValueError):
+            estimate_pf(NO_FAULTY, params(2), 10, seed=0, jobs=jobs)
+
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch):
+        # an inline stand-in for the pool: no process is started
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        serial = estimate_pf(S_FAULTY, params(12), 60, seed=3)
+        capped = estimate_pf(S_FAULTY, params(12), 60, seed=3, jobs=10**6)
+        assert all(w <= (os.cpu_count() or 1) for w in requested)
+        assert capped.n_failures == serial.n_failures
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        three = estimate_pf(S_FAULTY, params(12), 60, seed=3, jobs=10**6)
+        assert requested[-1] == 3 and three.n_failures == serial.n_failures

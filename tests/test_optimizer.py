@@ -1,7 +1,5 @@
 """Tests for minimal-resource search and the (mu, lambda) grid scan."""
 
-import io
-import json
 from fractions import Fraction
 
 import pytest
@@ -12,13 +10,13 @@ from wbcsim.optimizer import (
     GridSpec,
     config_crossings,
     default_fine_grid,
-    dump_heatmap_csv,
     grid_search,
+    m_min_table,
     m_min_upper,
-    run_manifest,
     worst_upper_bound,
 )
-from wbcsim.protocol import ParameterError
+from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
+from wbcsim.protocol import ParameterError, ProtocolParams
 
 MU, LAM = "0.272", "0.94"
 
@@ -113,18 +111,31 @@ class TestGridSearch:
         assert shared and all(coarse_map[k] == fine_map[k] for k in shared)
 
 
-class TestExport:
-    def test_heatmap_csv(self):
-        g = GridSpec((Fraction("0.20"), Fraction("0.21"), 2), (Fraction("0.93"), Fraction("0.94"), 2), [100], 0.05)
-        buf = io.StringIO()
-        dump_heatmap_csv(grid_search(g), buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "mu,lambda,verdict"
-        assert len(lines) == 5
+class TestMMinTable:
+    @staticmethod
+    def first_crossings(mu, lam, p_target, m_lo, m_hi):
+        """Independent first-m scan per bound and over worst_upper_bound."""
+        bounds = {
+            "no-faulty": lambda p: pf_no_faulty_exact(p).value,
+            "s-faulty": lambda p: pf_S_bounds(p)[1].value,
+            "r0-faulty": lambda p: pf_R_bounds(p)[1].value,
+        }
+        ms = range(m_lo, m_hi + 1)
+        out = {}
+        for name, bound in bounds.items():
+            out[name] = next((m for m in ms if bound(ProtocolParams.create(mu, lam, m)) < p_target), NOT_FOUND)
+        out["overall"] = next((m for m in ms if worst_upper_bound(mu, lam, m) < p_target), NOT_FOUND)
+        return out
 
-    def test_manifest_records_the_spec(self):
-        g = default_fine_grid()
-        manifest = json.loads(run_manifest(g, seed=9))
-        assert manifest["p_target"] == 0.05
-        assert manifest["m_candidates"][0] == 270 and manifest["m_candidates"][-1] == 300
-        assert manifest["seed"] == 9 and "timestamp" in manifest
+    @pytest.mark.parametrize(
+        "mu,lam,p_target,m_lo,m_hi",
+        [
+            ("0.272", "0.94", 0.2, 1, 120),
+            ("0.25", "0.94", 0.2, 30, 200),
+            ("0.3", "0.9", 0.2, 30, 200),
+            ("0.23", "0.94", 0.2, 30, 200),
+        ],
+    )
+    def test_matches_direct_scan(self, mu, lam, p_target, m_lo, m_hi):
+        table = m_min_table(mu, lam, p_target, m_lo, m_hi, require_region=False)
+        assert table == self.first_crossings(mu, lam, p_target, m_lo, m_hi)
