@@ -202,5 +202,7 @@ def test_cli_import_does_not_load_scipy_stats():
     src = str(Path(wbcsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, wbcsim.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
     assert result.stdout.strip() == "False"
