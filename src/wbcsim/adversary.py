@@ -17,6 +17,7 @@ from typing import Iterator, Union
 
 from .protocol import (
     AdversaryConfig,
+    DomainVerdict,
     Outcome,
     ProtocolParams,
     classify_transcript,
@@ -24,6 +25,7 @@ from .protocol import (
 )
 from .source import (
     OUTCOME_PROBS,
+    R0_BIT,
     Event,
     LocalCountListR,
     LocalCountListS,
@@ -64,18 +66,6 @@ class StrategyR:
         return [self.k_0011, self.k_xx10, self.k_xx0x]
 
 
-@dataclass(frozen=True)
-class DomainVerdict:
-    """Result of a strategy domain check; out-of-domain carries the reason."""
-
-    in_domain: bool
-    reason: str | None = None
-
-    def __post_init__(self):
-        if not self.in_domain and not self.reason:
-            raise ValueError("an out-of-domain verdict needs a reason")
-
-
 def zeta_S(l: LocalCountListS, p: ProtocolParams) -> Union[StrategyS, DomainVerdict]:
     """Optimal incomplete strategy (T-Q, Q, 0; 0, 0, l3) of a faulty sender.
 
@@ -110,36 +100,44 @@ def _class_indices(event: Event, class_map) -> tuple[list[int], list[int], list[
     return classes
 
 
+def _r0_classes(event: Event, sigma0: frozenset[int], x_s: int) -> tuple[list[int], list[int], list[int]]:
+    """R0's 0011 / XX10 / XX0X index lists after receiving sigma0.
+
+    R0 reads 0011 where it measured 1 - x_s and S vouched for the index,
+    XX10 where it measured 1 - x_s otherwise, and XX0X where it measured x_s.
+    """
+    classes: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for i, c in enumerate(event.codes, start=1):
+        if R0_BIT[c] == x_s:
+            classes[2].append(i)
+        else:
+            classes[0 if i in sigma0 else 1].append(i)
+    return classes
+
+
+def _take(classes, ks, names) -> frozenset[int]:
+    """The lowest k indices of each class, per the strategy counts."""
+    taken: list[int] = []
+    for k, cls, name in zip(ks, classes, names):
+        if k < 0 or k > len(cls):
+            raise ValueError(f"strategy requests {k} indices from class {name} of size {len(cls)}")
+        taken += cls[:k]
+    return frozenset(taken)
+
+
 def assemble_check_sets_S(event: Event, s: StrategyS) -> tuple[frozenset[int], frozenset[int]]:
     """Build (sigma0, sigma1) by taking the lowest indices from each of S's
     local classes, per the strategy counts."""
-    c0011, cmixed, c1100 = _class_indices(event, S_CLASS)
-    ks = s.as_list()
-    sizes = [len(c0011), len(cmixed), len(c1100)]
-    for k, size, name in zip(ks, sizes * 2, ["0011", "mixed", "1100"] * 2):
-        if k < 0 or k > size:
-            raise ValueError(f"strategy requests {k} indices from class {name} of size {size}")
-    sigma0 = frozenset(c0011[: s.k0_0011] + cmixed[: s.k0_mixed] + c1100[: s.k0_1100])
-    sigma1 = frozenset(c0011[: s.k1_0011] + cmixed[: s.k1_mixed] + c1100[: s.k1_1100])
+    classes = _class_indices(event, S_CLASS)
+    names = ("0011", "mixed", "1100")
+    sigma0 = _take(classes, (s.k0_0011, s.k0_mixed, s.k0_1100), names)
+    sigma1 = _take(classes, (s.k1_0011, s.k1_mixed, s.k1_1100), names)
     return sigma0, sigma1
 
 
-def local_counts_R(event: Event, sigma0: frozenset[int]) -> LocalCountListR:
-    """R0's local classification after receiving sigma0.
-
-    R0 reads 0011 where its bit is 1 and the index was vouched for by S,
-    XX10 where its bit is 1 otherwise, and XX0X where its bit is 0.
-    """
-    l1 = l2 = l3 = 0
-    for i in range(1, event.m + 1):
-        if event.r0_bit(i) == 1:
-            if i in sigma0:
-                l1 += 1
-            else:
-                l2 += 1
-        else:
-            l3 += 1
-    return LocalCountListR(l1, l2, l3)
+def local_counts_R(event: Event, sigma0: frozenset[int], x_s: int = 0) -> LocalCountListR:
+    """R0's local count list (0011, XX10, XX0X) after receiving sigma0."""
+    return LocalCountListR(*map(len, _r0_classes(event, sigma0, x_s)))
 
 
 def assemble_rho_R(
@@ -150,20 +148,7 @@ def assemble_rho_R(
     y01 negates the honest bit; rho01 takes the lowest indices from each of
     R0's local classes, per the strategy counts.
     """
-    c0011: list[int] = []
-    cxx10: list[int] = []
-    cxx0x: list[int] = []
-    honest_bit = 1 if x_s == 0 else 0  # R0's bit on outcomes vouched for by S
-    for i in range(1, event.m + 1):
-        if event.r0_bit(i) == honest_bit:
-            (c0011 if i in sigma0 else cxx10).append(i)
-        else:
-            cxx0x.append(i)
-    for k, cls, name in ((s.k_0011, c0011, "0011"), (s.k_xx10, cxx10, "XX10"), (s.k_xx0x, cxx0x, "XX0X")):
-        if k < 0 or k > len(cls):
-            raise ValueError(f"strategy requests {k} indices from class {name} of size {len(cls)}")
-    rho01 = frozenset(c0011[: s.k_0011] + cxx10[: s.k_xx10] + cxx0x[: s.k_xx0x])
-    return 1 - x_s, rho01
+    return 1 - x_s, _take(_r0_classes(event, sigma0, x_s), s.as_list(), ("0011", "XX10", "XX0X"))
 
 
 def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
@@ -174,26 +159,26 @@ def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
         yield Event(codes), weight
 
 
-def _strategies_S(l: LocalCountListS) -> Iterator[StrategyS]:
-    bounds = (l.l1, l.l2, l.l3)
-    for ks in itertools.product(*(range(b + 1) for b in bounds + bounds)):
-        yield StrategyS(*ks)
+# Each faulty party's coarse outcome classes, by outcome code.
+_CLASS_MAP = {AdversaryConfig.S_FAULTY: S_CLASS, AdversaryConfig.R0_FAULTY: R_CLASS}
 
 
-def _strategies_R(l: LocalCountListR) -> Iterator[StrategyR]:
-    for ks in itertools.product(range(l.l1 + 1), range(l.l2 + 1), range(l.l3 + 1)):
-        yield StrategyR(*ks)
+def _local_counts(event: Event, cfg: AdversaryConfig) -> tuple[int, int, int]:
+    return tuple(map(len, _class_indices(event, _CLASS_MAP[cfg])))
+
+
+def _strategies(cfg: AdversaryConfig, counts: tuple[int, int, int]) -> Iterator[Union[StrategyS, StrategyR]]:
+    """Every k-vector that draws at most the available indices per class."""
+    kind, check_sets = (StrategyS, 2) if cfg is AdversaryConfig.S_FAULTY else (StrategyR, 1)
+    ranges = [range(b + 1) for b in counts] * check_sets
+    return itertools.starmap(kind, itertools.product(*ranges))
 
 
 def _events_by_local_list(m: int, cfg: AdversaryConfig):
     """Group all 6^m Events by the adversary's local count list."""
-    class_map = S_CLASS if cfg is AdversaryConfig.S_FAULTY else R_CLASS
     grouped: dict[tuple[int, int, int], list[tuple[Event, Fraction]]] = {}
     for event, weight in _all_events(m):
-        counts = [0, 0, 0]
-        for c in event.codes:
-            counts[class_map[c]] += 1
-        grouped.setdefault(tuple(counts), []).append((event, weight))
+        grouped.setdefault(_local_counts(event, cfg), []).append((event, weight))
     return grouped
 
 
@@ -222,18 +207,9 @@ def max_conditional_failure(
 ) -> Fraction:
     """Best conditional failure probability any strategy achieves on one
     local count list group (exhaustive enumeration of k-vectors)."""
-    if cfg is AdversaryConfig.S_FAULTY:
-        counts = [0, 0, 0]
-        for c in events[0][0].codes:
-            counts[S_CLASS[c]] += 1
-        candidates = _strategies_S(LocalCountListS(*counts))
-    elif cfg is AdversaryConfig.R0_FAULTY:
-        counts = [0, 0, 0]
-        for c in events[0][0].codes:
-            counts[R_CLASS[c]] += 1
-        candidates = _strategies_R(LocalCountListR(*counts))
-    else:
+    if cfg not in _CLASS_MAP:
         raise ValueError("brute-force strategy search applies to faulty configurations only")
+    candidates = _strategies(cfg, _local_counts(events[0][0], cfg))
     return max(conditional_failure_probability(cfg, p, events, s) for s in candidates)
 
 

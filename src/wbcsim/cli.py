@@ -53,8 +53,10 @@ def _parse_m_list(text: str) -> list[int]:
     values: list[int] = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi = part.split("..")
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split(".."))
+            if lo > hi:
+                raise ValueError(f"inverted m range {part!r} in {text!r}")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     if not values or any(v < 1 for v in values):

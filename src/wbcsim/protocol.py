@@ -34,6 +34,18 @@ class OutOfDomainError(Exception):
         self.reason = reason
 
 
+@dataclass(frozen=True)
+class DomainVerdict:
+    """Result of a strategy domain check; out-of-domain carries the reason."""
+
+    in_domain: bool
+    reason: str | None = None
+
+    def __post_init__(self):
+        if not self.in_domain and not self.reason:
+            raise ValueError("an out-of-domain verdict needs a reason")
+
+
 class _AbortType:
     """Singleton 'abort' output, the third value besides 0 and 1."""
 
@@ -195,6 +207,14 @@ def cross_check(
     return y_tilde1
 
 
+def _in_domain(derived):
+    """Pass a derived strategy through; turn an out-of-domain verdict into
+    OutOfDomainError."""
+    if isinstance(derived, DomainVerdict):
+        raise OutOfDomainError(derived.reason)
+    return derived
+
+
 def run_protocol(
     event: Event,
     p: ProtocolParams,
@@ -202,57 +222,46 @@ def run_protocol(
     x_s: int = 0,
     strategy: Optional[Union["StrategyS", "StrategyR"]] = None,
 ) -> Transcript:
-    """Run one protocol instance and return the full transcript.
+    """Run the four phases once and return the full transcript.
 
-    For a faulty configuration, `strategy` may be given explicitly (any
-    legal check-set composition); when None, the optimal incomplete
-    strategy is derived from the adversary's local count list, raising
-    OutOfDomainError when the Event falls outside its domain.
+    A faulty party replaces only the messages it controls: a faulty S its
+    invocation, a faulty R0 its check and cross-calling. The strategy may be
+    given explicitly (any legal check-set composition); when None, the
+    optimal incomplete strategy is derived from the adversary's local count
+    list, raising OutOfDomainError when the Event falls outside its domain.
     """
-    from . import adversary  # cycle: adversary assembles check sets
-
     if event.m != p.m:
         raise ValueError(f"event length {event.m} != params m {p.m}")
-    if cfg is AdversaryConfig.NO_FAULTY:
-        if strategy is not None:
-            raise ValueError("no strategy allowed in the no-faulty configuration")
-        x0, sigma0, x1, sigma1, y_s = invocation_honest(event, x_s)
-        y0 = check_phase(event, "R0", x0, sigma0, p)
-        y_tilde1 = check_phase(event, "R1", x1, sigma1, p)
-        y01, rho01 = y0, sigma0
-        y1 = cross_check(y_tilde1, y01, rho01, event, p)
-        return Transcript(x_s, x0, x1, sigma0, sigma1, y_s, y0, y_tilde1, y01, rho01, y1)
+    if not isinstance(cfg, AdversaryConfig):
+        raise ValueError(f"unknown adversary configuration {cfg!r}")
+    if strategy is not None and cfg is AdversaryConfig.NO_FAULTY:
+        raise ValueError("no strategy allowed in the no-faulty configuration")
 
+    # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
     if cfg is AdversaryConfig.S_FAULTY:
-        # Faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
         if strategy is None:
-            derived = adversary.zeta_S(project_S(global_counts(event)), p)
-            if isinstance(derived, adversary.DomainVerdict):
-                raise OutOfDomainError(derived.reason)
-            strategy = derived
-        x0, x1 = 0, 1
+            strategy = _in_domain(adversary.zeta_S(project_S(global_counts(event)), p))
+        x0, x1, y_s = 0, 1, x_s
         sigma0, sigma1 = adversary.assemble_check_sets_S(event, strategy)
-        y0 = check_phase(event, "R0", x0, sigma0, p)
-        y_tilde1 = check_phase(event, "R1", x1, sigma1, p)
-        y01, rho01 = y0, sigma0
-        y1 = cross_check(y_tilde1, y01, rho01, event, p)
-        return Transcript(x_s, x0, x1, sigma0, sigma1, x_s, y0, y_tilde1, y01, rho01, y1)
-
-    if cfg is AdversaryConfig.R0_FAULTY:
+    else:
         x0, sigma0, x1, sigma1, y_s = invocation_honest(event, x_s)
-        if strategy is None:
-            local = adversary.local_counts_R(event, sigma0)
-            derived = adversary.zeta_R(local, p)
-            if isinstance(derived, adversary.DomainVerdict):
-                raise OutOfDomainError(derived.reason)
-            strategy = derived
-        y_tilde1 = check_phase(event, "R1", x1, sigma1, p)
-        y01, rho01 = adversary.assemble_rho_R(event, sigma0, strategy, x_s=x_s)
-        y1 = cross_check(y_tilde1, y01, rho01, event, p)
-        # The faulty R0 reports to the outside whatever it told R1.
-        return Transcript(x_s, x0, x1, sigma0, sigma1, y_s, y01, y_tilde1, y01, rho01, y1)
 
-    raise ValueError(f"unknown adversary configuration {cfg!r}")
+    # Check, then cross-calling. R1 always checks; a faulty R0 skips its check,
+    # forwards a forgery instead of (y0, sigma0), and reports that forgery's
+    # bit to the outside.
+    y_tilde1 = check_phase(event, "R1", x1, sigma1, p)
+    if cfg is AdversaryConfig.R0_FAULTY:
+        if strategy is None:
+            strategy = _in_domain(adversary.zeta_R(adversary.local_counts_R(event, sigma0, x_s=x_s), p))
+        y01, rho01 = adversary.assemble_rho_R(event, sigma0, strategy, x_s=x_s)
+        y0 = y01
+    else:
+        y0 = check_phase(event, "R0", x0, sigma0, p)
+        y01, rho01 = y0, sigma0
+
+    # Cross-check.
+    y1 = cross_check(y_tilde1, y01, rho01, event, p)
+    return Transcript(x_s, x0, x1, sigma0, sigma1, y_s, y0, y_tilde1, y01, rho01, y1)
 
 
 def classify_weak_broadcast(cfg: AdversaryConfig, y_s: int, y0: OutputValue, y1: OutputValue) -> Outcome:
@@ -278,21 +287,22 @@ def classify_weak_broadcast(cfg: AdversaryConfig, y_s: int, y0: OutputValue, y1:
 
 
 def classify_broadcast(cfg: AdversaryConfig, y_s: int, y0: int, y1: int) -> Outcome:
-    """Score output bits against the (strong) broadcast conditions."""
+    """Score output bits against the (strong) broadcast conditions.
+
+    On bits they coincide with the weak ones: weak consistency for a faulty
+    sender reduces to y0 == y1.
+    """
     for v in (y_s, y0, y1):
         if v not in (0, 1):
             raise ValueError("broadcast outputs are binary; ABORT is not allowed")
-    if cfg is AdversaryConfig.NO_FAULTY:
-        ok = y0 == y_s and y1 == y_s
-    elif cfg is AdversaryConfig.S_FAULTY:
-        ok = y0 == y1
-    elif cfg is AdversaryConfig.R0_FAULTY:
-        ok = y1 == y_s
-    else:
-        raise ValueError(f"unknown adversary configuration {cfg!r}")
-    return Outcome.ACHIEVED if ok else Outcome.FAILURE
+    return classify_weak_broadcast(cfg, y_s, y0, y1)
 
 
 def classify_transcript(cfg: AdversaryConfig, t: Transcript) -> Outcome:
     """Weak broadcast verdict for a full transcript."""
     return classify_weak_broadcast(cfg, t.x_s, t.y0, t.y1)
+
+
+# Imported last, because adversary imports this module's names. run_protocol
+# looks adversary's functions up on the module at each call.
+from . import adversary  # noqa: E402

@@ -95,7 +95,7 @@ class Event:
 
     def dump_csv(self, fh: IO[str]) -> None:
         """Write the per-index measurement table (index, S_bits, R0_bit, R1_bit)."""
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "S_bits", "R0_bit", "R1_bit"])
         for i, c in enumerate(self.codes, start=1):
             writer.writerow([index_label(i), S_PAIR[c], R0_BIT[c], R1_BIT[c]])
@@ -118,7 +118,8 @@ class GlobalCountList:
 
 @dataclass(frozen=True)
 class LocalCountListS:
-    """Event frequencies as distinguishable by S: (0011, mixed, 1100)."""
+    """Event frequencies in the three classes one party can distinguish:
+    (0011, mixed, 1100) for S, (0011, XX10, XX0X) for R0."""
 
     l1: int
     l2: int
@@ -129,17 +130,7 @@ class LocalCountListS:
         return self.l1 + self.l2 + self.l3
 
 
-@dataclass(frozen=True)
-class LocalCountListR:
-    """Event frequencies as distinguishable by R0: (0011, XX10, XX0X)."""
-
-    l1: int
-    l2: int
-    l3: int
-
-    @property
-    def m(self) -> int:
-        return self.l1 + self.l2 + self.l3
+LocalCountListR = LocalCountListS
 
 
 def ideal_distribution() -> dict[str, Fraction]:

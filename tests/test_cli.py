@@ -75,6 +75,20 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--config", "no-faulty", "--mu", "0.3", "--lambda", "0.8", "--trials", "10"),
+            ("exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94"),
+            ("bounds", "--mu", "0.272", "--lambda", "0.94"),
+            ("optimize", "--mu-steps", "2", "--lambda-steps", "2"),
+        ],
+        ids=["simulate", "exact", "bounds", "optimize"],
+    )
+    def test_inverted_m_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--m", "10,300..270")
+        assert code == EXIT_USAGE and out == "" and "300..270" in err
+
     def test_mmin_outside_region_evaluates_no_bound(self, capsys, bound_calls):
         code, out, _ = run(capsys, "mmin", "--mu", "0.25", "--lambda", "0.90", "--pft", "0.05")
         assert code == EXIT_PARAMETER and out == ""

@@ -12,6 +12,7 @@ from wbcsim.protocol import (
     ABORT,
     AdversaryConfig,
     Outcome,
+    OutOfDomainError,
     ParameterError,
     ProtocolParams,
     Transcript,
@@ -221,15 +222,20 @@ class TestRunProtocol:
             assert classify_transcript(AdversaryConfig.NO_FAULTY, t) is expected
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_no_faulty_flip_symmetry(self, m):
+    @pytest.mark.parametrize("cfg", [AdversaryConfig.NO_FAULTY, AdversaryConfig.R0_FAULTY], ids=lambda c: c.value)
+    def test_flip_symmetry(self, cfg, m):
+        # Each Event at x_S = 0 and its complement at x_S = 1 get the same
+        # verdict, or are out of the strategy domain for the same reason.
+        def verdict(e, x_s):
+            try:
+                return classify_transcript(cfg, run_protocol(e, p, cfg, x_s=x_s))
+            except OutOfDomainError as exc:
+                return exc.reason
+
         p = ProtocolParams.create("0.3", "0.8", m)
         for codes in itertools.product(range(6), repeat=m):
             e = Event(codes)
-            t0 = run_protocol(e, p, AdversaryConfig.NO_FAULTY, x_s=0)
-            t1 = run_protocol(e.flipped(), p, AdversaryConfig.NO_FAULTY, x_s=1)
-            assert classify_transcript(AdversaryConfig.NO_FAULTY, t0) is classify_transcript(
-                AdversaryConfig.NO_FAULTY, t1
-            )
+            assert verdict(e, 0) == verdict(e.flipped(), 1)
 
     def test_no_faulty_success_transcript(self, params12):
         e = Event.from_outcomes(["0011"] * 12)

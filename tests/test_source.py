@@ -96,10 +96,7 @@ class TestEvent:
     def test_dump_csv(self):
         buf = io.StringIO()
         Event.from_outcomes(["1100", "0011"]).dump_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "index,S_bits,R0_bit,R1_bit"
-        assert lines[1] == "a,11,0,0"
-        assert lines[2] == "b,00,1,1"
+        assert buf.getvalue() == "index,S_bits,R0_bit,R1_bit\na,11,0,0\nb,00,1,1\n"
 
 
 class TestIndexLabel:
