@@ -259,7 +259,6 @@ def run_protocol(
         y0 = check_phase(event, "R0", x0, sigma0, p)
         y01, rho01 = y0, sigma0
 
-    # Cross-check.
     y1 = cross_check(y_tilde1, y01, rho01, event, p)
     return Transcript(x_s, x0, x1, sigma0, sigma1, y_s, y0, y_tilde1, y01, rho01, y1)
 
