@@ -41,7 +41,6 @@ from .protocol import (
     classify_broadcast,
     classify_weak_broadcast,
     classify_transcript,
-    derive_thresholds,
     run_protocol,
 )
 from .security import (
@@ -58,7 +57,6 @@ from .source import (
     GlobalCountList,
     LocalCountListR,
     LocalCountListS,
-    event_class_probability,
     global_counts,
     ideal_distribution,
     project_S,

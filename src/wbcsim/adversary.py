@@ -49,9 +49,6 @@ class StrategyS:
     k1_mixed: int
     k1_1100: int
 
-    def as_list(self) -> list[int]:
-        return [self.k0_0011, self.k0_mixed, self.k0_1100, self.k1_0011, self.k1_mixed, self.k1_1100]
-
 
 @dataclass(frozen=True)
 class StrategyR:
@@ -61,9 +58,6 @@ class StrategyR:
     k_0011: int
     k_xx10: int
     k_xx0x: int
-
-    def as_list(self) -> list[int]:
-        return [self.k_0011, self.k_xx10, self.k_xx0x]
 
 
 def zeta_S(l: LocalCountListS, p: ProtocolParams) -> Union[StrategyS, DomainVerdict]:
@@ -148,7 +142,8 @@ def assemble_rho_R(
     y01 negates the honest bit; rho01 takes the lowest indices from each of
     R0's local classes, per the strategy counts.
     """
-    return 1 - x_s, _take(_r0_classes(event, sigma0, x_s), s.as_list(), ("0011", "XX10", "XX0X"))
+    ks = (s.k_0011, s.k_xx10, s.k_xx0x)
+    return 1 - x_s, _take(_r0_classes(event, sigma0, x_s), ks, ("0011", "XX10", "XX0X"))
 
 
 def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
@@ -220,14 +215,13 @@ def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams,
     composition, so the optimum factorizes: for every local count list,
     take the best conditional failure probability, then average with the
     local-count-list probabilities. Exact rationals; m is capped because
-    enumeration is 6^m Events times all k-vectors.
+    enumeration is 6^m Events times all k-vectors. Faulty configurations
+    only: the no-faulty oracle is analytics.pf_bruteforce.
     """
     if p.m > max_m:
         raise ValueError(f"brute force limited to m <= {max_m}")
-    if cfg is AdversaryConfig.NO_FAULTY:
-        from .analytics import pf_bruteforce  # cycle: analytics enumerates _all_events
-
-        return pf_bruteforce(cfg, p, max_m=max_m).value
+    if cfg not in _CLASS_MAP:
+        raise ValueError("brute-force strategy search applies to faulty configurations only")
     total = Fraction(0)
     for _, events in _events_by_local_list(p.m, cfg).items():
         group_prob = sum(w for _, w in events)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -42,7 +43,10 @@ _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)")
 
 def _parse_real(text: str, inexact: bool) -> Fraction | float:
     if inexact:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParameterError(f"{text!r} is not a finite number")
+        return value
     if not _DECIMAL_RE.fullmatch(text):
         raise ParameterError(f"{text!r} is not a plain decimal; pass --inexact to allow float parsing")
     return Fraction(text)
@@ -115,10 +119,8 @@ def _params_from(args, m: int) -> ProtocolParams:
 def _cmd_simulate(args) -> int:
     cfg = AdversaryConfig(args.config)
     rows = []
-    results = []
     for m in _parse_m_list(args.m):
         r = montecarlo.estimate_pf(cfg, _params_from(args, m), args.trials, args.seed, jobs=args.jobs)
-        results.append(r)
         rows.append([m, cfg.value, r.n_trials, repr(r.estimate), repr(r.stderr), r.seed])
     _emit_table(["m", "config", "N", "estimate", "stderr", "seed"], rows, args)
     _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "m": args.m, "trials": args.trials, "seed": args.seed})
@@ -197,23 +199,14 @@ def _cmd_mmin(args) -> int:
 
 
 def _cmd_truth_table(args) -> int:
-    configs = list(AdversaryConfig)
-    rows = []
     if args.kind == "broadcast":
-        for cfg, y_s, y0, y1 in itertools.product(configs, (0, 1), (0, 1), (0, 1)):
-            rows.append([cfg.value, y_s, y0, y1, classify_broadcast(cfg, y_s, y0, y1).value])
+        values, classify = (0, 1), classify_broadcast
     else:
-        values = (0, 1, ABORT)
-        for cfg, y_s, y0, y1 in itertools.product(configs, (0, 1), values, values):
-            rows.append(
-                [
-                    cfg.value,
-                    y_s,
-                    "abort" if y0 is ABORT else y0,
-                    "abort" if y1 is ABORT else y1,
-                    classify_weak_broadcast(cfg, y_s, y0, y1).value,
-                ]
-            )
+        values, classify = (0, 1, ABORT), classify_weak_broadcast
+    rows = []
+    for cfg, y_s, y0, y1 in itertools.product(AdversaryConfig, (0, 1), values, values):
+        shown = ["abort" if v is ABORT else v for v in (y0, y1)]
+        rows.append([cfg.value, y_s, *shown, classify(cfg, y_s, y0, y1).value])
     _emit_table(["config", "y_S", "y0", "y1", "outcome"], rows, args)
     return EXIT_OK
 
@@ -245,14 +238,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    lams = optimizer.even_grid(Fraction(1, 2), Fraction(1), args.steps)
     rows = []
-    steps = args.steps
-    mu_lo, mu_hi = Fraction(0), Fraction(1, 3)
-    lam_lo, lam_hi = Fraction(1, 2), Fraction(1)
-    for i in range(steps):
-        mu = mu_lo + (mu_hi - mu_lo) * Fraction(i, steps - 1)
-        for j in range(steps):
-            lam = lam_lo + (lam_hi - lam_lo) * Fraction(j, steps - 1)
+    for mu in optimizer.even_grid(Fraction(0), Fraction(1, 3), args.steps):
+        for lam in lams:
             rows.append([float(mu), float(lam), int(security.in_guaranteed_region(mu, lam))])
     _emit_table(["mu", "lambda", "inside"], rows, args)
     return EXIT_OK

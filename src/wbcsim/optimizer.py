@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
-from .protocol import ParameterError, ProtocolParams, as_fraction
+from .protocol import ParameterError, ProtocolParams
 from .security import in_guaranteed_region
 
 NOT_FOUND = "NOT_FOUND"
@@ -104,6 +104,14 @@ def m_min_upper(
     return m_min_table(mu, lam, p_target, m_lo, m_hi, require_region)["overall"]
 
 
+def even_grid(lo, hi, steps: int) -> list[Fraction]:
+    """steps evenly spaced exact rationals from lo to hi, both included."""
+    if steps < 2:
+        raise ValueError(f"a grid needs at least 2 steps, got {steps}")
+    lo, hi = Fraction(lo), Fraction(hi)
+    return [lo + (hi - lo) * Fraction(i, steps - 1) for i in range(steps)]
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular (mu, lambda) grid with candidate m values and a target."""
@@ -123,24 +131,10 @@ class GridSpec:
             raise ValueError("p_target must be a probability in (0, 1]")
 
     def mu_values(self) -> list[Fraction]:
-        lo, hi, steps = self.mu_range
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        return [lo + (hi - lo) * Fraction(i, steps - 1) for i in range(steps)]
+        return even_grid(*self.mu_range)
 
     def lambda_values(self) -> list[Fraction]:
-        lo, hi, steps = self.lambda_range
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        return [lo + (hi - lo) * Fraction(j, steps - 1) for j in range(steps)]
-
-
-def default_fine_grid(p_target: float = 0.05) -> GridSpec:
-    """Fine grid straddling (0.272, 0.94) with candidates 270..300."""
-    return GridSpec(
-        mu_range=(Fraction("0.269"), Fraction("0.275"), 7),
-        lambda_range=(Fraction("0.9325"), Fraction("0.9475"), 7),
-        m_candidates=list(range(270, 301)),
-        p_target=p_target,
-    )
+        return even_grid(*self.lambda_range)
 
 
 def grid_search(g: GridSpec) -> list[tuple[Fraction, Fraction, Verdict]]:

@@ -76,37 +76,6 @@ class Outcome(enum.Enum):
     FAILURE = "failure"
 
 
-def as_fraction(value) -> Fraction:
-    """Exact rational from a decimal string, Fraction, int, or float.
-
-    Decimal strings are the preferred input ("0.272" -> 272/1000); floats are
-    converted to their exact binary value.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (str, int)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def derive_thresholds(mu, lam, m: int) -> tuple[int, int]:
-    """Check-set length threshold T = ceil(mu*m) and inconsistency budget
-    Q = T - ceil(lam*T) + 1, evaluated in exact rational arithmetic."""
-    mu = as_fraction(mu)
-    lam = as_fraction(lam)
-    if not 0 < mu < Fraction(1, 3):
-        raise ParameterError(f"mu={mu} violates 0 < mu < 1/3")
-    if not Fraction(1, 2) < lam < 1:
-        raise ParameterError(f"lambda={lam} violates 1/2 < lambda < 1")
-    if m < 1:
-        raise ParameterError(f"m={m} must be a positive count")
-    T = math.ceil(mu * m)
-    Q = T - math.ceil(lam * T) + 1
-    return T, Q
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol parameters (mu, lambda, m) with derived thresholds T, Q."""
@@ -119,11 +88,20 @@ class ProtocolParams:
 
     @classmethod
     def create(cls, mu, lam, m: int) -> "ProtocolParams":
-        mu = as_fraction(mu)
-        lam = as_fraction(lam)
-        T, Q = derive_thresholds(mu, lam, m)
-        if not 1 <= Q <= T <= m:
-            raise ParameterError(f"thresholds T={T}, Q={Q} violate 1 <= Q <= T <= m={m}")
+        """Check the ranges and derive the check-set length threshold
+        T = ceil(mu*m) and inconsistency budget Q = T - ceil(lam*T) + 1 in
+        exact rational arithmetic. mu and lam may be decimal strings, ints,
+        Fractions or floats; the ranges imply 1 <= Q <= T <= m."""
+        mu = Fraction(mu)
+        lam = Fraction(lam)
+        if not 0 < mu < Fraction(1, 3):
+            raise ParameterError(f"mu={mu} violates 0 < mu < 1/3")
+        if not Fraction(1, 2) < lam < 1:
+            raise ParameterError(f"lambda={lam} violates 1/2 < lambda < 1")
+        if m < 1:
+            raise ParameterError(f"m={m} must be a positive count")
+        T = math.ceil(mu * m)
+        Q = T - math.ceil(lam * T) + 1
         return cls(mu=mu, lam=lam, m=m, T=T, Q=Q)
 
 

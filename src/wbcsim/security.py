@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .protocol import ParameterError, as_fraction
+from .protocol import ParameterError
 
 
 def lambda_threshold(mu) -> Fraction:
     """Smallest admissible lambda at a given mu: (2 + 9*mu) / (18*mu)."""
-    mu = as_fraction(mu)
+    mu = Fraction(mu)
     if mu <= 0:
         raise ParameterError(f"mu={mu} must be positive")
     return (2 + 9 * mu) / (18 * mu)
@@ -26,8 +26,8 @@ def lambda_threshold(mu) -> Fraction:
 def in_guaranteed_region(mu, lam) -> bool:
     """True iff 2/9 < mu < 1/3 and (2+9*mu)/(18*mu) < lambda < 1, evaluated
     in exact rational arithmetic."""
-    mu = as_fraction(mu)
-    lam = as_fraction(lam)
+    mu = Fraction(mu)
+    lam = Fraction(lam)
     if not Fraction(2, 9) < mu < Fraction(1, 3):
         return False
     return lambda_threshold(mu) < lam < 1
@@ -35,7 +35,7 @@ def in_guaranteed_region(mu, lam) -> bool:
 
 def chernoff_no_faulty(mu, m: int) -> float:
     """exp(-(m/6)(1-3*mu)^2), bounding the no-faulty failure probability."""
-    mu = float(as_fraction(mu))
+    mu = float(Fraction(mu))
     if mu >= 1 / 3:
         raise ParameterError(f"mu={mu} must satisfy mu < 1/3")
     return math.exp(-(m / 6) * (1 - 3 * mu) ** 2)
@@ -44,8 +44,8 @@ def chernoff_no_faulty(mu, m: int) -> float:
 def chernoff_S(mu, lam, m: int) -> float:
     """2^(-(1-lambda)*mu*m) + 4*exp(-(m/9)(1-3*mu)^2), bounding the
     faulty-sender failure probability."""
-    mu_f = float(as_fraction(mu))
-    lam_f = float(as_fraction(lam))
+    mu_f = float(Fraction(mu))
+    lam_f = float(Fraction(lam))
     if lam_f < 1 / 2:
         raise ParameterError(f"lambda={lam_f} must satisfy lambda >= 1/2")
     if mu_f >= 1 / 3:
@@ -61,8 +61,8 @@ def chernoff_R(mu, lam, m: int) -> float:
     tail term is an upper tail only for lambda at or above the region
     boundary, so parameters below it are rejected.
     """
-    mu_q = as_fraction(mu)
-    lam_q = as_fraction(lam)
+    mu_q = Fraction(mu)
+    lam_q = Fraction(lam)
     if not Fraction(2, 9) < mu_q < Fraction(1, 3):
         raise ParameterError(f"mu={mu_q} must satisfy 2/9 < mu < 1/3")
     if lam_q < lambda_threshold(mu_q) or lam_q >= 1:

@@ -10,10 +10,9 @@ in a protocol run.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -79,9 +78,6 @@ class Event:
     def outcome(self, index: int) -> str:
         """Four-bit outcome string at a 1-based index."""
         return OUTCOMES[self.codes[index - 1]]
-
-    def s_pair(self, index: int) -> str:
-        return S_PAIR[self.codes[index - 1]]
 
     def r0_bit(self, index: int) -> int:
         return R0_BIT[self.codes[index - 1]]
@@ -173,24 +169,6 @@ def global_counts(event: Event) -> GlobalCountList:
     for c in event.codes:
         counts[c] += 1
     return GlobalCountList(tuple(counts))
-
-
-def event_class_probability(g: GlobalCountList) -> Fraction:
-    """Exact probability that a random Event has global count list g."""
-    weight = Fraction(1, 3) ** (g.g[0] + g.g[5]) * Fraction(1, 12) ** (g.g[1] + g.g[2] + g.g[3] + g.g[4])
-    return multinomial(g.m, g.g) * weight
-
-
-def multinomial(m: int, parts: Sequence[int]) -> int:
-    """Exact multinomial coefficient m! / prod(parts!)."""
-    if sum(parts) != m:
-        raise ValueError("parts must sum to m")
-    out = 1
-    rest = m
-    for p in parts:
-        out *= math.comb(rest, p)
-        rest -= p
-    return out
 
 
 def project_S(g: GlobalCountList) -> LocalCountListS:

@@ -20,7 +20,6 @@ from wbcsim.adversary import (
     zeta_R,
     zeta_S,
 )
-from wbcsim.analytics import pf_no_faulty_exact
 from wbcsim.protocol import (
     AdversaryConfig,
     Outcome,
@@ -30,7 +29,7 @@ from wbcsim.protocol import (
     invocation_honest,
     run_protocol,
 )
-from wbcsim.source import Event, LocalCountListR, LocalCountListS, S_CLASS, global_counts, project_S
+from wbcsim.source import Event, LocalCountListR, LocalCountListS, global_counts, project_S
 
 S_FAULTY = AdversaryConfig.S_FAULTY
 R0_FAULTY = AdversaryConfig.R0_FAULTY
@@ -148,12 +147,10 @@ class TestOptimality:
                 continue
             assert conditional_failure_probability(S_FAULTY, p, events, strategy) == Fraction(1, 2) ** p.Q
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_brute_force_matches_no_faulty_exact(self, m):
-        p = _small_params(m)
-        assert best_failure_probability_bruteforce(AdversaryConfig.NO_FAULTY, p) == pf_no_faulty_exact(
-            p, exact=True
-        ).value
+    def test_brute_force_rejects_no_faulty(self):
+        # the no-faulty oracle is analytics.pf_bruteforce
+        with pytest.raises(ValueError):
+            best_failure_probability_bruteforce(AdversaryConfig.NO_FAULTY, _small_params(2))
 
     def test_brute_force_rejects_large_m(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,9 @@ import wbcsim
 import wbcsim.optimizer as optimizer
 from wbcsim.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_USAGE, OUTPUT_DIR_ENV, main
 from wbcsim.metrics import TARGET_STATE
+from wbcsim.protocol import ABORT
+
+from test_protocol import BROADCAST_TABLE, CONFIGS, WEAK_BROADCAST_TABLE
 
 
 def run(capsys, *argv):
@@ -94,6 +97,19 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER and out == ""
         assert not bound_calls
 
+    @pytest.mark.parametrize("steps", ["1", "0", "-3"])
+    def test_region_rejects_fewer_than_two_steps(self, capsys, steps):
+        code, out, _ = run(capsys, "region", f"--steps={steps}")
+        assert code == EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_inexact_rejects_non_finite_values(self, capsys, value):
+        code, out, _ = run(capsys, "mmin", f"--mu={value}", "--lambda", "0.94", "--pft", "0.05", "--inexact")
+        assert code == EXIT_PARAMETER and out == ""
+        argv = ("exact", "--config", "no-faulty", "--mu", "0.272", f"--lambda={value}", "--m", "10", "--inexact")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_PARAMETER and out == ""
+
     def test_inexact_required_for_float_parsing(self, capsys):
         code, _, _ = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272e0", "--lambda", "0.94", "--m", "10")
         assert code == EXIT_PARAMETER
@@ -128,7 +144,17 @@ class TestCommands:
     def test_truth_table_row_counts(self, capsys, kind, rows):
         code, out, _ = run(capsys, "truth-table", "--kind", kind)
         assert code == EXIT_OK
-        assert len(out.strip().splitlines()) == rows + 1  # header
+        lines = out.strip().splitlines()
+        assert len(lines) == rows + 1  # header
+        # every row carries the verdict of the reference table, ABORT as "abort"
+        table = WEAK_BROADCAST_TABLE if kind == "weak" else BROADCAST_TABLE
+        shown = {0: "0", 1: "1", ABORT: "abort"}
+        expected = {
+            ",".join((cfg.value, shown[y_s], shown[y0], shown[y1], verdict.value))
+            for y_s, y0, y1, *verdicts in table
+            for cfg, verdict in zip(CONFIGS, verdicts)
+        }
+        assert set(lines[1:]) == expected
 
     def test_simulate_deterministic(self, capsys):
         argv = ("simulate", "--config", "no-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "4,6", "--trials", "200", "--seed", "5")

@@ -3,7 +3,6 @@
 import math
 import os
 from concurrent.futures import Future
-from fractions import Fraction
 
 import pytest
 

@@ -9,7 +9,7 @@ from wbcsim.optimizer import (
     OUTSIDE_REGION,
     GridSpec,
     config_crossings,
-    default_fine_grid,
+    even_grid,
     grid_search,
     m_min_table,
     m_min_upper,
@@ -76,11 +76,10 @@ class TestGridSpec:
             GridSpec((Fraction(1, 4), Fraction(3, 10), 5), (Fraction(3, 5), Fraction(4, 5), 5), [10], 0.0)
 
     def test_grid_values_are_exact_and_inclusive(self):
-        g = default_fine_grid()
-        mus = g.mu_values()
+        mus = even_grid("0.269", "0.275", 7)
         assert mus[0] == Fraction("0.269") and mus[-1] == Fraction("0.275")
         assert Fraction("0.272") in mus
-        assert Fraction("0.94") in g.lambda_values()
+        assert Fraction("0.94") in even_grid("0.9325", "0.9475", 7)
 
 
 class TestGridSearch:

@@ -16,13 +16,11 @@ from wbcsim.protocol import (
     ParameterError,
     ProtocolParams,
     Transcript,
-    as_fraction,
     check_phase,
     classify_broadcast,
     classify_transcript,
     classify_weak_broadcast,
     cross_check,
-    derive_thresholds,
     invocation_honest,
     run_protocol,
 )
@@ -78,21 +76,21 @@ class TestThresholds:
         ],
     )
     def test_examples(self, mu, lam, m, T, Q):
-        assert derive_thresholds(mu, lam, m) == (T, Q)
+        p = ProtocolParams.create(mu, lam, m)
+        assert (p.T, p.Q) == (T, Q)
 
     def test_integral_boundary_is_exact(self):
         # mu*m = 1 exactly must give T = 1, which float rounding would miss
-        T, _ = derive_thresholds("0.1", "0.9", 10)
-        assert T == 1
+        assert ProtocolParams.create("0.1", "0.9", 10).T == 1
 
     @pytest.mark.parametrize("mu,lam", [("0", "0.9"), ("0.34", "0.9"), (Fraction(1, 3), "0.9"), ("0.25", "0.5"), ("0.25", "1")])
     def test_out_of_range_parameters(self, mu, lam):
         with pytest.raises(ParameterError):
-            derive_thresholds(mu, lam, 100)
+            ProtocolParams.create(mu, lam, 100)
 
     def test_nonpositive_m(self):
         with pytest.raises(ParameterError):
-            derive_thresholds("0.25", "0.9", 0)
+            ProtocolParams.create("0.25", "0.9", 0)
 
     def test_params_carry_exact_rationals(self):
         p = ProtocolParams.create("0.272", "0.94", 143)
@@ -104,14 +102,15 @@ class TestThresholds:
         st.integers(1, 500),
     )
     def test_threshold_invariants(self, mu, lam, m):
-        T, Q = derive_thresholds(mu, lam, m)
+        p = ProtocolParams.create(mu, lam, m)
+        T, Q = p.T, p.Q
         assert T == math.ceil(mu * m)
         assert 1 <= T <= m
         assert 1 <= Q <= T
 
-    def test_as_fraction_rejects_unknown(self):
+    def test_create_rejects_unknown_types(self):
         with pytest.raises(TypeError):
-            as_fraction(object())
+            ProtocolParams.create(object(), "0.9", 10)
 
 
 class TestTruthTables:

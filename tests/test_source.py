@@ -3,7 +3,6 @@
 import io
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -19,11 +18,9 @@ from wbcsim.source import (
     R_CLASS,
     Event,
     GlobalCountList,
-    event_class_probability,
     global_counts,
     ideal_distribution,
     index_label,
-    multinomial,
     project_S,
     sample_event,
     substream,
@@ -144,39 +141,7 @@ class TestCounts:
         assert g.m == e.m
         assert project_S(g).m == e.m
 
-    def test_class_probabilities_normalize(self):
-        m = 4
-        total = Fraction(0)
-        for g in _compositions(m, 6):
-            total += event_class_probability(GlobalCountList(g))
-        assert total == 1
-
     def test_projections(self):
         g = GlobalCountList((3, 1, 2, 0, 1, 4))
         assert project_S(g).l1 == 3 and project_S(g).l2 == 4 and project_S(g).l3 == 4
 
-
-class TestMultinomial:
-    def test_exact_value(self):
-        assert multinomial(12, (4, 4, 4)) == 34650
-
-    def test_rejects_mismatched_parts(self):
-        with pytest.raises(ValueError):
-            multinomial(5, (1, 2))
-
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=5))
-    def test_matches_factorial_formula(self, parts):
-        m = sum(parts)
-        expected = math.factorial(m)
-        for p in parts:
-            expected //= math.factorial(p)
-        assert multinomial(m, parts) == expected
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
