@@ -10,22 +10,33 @@ verdict is OutOfDomain, which bound computations score as worst case.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
+import numpy as np
+
 from .protocol import (
+    _R_NAMES,
+    _S_CLASSES,
+    _S_NAMES,
     AdversaryConfig,
     DomainVerdict,
-    Outcome,
     ProtocolParams,
-    classify_transcript,
-    run_protocol,
+    _block_rows,
+    _failed,
+    _indices,
+    _lowest,
+    _mask,
+    _one_row,
+    _r0_classes,
+    _rank,
 )
 from .source import (
     OUTCOME_PROBS,
-    R0_BIT,
     Event,
     LocalCountListR,
     LocalCountListS,
@@ -60,19 +71,55 @@ class StrategyR:
     k_xx0x: int
 
 
+# Out-of-domain reasons by the engine's code: zeta_S's first failing
+# condition (1-3) and zeta_R's (4). Code 0 means in domain.
+_REASONS = {
+    1: "cond1: T-Q={TQ} > l1={l1}",
+    2: "cond2: Q={Q} > l2={l2}",
+    3: "cond3: T={T} > l3={l3}",
+    4: "l1={l1} > m-T={mT}",
+}
+
+
+def _reason(code: int, local, p: ProtocolParams) -> str:
+    l1, l2, l3 = (int(x) for x in local)
+    return _REASONS[int(code)].format(T=p.T, Q=p.Q, TQ=p.T - p.Q, mT=p.m - p.T, l1=l1, l2=l2, l3=l3)
+
+
+def _zeta_S_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """zeta_S on each row's local count list (l1, l2, l3): the reason code
+    and the strategy counts (T-Q, Q, 0; 0, 0, l3), zero outside the domain."""
+    l1, l2, l3 = local.T
+    ood = np.select([p.T - p.Q > l1, p.Q > l2, p.T > l3], [1, 2, 3], 0).astype(np.int8)
+    ks = np.zeros((len(local), 6), np.intp)
+    ks[:, 0], ks[:, 1], ks[:, 5] = p.T - p.Q, p.Q, l3
+    ks[ood != 0] = 0
+    return ood, ks
+
+
+def _zeta_R_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """zeta_R on each row's local count list: the reason code and the
+    strategy counts (0, l2, max(0, T - l2)), zero outside the domain."""
+    l1, l2, _ = local.T
+    ood = np.where(l1 > p.m - p.T, 4, 0).astype(np.int8)
+    ks = np.stack([np.zeros_like(l2), l2, np.maximum(p.T - l2, 0)], axis=1)
+    ks[ood != 0] = 0
+    return ood, ks
+
+
+def _strategy_view(zeta_rows, l: LocalCountListS, p: ProtocolParams, kind: type):
+    local = (l.l1, l.l2, l.l3)
+    ood, ks = zeta_rows(np.array([local]), p)
+    return DomainVerdict(False, _reason(ood[0], local, p)) if ood[0] else kind(*ks[0].tolist())
+
+
 def zeta_S(l: LocalCountListS, p: ProtocolParams) -> Union[StrategyS, DomainVerdict]:
     """Optimal incomplete strategy (T-Q, Q, 0; 0, 0, l3) of a faulty sender.
 
     Defined when T-Q <= l1, Q <= l2 and T <= l3; otherwise returns the
     out-of-domain verdict naming the first failing condition.
     """
-    if p.T - p.Q > l.l1:
-        return DomainVerdict(False, f"cond1: T-Q={p.T - p.Q} > l1={l.l1}")
-    if p.Q > l.l2:
-        return DomainVerdict(False, f"cond2: Q={p.Q} > l2={l.l2}")
-    if p.T > l.l3:
-        return DomainVerdict(False, f"cond3: T={p.T} > l3={l.l3}")
-    return StrategyS(p.T - p.Q, p.Q, 0, 0, 0, l.l3)
+    return _strategy_view(_zeta_S_rows, l, p, StrategyS)
 
 
 def zeta_R(l: LocalCountListR, p: ProtocolParams) -> Union[StrategyR, DomainVerdict]:
@@ -81,57 +128,28 @@ def zeta_R(l: LocalCountListR, p: ProtocolParams) -> Union[StrategyR, DomainVerd
     n_min tops the check set up to length T with only-potentially-consistent
     XX0X indices. Defined when l1 <= m - T.
     """
-    if l.l1 > p.m - p.T:
-        return DomainVerdict(False, f"l1={l.l1} > m-T={p.m - p.T}")
-    n_min = max(0, p.T - l.l2)
-    return StrategyR(0, l.l2, n_min)
+    return _strategy_view(_zeta_R_rows, l, p, StrategyR)
 
 
-def _class_indices(event: Event, class_map) -> tuple[list[int], list[int], list[int]]:
-    classes: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for i, c in enumerate(event.codes, start=1):
-        classes[class_map[c]].append(i)
-    return classes
-
-
-def _r0_classes(event: Event, sigma0: frozenset[int], x_s: int) -> tuple[list[int], list[int], list[int]]:
-    """R0's 0011 / XX10 / XX0X index lists after receiving sigma0.
-
-    R0 reads 0011 where it measured 1 - x_s and S vouched for the index,
-    XX10 where it measured 1 - x_s otherwise, and XX0X where it measured x_s.
-    """
-    classes: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for i, c in enumerate(event.codes, start=1):
-        if R0_BIT[c] == x_s:
-            classes[2].append(i)
-        else:
-            classes[0 if i in sigma0 else 1].append(i)
-    return classes
-
-
-def _take(classes, ks, names) -> frozenset[int]:
-    """The lowest k indices of each class, per the strategy counts."""
-    taken: list[int] = []
-    for k, cls, name in zip(ks, classes, names):
-        if k < 0 or k > len(cls):
-            raise ValueError(f"strategy requests {k} indices from class {name} of size {len(cls)}")
-        taken += cls[:k]
-    return frozenset(taken)
+def _ks(strategy: Union[StrategyS, StrategyR]) -> np.ndarray:
+    """A strategy's counts as the one-row k array the engine takes."""
+    return np.array([dataclasses.astuple(strategy)])
 
 
 def assemble_check_sets_S(event: Event, s: StrategyS) -> tuple[frozenset[int], frozenset[int]]:
     """Build (sigma0, sigma1) by taking the lowest indices from each of S's
     local classes, per the strategy counts."""
-    classes = _class_indices(event, S_CLASS)
-    names = ("0011", "mixed", "1100")
-    sigma0 = _take(classes, (s.k0_0011, s.k0_mixed, s.k0_1100), names)
-    sigma1 = _take(classes, (s.k1_0011, s.k1_mixed, s.k1_1100), names)
-    return sigma0, sigma1
+    view, ks = _rank(_S_CLASSES[_one_row(event)]), _ks(s)
+    return _indices(_lowest(view, ks[:, :3], _S_NAMES)[0]), _indices(_lowest(view, ks[:, 3:], _S_NAMES)[0])
+
+
+def _r0_view(event: Event, sigma0: frozenset[int], x_s: int):
+    return _rank(_r0_classes(_one_row(event), _mask(sigma0, event.m), x_s))
 
 
 def local_counts_R(event: Event, sigma0: frozenset[int], x_s: int = 0) -> LocalCountListR:
     """R0's local count list (0011, XX10, XX0X) after receiving sigma0."""
-    return LocalCountListR(*map(len, _r0_classes(event, sigma0, x_s)))
+    return LocalCountListR(*_r0_view(event, sigma0, x_s).sizes[0].tolist())
 
 
 def assemble_rho_R(
@@ -142,16 +160,29 @@ def assemble_rho_R(
     y01 negates the honest bit; rho01 takes the lowest indices from each of
     R0's local classes, per the strategy counts.
     """
-    ks = (s.k_0011, s.k_xx10, s.k_xx0x)
-    return 1 - x_s, _take(_r0_classes(event, sigma0, x_s), ks, ("0011", "XX10", "XX0X"))
+    return 1 - x_s, _indices(_lowest(_r0_view(event, sigma0, x_s), _ks(s), _R_NAMES)[0])
+
+
+# Event probabilities are integer numerators over _DENOMINATOR**m.
+_DENOMINATOR = math.lcm(*(q.denominator for q in OUTCOME_PROBS))
+_NUMERATORS = np.array([int(q * _DENOMINATOR) for q in OUTCOME_PROBS], np.int64)
+
+
+def _event_blocks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All 6^m Events in itertools.product order, as engine-sized blocks of
+    codes, each with its rows' probability numerators over 12^m."""
+    place = 6 ** np.arange(m - 1, -1, -1)
+    step = _block_rows(m)
+    for lo in range(0, 6**m, step):
+        codes = (np.arange(lo, min(lo + step, 6**m))[:, None] // place % 6).astype(np.int8)
+        yield codes, np.prod(_NUMERATORS[codes], axis=1)
 
 
 def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
-    for codes in itertools.product(range(6), repeat=m):
-        weight = Fraction(1)
-        for c in codes:
-            weight *= OUTCOME_PROBS[c]
-        yield Event(codes), weight
+    den = _DENOMINATOR**m
+    for codes, nums in _event_blocks(m):
+        for row, num in zip(codes.tolist(), nums.tolist()):
+            yield Event(tuple(row)), Fraction(num, den)
 
 
 # Each faulty party's coarse outcome classes, by outcome code.
@@ -159,14 +190,14 @@ _CLASS_MAP = {AdversaryConfig.S_FAULTY: S_CLASS, AdversaryConfig.R0_FAULTY: R_CL
 
 
 def _local_counts(event: Event, cfg: AdversaryConfig) -> tuple[int, int, int]:
-    return tuple(map(len, _class_indices(event, _CLASS_MAP[cfg])))
+    return tuple(np.bincount([_CLASS_MAP[cfg][c] for c in event.codes], minlength=3).tolist())
 
 
-def _strategies(cfg: AdversaryConfig, counts: tuple[int, int, int]) -> Iterator[Union[StrategyS, StrategyR]]:
-    """Every k-vector that draws at most the available indices per class."""
-    kind, check_sets = (StrategyS, 2) if cfg is AdversaryConfig.S_FAULTY else (StrategyR, 1)
-    ranges = [range(b + 1) for b in counts] * check_sets
-    return itertools.starmap(kind, itertools.product(*ranges))
+def _strategy_ks(cfg: AdversaryConfig, counts: tuple[int, int, int]) -> np.ndarray:
+    """Every k-vector that draws at most the available indices per class,
+    one per row."""
+    check_sets = 2 if cfg is AdversaryConfig.S_FAULTY else 1
+    return np.array(list(itertools.product(*[range(b + 1) for b in counts] * check_sets)))
 
 
 def _events_by_local_list(m: int, cfg: AdversaryConfig):
@@ -177,6 +208,28 @@ def _events_by_local_list(m: int, cfg: AdversaryConfig):
     return grouped
 
 
+def _group_rows(events: list[tuple[Event, Fraction]]) -> tuple[np.ndarray, np.ndarray]:
+    """A group's code matrix and its weights as integer numerators over one
+    common denominator."""
+    den = math.lcm(*(w.denominator for _, w in events))
+    codes = np.array([e.codes for e, _ in events], np.int8)
+    return codes, np.array([w.numerator * (den // w.denominator) for _, w in events], np.int64)
+
+
+def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray, ks: np.ndarray):
+    """Failed weight numerator of each strategy (a row of ks) on one group's
+    rows. Each strategy is paired with every row; the pairs run through the
+    engine a few strategies at a time, so no block exceeds its size."""
+    n = len(codes)
+    per = max(1, _block_rows(codes.shape[1]) // n)
+    weights = []
+    for lo in range(0, len(ks), per):
+        chunk = ks[lo : lo + per]
+        failed = _failed(cfg, p, np.tile(codes, (len(chunk), 1)), ks=np.repeat(chunk, n, axis=0))
+        weights.append(failed.reshape(len(chunk), n) @ nums)
+    return np.concatenate(weights)
+
+
 def conditional_failure_probability(
     cfg: AdversaryConfig,
     p: ProtocolParams,
@@ -185,14 +238,8 @@ def conditional_failure_probability(
 ) -> Fraction:
     """Exact failure probability of one strategy, conditioned on the given
     equal-local-count-list group of Events."""
-    total = Fraction(0)
-    failed = Fraction(0)
-    for event, weight in events:
-        total += weight
-        t = run_protocol(event, p, cfg, x_s=0, strategy=strategy)
-        if classify_transcript(cfg, t) is Outcome.FAILURE:
-            failed += weight
-    return failed / total
+    codes, nums = _group_rows(events)
+    return Fraction(int(_failed_weights(cfg, p, codes, nums, _ks(strategy))[0]), int(nums.sum()))
 
 
 def max_conditional_failure(
@@ -204,8 +251,9 @@ def max_conditional_failure(
     local count list group (exhaustive enumeration of k-vectors)."""
     if cfg not in _CLASS_MAP:
         raise ValueError("brute-force strategy search applies to faulty configurations only")
-    candidates = _strategies(cfg, _local_counts(events[0][0], cfg))
-    return max(conditional_failure_probability(cfg, p, events, s) for s in candidates)
+    codes, nums = _group_rows(events)
+    ks = _strategy_ks(cfg, _local_counts(events[0][0], cfg))
+    return Fraction(int(_failed_weights(cfg, p, codes, nums, ks).max()), int(nums.sum()))
 
 
 def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams, max_m: int = 6) -> Fraction:

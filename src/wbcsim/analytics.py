@@ -30,15 +30,8 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln
 
-from .adversary import _all_events
-from .protocol import (
-    AdversaryConfig,
-    Outcome,
-    OutOfDomainError,
-    ProtocolParams,
-    classify_transcript,
-    run_protocol,
-)
+from .adversary import _DENOMINATOR, _event_blocks
+from .protocol import AdversaryConfig, ProtocolParams, _failed
 
 Probability = Union[float, Fraction]
 
@@ -171,8 +164,8 @@ def pf_bruteforce(
     kind: BoundKind = BoundKind.UPPER,
     max_m: int = 8,
 ) -> FailureReport:
-    """Exhaustive 6^m oracle: run the protocol on every Event with exact
-    rational weights.
+    """Exhaustive 6^m oracle: run the protocol on every Event, block by
+    block, and sum the integer weights of the failures into one Fraction.
 
     Faulty configurations apply the optimal incomplete strategy; an Event
     outside the strategy domain scores as failure for UPPER and as success
@@ -184,16 +177,9 @@ def pf_bruteforce(
         kind = BoundKind.EXACT
     elif kind is BoundKind.EXACT:
         raise ValueError("faulty configurations only admit LOWER/UPPER brute-force scoring")
-    total = Fraction(0)
-    for event, weight in _all_events(p.m):
-        try:
-            t = run_protocol(event, p, cfg, x_s=0)
-        except OutOfDomainError:
-            if kind is BoundKind.UPPER:
-                total += weight
-            continue
-        if classify_transcript(cfg, t) is Outcome.FAILURE:
-            total += weight
+    ood_fails = kind is BoundKind.UPPER
+    failed = sum(int(nums[_failed(cfg, p, codes, ood_fails=ood_fails)].sum()) for codes, nums in _event_blocks(p.m))
+    total = Fraction(failed, _DENOMINATOR**p.m)
     return FailureReport(cfg, kind, total, p)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Mapping
 
@@ -76,8 +77,9 @@ def classical_fidelity(p: BitstringDistribution, q: BitstringDistribution) -> fl
 
 @dataclass(frozen=True)
 class DensityMatrix16:
-    """16x16 density matrix: Hermitian, unit trace, positive semidefinite
-    (all within 1e-9); violations are rejected naming the failed check."""
+    """16x16 density matrix: finite, Hermitian, unit trace, positive
+    semidefinite (all within 1e-9); violations are rejected naming the
+    failed check."""
 
     matrix: np.ndarray
 
@@ -85,6 +87,8 @@ class DensityMatrix16:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (16, 16):
             raise ValueError(f"shape check failed: {rho.shape} != (16, 16)")
+        if not np.isfinite(rho).all():
+            raise ValueError("finiteness check failed: non-finite entry")
         if np.max(np.abs(rho - rho.conj().T)) > _TOL:
             raise ValueError("hermiticity check failed")
         if abs(np.trace(rho) - 1) > _TOL:
@@ -113,8 +117,8 @@ def ingest_counts(fh: IO[str]) -> BitstringDistribution:
     for key, value in raw.items():
         if key not in ALL_BITSTRINGS:
             raise InputFormatError(f"unknown bitstring key {key!r}")
-        if not isinstance(value, (int, float)) or value < 0:
-            raise InputFormatError(f"count for {key!r} must be a non-negative number")
+        if not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+            raise InputFormatError(f"count for {key!r} must be a finite non-negative number")
     try:
         return BitstringDistribution.from_mapping(raw)
     except ValueError as exc:

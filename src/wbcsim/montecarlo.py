@@ -1,9 +1,10 @@
 """Monte-Carlo estimation of failure probabilities.
 
 Each trial samples one Event, runs the protocol in the requested adversary
-configuration, and scores the transcript against the weak broadcast truth
-table. Events outside a faulty strategy's domain count as failures, so the
-estimate tracks the analytic upper bound. Trials draw from counter-based
+configuration, and scores the outputs against the weak broadcast truth
+table; trials go through the protocol's array engine in row blocks. Events
+outside a faulty strategy's domain count as failures, so the estimate
+tracks the analytic upper bound. Trials draw from counter-based
 substreams, making the estimate independent of how trials are split across
 workers.
 """
@@ -15,15 +16,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .protocol import (
-    AdversaryConfig,
-    Outcome,
-    OutOfDomainError,
-    ProtocolParams,
-    classify_transcript,
-    run_protocol,
-)
-from .source import sample_event, substream
+import numpy as np
+
+from .protocol import AdversaryConfig, ProtocolParams, _block_rows, _failed
+from .source import _codes_of, substream
 
 
 @dataclass(frozen=True)
@@ -44,18 +40,19 @@ class MonteCarloResult:
         return math.sqrt(p_hat * (1 - p_hat) / self.n_trials)
 
 
-def _run_trial(cfg: AdversaryConfig, p: ProtocolParams, seed: int, trial: int) -> bool:
-    """True iff trial number `trial` is a failure."""
-    event = sample_event(p.m, substream(seed, trial))
-    try:
-        t = run_protocol(event, p, cfg, x_s=0)
-    except OutOfDomainError:
-        return True
-    return classify_transcript(cfg, t) is Outcome.FAILURE
-
-
 def _count_failures(cfg: AdversaryConfig, p: ProtocolParams, seed: int, lo: int, hi: int) -> int:
-    return sum(_run_trial(cfg, p, seed, trial) for trial in range(lo, hi))
+    """Failures among trials lo..hi-1. Each trial draws its own substream
+    into one row, as sample_event does; then a whole block of rows goes
+    through the protocol engine at once."""
+    step = _block_rows(p.m)
+    draws = np.empty((step, p.m))
+    failures = 0
+    for start in range(lo, hi, step):
+        n = min(step, hi - start)
+        for row in range(n):
+            substream(seed, start + row).random(out=draws[row])
+        failures += int(np.count_nonzero(_failed(cfg, p, _codes_of(draws[:n]))))
+    return failures
 
 
 def estimate_pf(

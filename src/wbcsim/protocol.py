@@ -5,6 +5,11 @@ length and consistency), cross-calling (R0 forwards to R1), and cross-check
 (R1 may adopt R0's value). Thresholds T and Q are derived from the two real
 parameters mu and lambda with exact rational ceilings, so boundary cases
 like mu*m integral never misclassify.
+
+The phases are written once, in an array engine that runs them on every row
+of an (N, m) matrix of outcome codes, one Event per row. Monte-Carlo and the
+exhaustive oracles feed it blocks of rows; `run_protocol` and the public
+phase functions are views of it on a single row.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .source import Event, global_counts, project_S
+import numpy as np
+
+from .source import R0_BIT, R1_BIT, S_CLASS, Event
 
 if TYPE_CHECKING:
     from .adversary import StrategyR, StrategyS
@@ -142,24 +149,216 @@ class Transcript:
         )
 
 
-def invocation_honest(event: Event, x_s: int):
-    """Invocation phase for a correct sender.
+# -- the array engine ---------------------------------------------------------
+#
+# Row r of an (N, m) int8 code matrix is one Event; column i - 1 holds index
+# i. Check sets are (N, m) boolean masks. Output values are int8 codes: 0 and
+# 1 for bits, _ABORT for ABORT.
 
-    The check set collects every index where S measured the pair x_S x_S:
-    code 0 (0011) for x_S = 0, code 5 (1100) for x_S = 1.
+_ABORT = 2
+_R0_BITS = np.array(R0_BIT, np.int8)
+_R1_BITS = np.array(R1_BIT, np.int8)
+_S_CLASSES = np.array(S_CLASS, np.int8)
+_S_NAMES = ("0011", "mixed", "1100")
+_R_NAMES = ("0011", "XX10", "XX0X")
+
+# Callers pass rows to the engine in blocks of at most this many outcome
+# codes (rows times m), so memory stays flat however many rows there are.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block for Events of length m (one row even if m is larger)."""
+    return max(1, _BLOCK_ELEMENTS // m)
+
+
+class _Ranked(NamedTuple):
+    """One party's view of each row, by its three classes c: member[c] marks
+    the indices of class c, rank[c] counts them up to and including each
+    index (the lowest member has rank 1), and sizes[:, c] is the class size.
+    The sizes are the party's local count lists."""
+
+    member: np.ndarray
+    rank: np.ndarray
+    sizes: np.ndarray
+
+
+def _rank(cls: np.ndarray) -> _Ranked:
+    member = cls == np.arange(3, dtype=cls.dtype)[:, None, None]
+    rank = np.cumsum(member, axis=2, dtype=np.int32)
+    return _Ranked(member, rank, rank[:, :, -1].T)
+
+
+def _lowest(view: _Ranked, ks: np.ndarray, names) -> np.ndarray:
+    """Mask of the lowest ks[r, c] indices of each class c in each row r."""
+    bad = (ks < 0) | (ks > view.sizes)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(f"strategy requests {ks[r, c]} indices from class {names[c]} of size {view.sizes[r, c]}")
+    return (view.member & (view.rank <= ks.T[:, :, None])).any(axis=0)
+
+
+def _honest_sigma(codes: np.ndarray, x_s: int) -> np.ndarray:
+    """A correct sender's check set: every index where S measured the pair
+    x_S x_S, code 0 (0011) for x_S = 0 and code 5 (1100) for x_S = 1."""
+    return codes == (0 if x_s == 0 else 5)
+
+
+def _r0_classes(codes: np.ndarray, sigma0: np.ndarray, x_s: int) -> np.ndarray:
+    """R0's classes after receiving sigma0: 0011 (class 0) where it measured
+    1 - x_s and S vouched for the index, XX10 (1) where it measured 1 - x_s
+    otherwise, XX0X (2) where it measured x_s."""
+    return np.where(_R0_BITS[codes] == x_s, np.int8(2), np.where(sigma0, np.int8(0), np.int8(1)))
+
+
+def _check(bits: np.ndarray, x: int, sigma: np.ndarray, T: int) -> np.ndarray:
+    """Check phase: accept x iff the check set has at least T indices and
+    the receiver measured the opposite bit at every one of them."""
+    ok = (np.count_nonzero(sigma, axis=1) >= T) & ~(sigma & (bits == x)).any(axis=1)
+    return np.where(ok, x, _ABORT).astype(np.int8)
+
+
+def _cross_check(y_tilde1, y01, rho01, r1_bits, p: ProtocolParams) -> np.ndarray:
+    """Cross-check phase of R1.
+
+    Adopts y01 iff R1 is confused (both values bits and different), the
+    forwarded check set reaches length T, and R1 measured 1 - y01 on at
+    least lam*T + |rho01| - T of its indices. In integers: at most Q - 1 of
+    rho01's indices are inconsistent, since |rho01| - consistent is an
+    integer and T - ceil(lam*T) = Q - 1.
     """
-    want = 0 if x_s == 0 else 5
-    sigma = frozenset(i for i, c in enumerate(event.codes, start=1) if c == want)
+    confused = (y_tilde1 != _ABORT) & (y01 != _ABORT) & (y_tilde1 != y01)
+    inconsistent = np.count_nonzero(rho01 & (r1_bits == y01[:, None]), axis=1)
+    adopt = confused & (np.count_nonzero(rho01, axis=1) >= p.T) & (inconsistent < p.Q)
+    return np.where(adopt, y01, y_tilde1)
+
+
+class _Rows(NamedTuple):
+    """The engine's per-row results. `ood` is 0 in the strategy domain and
+    otherwise an `adversary._REASONS` code; the outputs of such a row are
+    meaningless. `local` holds the faulty party's local count lists."""
+
+    x0: int
+    x1: int
+    y0: np.ndarray
+    y_tilde1: np.ndarray
+    y01: np.ndarray
+    y1: np.ndarray
+    sigma0: np.ndarray
+    sigma1: np.ndarray
+    rho01: np.ndarray
+    ood: np.ndarray
+    local: Optional[np.ndarray]
+
+
+def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: int, ks=None) -> _Rows:
+    """Run the four phases on every row of an (N, m) outcome-code matrix.
+
+    A faulty party replaces only the messages it controls: a faulty S its
+    invocation, a faulty R0 its check and cross-calling. `ks` holds one
+    explicit strategy per row ((N, 6) counts for a faulty S, (N, 3) for a
+    faulty R0); when None, the faulty party plays its optimal incomplete
+    strategy on each row's local count list.
+    """
+    n = len(codes)
+    ood, local = np.zeros(n, np.int8), None
+
+    # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
+    if cfg is AdversaryConfig.S_FAULTY:
+        view = _rank(_S_CLASSES[codes])
+        local = view.sizes
+        if ks is None:
+            ood, ks = adversary._zeta_S_rows(local, p)
+        x0, x1 = 0, 1
+        sigma0, sigma1 = _lowest(view, ks[:, :3], _S_NAMES), _lowest(view, ks[:, 3:], _S_NAMES)
+    else:
+        x0 = x1 = x_s
+        sigma0 = sigma1 = _honest_sigma(codes, x_s)
+
+    # Check, then cross-calling. R1 always checks; a faulty R0 skips its check,
+    # forwards a forgery instead of (y0, sigma0), and reports that forgery's
+    # bit to the outside.
+    r1_bits = _R1_BITS[codes]
+    y_tilde1 = _check(r1_bits, x1, sigma1, p.T)
+    if cfg is AdversaryConfig.R0_FAULTY:
+        view = _rank(_r0_classes(codes, sigma0, x_s))
+        local = view.sizes
+        if ks is None:
+            ood, ks = adversary._zeta_R_rows(local, p)
+        y0 = y01 = np.full(n, 1 - x_s, np.int8)
+        rho01 = _lowest(view, ks, _R_NAMES)
+    else:
+        y0 = _check(_R0_BITS[codes], x0, sigma0, p.T)
+        y01, rho01 = y0, sigma0
+
+    y1 = _cross_check(y_tilde1, y01, rho01, r1_bits, p)
+    return _Rows(x0, x1, y0, y_tilde1, y01, y1, sigma0, sigma1, rho01, ood, local)
+
+
+def _achieved(cfg: AdversaryConfig, y_s: int, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Weak broadcast verdict of each row.
+
+    Validity binds every correct component to the correct sender's bit;
+    consistency forbids two correct receivers deciding on opposite bits.
+    """
+    if cfg is AdversaryConfig.NO_FAULTY:
+        return (y0 == y_s) & (y1 == y_s)
+    if cfg is AdversaryConfig.S_FAULTY:
+        return (y0 == _ABORT) | (y1 == _ABORT) | (y0 == y1)
+    if cfg is AdversaryConfig.R0_FAULTY:
+        return y1 == y_s
+    raise ValueError(f"unknown adversary configuration {cfg!r}")
+
+
+def _failed(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, ks=None, ood_fails: bool = True) -> np.ndarray:
+    """Which rows fail the weak broadcast conditions for x_S = 0, running the
+    engine on one block of rows at a time. A row outside the strategy domain
+    fails iff `ood_fails` (worst-case scoring, as for the upper bounds)."""
+    step = _block_rows(codes.shape[1])
+    failed = []
+    for lo in range(0, len(codes), step):
+        rows = _run_rows(codes[lo : lo + step], p, cfg, 0, None if ks is None else ks[lo : lo + step])
+        failed.append(np.where(rows.ood != 0, ood_fails, ~_achieved(cfg, 0, rows.y0, rows.y1)))
+    return np.concatenate(failed)
+
+
+# -- one-row views ------------------------------------------------------------
+
+
+def _one_row(event: Event) -> np.ndarray:
+    return np.array([event.codes], np.int8)
+
+
+def _mask(indices: frozenset[int], m: int) -> np.ndarray:
+    mask = np.zeros((1, m), bool)
+    mask[0, [i - 1 for i in indices]] = True
+    return mask
+
+
+def _indices(mask_row: np.ndarray) -> frozenset[int]:
+    return frozenset((np.flatnonzero(mask_row) + 1).tolist())
+
+
+def _code(value: OutputValue) -> np.ndarray:
+    return np.array([_ABORT if value is ABORT else value], np.int8)
+
+
+def _value(code) -> OutputValue:
+    return ABORT if code == _ABORT else int(code)
+
+
+def invocation_honest(event: Event, x_s: int):
+    """Invocation phase for a correct sender: the bit x_S to both receivers,
+    with the check set of every index where S measured x_S x_S."""
+    sigma = _indices(_honest_sigma(_one_row(event), x_s)[0])
     return x_s, sigma, x_s, sigma, x_s
 
 
 def check_phase(event: Event, receiver: str, x_j: int, sigma_j: frozenset[int], p: ProtocolParams) -> OutputValue:
     """Check phase of receiver 'R0' or 'R1': accept x_j iff the check set is
     long enough and the receiver measured the opposite bit at every index."""
-    bit = event.r0_bit if receiver == "R0" else event.r1_bit
-    if len(sigma_j) >= p.T and all(bit(i) != x_j for i in sigma_j):
-        return x_j
-    return ABORT
+    bits = (_R0_BITS if receiver == "R0" else _R1_BITS)[_one_row(event)]
+    return _value(_check(bits, x_j, _mask(sigma_j, event.m), p.T)[0])
 
 
 def cross_check(
@@ -169,28 +368,9 @@ def cross_check(
     event: Event,
     p: ProtocolParams,
 ) -> OutputValue:
-    """Cross-check phase of R1.
-
-    Adopts y01 iff R1 is confused (both values defined and different), the
-    forwarded check set reaches length T, and R1 measured 1 - y01 on at
-    least lam*T + |rho01| - T of its indices (exact rational comparison).
-    """
-    if y_tilde1 is ABORT or y01 is ABORT or y_tilde1 == y01:
-        return y_tilde1
-    if len(rho01) < p.T:
-        return y_tilde1
-    consistent = sum(1 for i in rho01 if event.r1_bit(i) == 1 - y01)
-    if consistent >= p.lam * p.T + len(rho01) - p.T:
-        return y01
-    return y_tilde1
-
-
-def _in_domain(derived):
-    """Pass a derived strategy through; turn an out-of-domain verdict into
-    OutOfDomainError."""
-    if isinstance(derived, DomainVerdict):
-        raise OutOfDomainError(derived.reason)
-    return derived
+    """Cross-check phase of R1 (see `_cross_check`)."""
+    r1_bits = _R1_BITS[_one_row(event)]
+    return _value(_cross_check(_code(y_tilde1), _code(y01), _mask(rho01, event.m), r1_bits, p)[0])
 
 
 def run_protocol(
@@ -214,53 +394,34 @@ def run_protocol(
         raise ValueError(f"unknown adversary configuration {cfg!r}")
     if strategy is not None and cfg is AdversaryConfig.NO_FAULTY:
         raise ValueError("no strategy allowed in the no-faulty configuration")
-
-    # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
-    if cfg is AdversaryConfig.S_FAULTY:
-        if strategy is None:
-            strategy = _in_domain(adversary.zeta_S(project_S(global_counts(event)), p))
-        x0, x1, y_s = 0, 1, x_s
-        sigma0, sigma1 = adversary.assemble_check_sets_S(event, strategy)
-    else:
-        x0, sigma0, x1, sigma1, y_s = invocation_honest(event, x_s)
-
-    # Check, then cross-calling. R1 always checks; a faulty R0 skips its check,
-    # forwards a forgery instead of (y0, sigma0), and reports that forgery's
-    # bit to the outside.
-    y_tilde1 = check_phase(event, "R1", x1, sigma1, p)
-    if cfg is AdversaryConfig.R0_FAULTY:
-        if strategy is None:
-            strategy = _in_domain(adversary.zeta_R(adversary.local_counts_R(event, sigma0, x_s=x_s), p))
-        y01, rho01 = adversary.assemble_rho_R(event, sigma0, strategy, x_s=x_s)
-        y0 = y01
-    else:
-        y0 = check_phase(event, "R0", x0, sigma0, p)
-        y01, rho01 = y0, sigma0
-
-    y1 = cross_check(y_tilde1, y01, rho01, event, p)
-    return Transcript(x_s, x0, x1, sigma0, sigma1, y_s, y0, y_tilde1, y01, rho01, y1)
+    ks = None if strategy is None else adversary._ks(strategy)
+    r = _run_rows(_one_row(event), p, cfg, x_s, ks)
+    if r.ood[0]:
+        raise OutOfDomainError(adversary._reason(r.ood[0], r.local[0], p))
+    return Transcript(
+        x_s,
+        r.x0,
+        r.x1,
+        _indices(r.sigma0[0]),
+        _indices(r.sigma1[0]),
+        x_s,
+        _value(r.y0[0]),
+        _value(r.y_tilde1[0]),
+        _value(r.y01[0]),
+        _indices(r.rho01[0]),
+        _value(r.y1[0]),
+    )
 
 
 def classify_weak_broadcast(cfg: AdversaryConfig, y_s: int, y0: OutputValue, y1: OutputValue) -> Outcome:
-    """Score output values against the weak broadcast conditions.
-
-    Validity binds every correct component to the correct sender's bit;
-    consistency forbids two correct receivers deciding on opposite bits.
-    """
+    """Score output values against the weak broadcast conditions (see
+    `_achieved`)."""
     if y_s not in (0, 1):
         raise ValueError("the sender's value is a bit")
     for v in (y0, y1):
         if v is not ABORT and v not in (0, 1):
             raise ValueError("receiver outputs must be 0, 1, or ABORT")
-    if cfg is AdversaryConfig.NO_FAULTY:
-        ok = y0 == y_s and y1 == y_s
-    elif cfg is AdversaryConfig.S_FAULTY:
-        ok = not (y0 in (0, 1) and y1 in (0, 1) and y0 != y1)
-    elif cfg is AdversaryConfig.R0_FAULTY:
-        ok = y1 == y_s
-    else:
-        raise ValueError(f"unknown adversary configuration {cfg!r}")
-    return Outcome.ACHIEVED if ok else Outcome.FAILURE
+    return Outcome.ACHIEVED if _achieved(cfg, y_s, _code(y0), _code(y1))[0] else Outcome.FAILURE
 
 
 def classify_broadcast(cfg: AdversaryConfig, y_s: int, y0: int, y1: int) -> Outcome:
@@ -280,6 +441,6 @@ def classify_transcript(cfg: AdversaryConfig, t: Transcript) -> Outcome:
     return classify_weak_broadcast(cfg, t.x_s, t.y0, t.y1)
 
 
-# Imported last, because adversary imports this module's names. run_protocol
+# Imported last, because adversary imports this module's names. The engine
 # looks adversary's functions up on the module at each call.
 from . import adversary  # noqa: E402

@@ -148,6 +148,16 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 _FLOAT_PROBS = np.array([float(p) for p in OUTCOME_PROBS])
+# Generator.choice(6, p=_FLOAT_PROBS) maps each uniform draw to the first
+# code whose normalised cumulative probability exceeds it; this is its table.
+_CDF = np.cumsum(_FLOAT_PROBS)
+_CDF /= _CDF[-1]
+
+
+def _codes_of(draws: np.ndarray) -> np.ndarray:
+    """Outcome codes of uniform draws from Generator.random, the codes that
+    Generator.choice(6, p=_FLOAT_PROBS) gives for the same draws."""
+    return _CDF.searchsorted(draws, side="right").astype(np.int8)
 
 
 def sample_event(m: int, rng: int | np.random.Generator) -> Event:
@@ -160,8 +170,7 @@ def sample_event(m: int, rng: int | np.random.Generator) -> Event:
         raise ValueError("m must be a positive count")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng))
-    codes = rng.choice(6, size=m, p=_FLOAT_PROBS)
-    return Event(tuple(int(c) for c in codes))
+    return Event(tuple(_codes_of(rng.random(m)).tolist()))
 
 
 def global_counts(event: Event) -> GlobalCountList:

@@ -42,6 +42,12 @@ def bound_calls(monkeypatch):
     return calls
 
 
+def _mixed_state_with_one_nan() -> str:
+    rho = [[[float(i == j) / 16, 0.0] for j in range(16)] for i in range(16)]
+    rho[0][0][0] = float("nan")
+    return json.dumps(rho)
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05", "--bogus")
@@ -65,6 +71,21 @@ class TestExitCodes:
         bad.write_text('{"00110": 3}')
         code, _, err = run(capsys, "fidelity", "--counts", str(bad))
         assert code == EXIT_INPUT and "00110" in err
+
+    @pytest.mark.parametrize(
+        "flag,payload",
+        [
+            ("--counts", '{"0011": NaN}'),
+            ("--counts", '{"0011": Infinity, "1100": 1}'),
+            ("--density", _mixed_state_with_one_nan()),
+        ],
+        ids=["nan-count", "infinite-count", "nan-density-entry"],
+    )
+    def test_non_finite_fidelity_input_is_input_error(self, capsys, tmp_path, flag, payload):
+        path = tmp_path / "input.json"
+        path.write_text(payload)
+        code, out, err = run(capsys, "fidelity", flag, str(path))
+        assert code == EXIT_INPUT and out == "" and "finite" in err
 
     @pytest.mark.parametrize("pft", ["-1", "0", "1.5"])
     def test_mmin_rejects_target_outside_unit_interval(self, capsys, pft):

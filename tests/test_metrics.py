@@ -82,6 +82,13 @@ class TestDensityMatrix:
             m[0, 0], m[1, 1] = 1.5, -0.5
             DensityMatrix16(m)
 
+    def test_non_finite_entry_rejected(self):
+        # every tolerance check is False for NaN, so finiteness is checked first
+        m = np.eye(16, dtype=complex) / 16
+        m[3, 3] = np.nan
+        with pytest.raises(ValueError, match="finiteness"):
+            DensityMatrix16(m)
+
 
 class TestQuantumFidelity:
     def test_pure_target_gives_one(self):
@@ -129,6 +136,15 @@ class TestIngestion:
     )
     def test_malformed_counts_rejected(self, payload):
         with pytest.raises(InputFormatError):
+            ingest_counts(io.StringIO(payload))
+
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"0011": NaN}', '{"0011": Infinity, "1100": 1}', '{"0011": -Infinity}', '{"0011": 1%s}' % ("0" * 400)],
+        ids=["nan", "infinity", "minus-infinity", "beyond-float-range"],
+    )
+    def test_non_finite_counts_rejected(self, payload):
+        with pytest.raises(InputFormatError, match="finite"):
             ingest_counts(io.StringIO(payload))
 
     def test_bad_key_error_names_the_key(self):

@@ -38,6 +38,17 @@ class TestDeterminism:
         assert serial.n_failures == parallel.n_failures
 
 
+class TestPinnedCounts:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("seed,counts", [(11, (52, 143, 155)), (12, (42, 145, 138))])
+    def test_failure_counts(self, seed, counts, jobs):
+        # no-faulty/S/R0 failures of 3000 trials at (0.272, 0.94, 280), as
+        # the per-Event protocol path counted them
+        p = params(280, "0.272", "0.94")
+        got = tuple(estimate_pf(cfg, p, 3000, seed, jobs=jobs).n_failures for cfg in (NO_FAULTY, S_FAULTY, R0_FAULTY))
+        assert got == counts
+
+
 class TestStatistics:
     def test_stderr_formula(self):
         r = MonteCarloResult(NO_FAULTY, params(5), 10000, 2000, 0)

@@ -5,9 +5,14 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wbcsim.protocol as protocol
+from wbcsim.adversary import _reason
+from wbcsim.analytics import pf_bruteforce
+from wbcsim.montecarlo import estimate_pf
 from wbcsim.protocol import (
     ABORT,
     AdversaryConfig,
@@ -201,6 +206,23 @@ class TestPhases:
             assert got == 1
 
 
+    @given(
+        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(33, 100)),
+        st.fractions(min_value=Fraction(51, 100), max_value=Fraction(99, 100)),
+        st.lists(st.integers(0, 5), min_size=4, max_size=40),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_cross_check_matches_the_rational_rule(self, mu, lam, codes, data):
+        # the paper's rule: adopt iff consistent >= lam*T + |rho01| - T
+        p = ProtocolParams.create(mu, lam, len(codes))
+        e = Event(tuple(codes))
+        rho = frozenset(data.draw(st.sets(st.integers(1, len(codes)))))
+        consistent = sum(1 for i in rho if e.r1_bit(i) == 1)
+        adopt = len(rho) >= p.T and consistent >= p.lam * p.T + len(rho) - p.T
+        assert cross_check(1, 0, rho, e, p) == (0 if adopt else 1)
+
+
 class TestRunProtocol:
     def test_event_length_mismatch(self, params12):
         with pytest.raises(ValueError):
@@ -255,3 +277,40 @@ class TestTranscriptJson:
         t = Transcript(0, 0, 0, frozenset(), frozenset(), 0, ABORT, ABORT, ABORT, frozenset(), ABORT)
         data = json.loads(t.to_json())
         assert data["y0"] == "abort" and data["y1"] == "abort"
+
+
+class TestEngine:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("x_s", [0, 1])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.value)
+    def test_rows_do_not_depend_on_their_block(self, cfg, x_s, m):
+        # all 6^m Events in one matrix give each row the verdict or
+        # out-of-domain reason that row gets alone
+        p = ProtocolParams.create("0.3", "0.8", m)
+        codes = np.array(list(itertools.product(range(6), repeat=m)), np.int8)
+        rows = protocol._run_rows(codes, p, cfg, x_s)
+        achieved = protocol._achieved(cfg, x_s, rows.y0, rows.y1)
+        for r, row in enumerate(codes.tolist()):
+            try:
+                t = run_protocol(Event(tuple(row)), p, cfg, x_s=x_s)
+            except OutOfDomainError as exc:
+                assert rows.ood[r] != 0 and _reason(rows.ood[r], rows.local[r], p) == exc.reason
+                continue
+            assert rows.ood[r] == 0
+            assert achieved[r] == (classify_transcript(cfg, t) is ACH)
+
+    def test_blocks_stay_within_the_element_budget(self, monkeypatch):
+        shapes = []
+        run_rows = protocol._run_rows
+
+        def spy(codes, *args):
+            shapes.append(codes.shape)
+            return run_rows(codes, *args)
+
+        monkeypatch.setattr(protocol, "_run_rows", spy)
+        estimate_pf(AdversaryConfig.R0_FAULTY, ProtocolParams.create("0.272", "0.94", 280), 10_000, seed=1)
+        monte_carlo, shapes[:] = shapes[:], []
+        pf_bruteforce(AdversaryConfig.S_FAULTY, ProtocolParams.create("0.3", "0.8", 6))
+        for blocks, total, m in ((monte_carlo, 10_000, 280), (shapes, 6**6, 6)):
+            assert len(blocks) > 1 and sum(n for n, _ in blocks) == total
+            assert all(width == m and n * width <= protocol._BLOCK_ELEMENTS for n, width in blocks)

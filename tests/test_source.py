@@ -120,6 +120,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_event(0, 1)
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 280])
+    def test_codes_are_those_generator_choice_draws(self, m):
+        # the reproducibility contract: (seed, trial) -> the codes that
+        # Generator.choice draws from that trial's substream
+        probs = [float(p) for p in OUTCOME_PROBS]
+        for seed in (0, 11, 20240817):
+            for trial in range(100):
+                want = substream(seed, trial).choice(6, size=m, p=probs)
+                assert sample_event(m, substream(seed, trial)).codes == tuple(want.tolist())
+
     def test_frequencies_match_distribution(self):
         n = 60000
         rng = substream(2024, 0)
