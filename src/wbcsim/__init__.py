@@ -4,7 +4,7 @@ protocol built on four-qubit singlet states."""
 from .analytics import (
     BoundKind,
     FailureReport,
-    failure_report,
+    failure_reports,
     pf_bruteforce,
     pf_no_faulty_exact,
     pf_R_bounds,
@@ -14,8 +14,6 @@ from .adversary import (
     DomainVerdict,
     StrategyR,
     StrategyS,
-    assemble_check_sets_S,
-    assemble_rho_R,
     best_failure_probability_bruteforce,
     zeta_R,
     zeta_S,

@@ -20,16 +20,11 @@ from typing import Iterator, Union
 import numpy as np
 
 from .protocol import (
-    _R_NAMES,
-    _S_CLASSES,
-    _S_NAMES,
     AdversaryConfig,
     DomainVerdict,
     ProtocolParams,
     _block_rows,
     _failed,
-    _indices,
-    _lowest,
     _mask,
     _one_row,
     _r0_classes,
@@ -136,31 +131,10 @@ def _ks(strategy: Union[StrategyS, StrategyR]) -> np.ndarray:
     return np.array([dataclasses.astuple(strategy)])
 
 
-def assemble_check_sets_S(event: Event, s: StrategyS) -> tuple[frozenset[int], frozenset[int]]:
-    """Build (sigma0, sigma1) by taking the lowest indices from each of S's
-    local classes, per the strategy counts."""
-    view, ks = _rank(_S_CLASSES[_one_row(event)]), _ks(s)
-    return _indices(_lowest(view, ks[:, :3], _S_NAMES)[0]), _indices(_lowest(view, ks[:, 3:], _S_NAMES)[0])
-
-
-def _r0_view(event: Event, sigma0: frozenset[int], x_s: int):
-    return _rank(_r0_classes(_one_row(event), _mask(sigma0, event.m), x_s))
-
-
 def local_counts_R(event: Event, sigma0: frozenset[int], x_s: int = 0) -> LocalCountListR:
     """R0's local count list (0011, XX10, XX0X) after receiving sigma0."""
-    return LocalCountListR(*_r0_view(event, sigma0, x_s).sizes[0].tolist())
-
-
-def assemble_rho_R(
-    event: Event, sigma0: frozenset[int], s: StrategyR, x_s: int = 0
-) -> tuple[int, frozenset[int]]:
-    """Build R0's forged message (y01, rho01).
-
-    y01 negates the honest bit; rho01 takes the lowest indices from each of
-    R0's local classes, per the strategy counts.
-    """
-    return 1 - x_s, _indices(_lowest(_r0_view(event, sigma0, x_s), _ks(s), _R_NAMES)[0])
+    view = _rank(_r0_classes(_one_row(event), _mask(sigma0, event.m), x_s))
+    return LocalCountListR(*view.sizes[0].tolist())
 
 
 # Event probabilities are integer numerators over _DENOMINATOR**m.

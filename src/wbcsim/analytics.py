@@ -183,15 +183,16 @@ def pf_bruteforce(
     return FailureReport(cfg, kind, total, p)
 
 
-def failure_report(cfg: AdversaryConfig, kind: BoundKind, p: ProtocolParams, exact: bool = False) -> FailureReport:
-    """Dispatch to the matching analytic formula."""
+def failure_reports(cfg: AdversaryConfig, p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, ...]:
+    """A configuration's reports from one call of its formula: (EXACT,) with
+    no faulty component, (LOWER, UPPER) otherwise. The last report is the
+    one resource minimisation reads.
+
+    The formulas are looked up as module globals on each call, so a wrapper
+    set on this module's attribute (a tracer, a test spy) sees every call.
+    """
     if cfg is AdversaryConfig.NO_FAULTY:
-        if kind is not BoundKind.EXACT:
-            raise ValueError("the no-faulty configuration has an exact result, not bounds")
-        return pf_no_faulty_exact(p, exact)
-    bounds = pf_S_bounds(p, exact) if cfg is AdversaryConfig.S_FAULTY else pf_R_bounds(p, exact)
-    if kind is BoundKind.LOWER:
-        return bounds[0]
-    if kind is BoundKind.UPPER:
-        return bounds[1]
-    raise ValueError("faulty configurations admit LOWER/UPPER bounds only")
+        return (pf_no_faulty_exact(p, exact),)
+    if cfg is AdversaryConfig.S_FAULTY:
+        return pf_S_bounds(p, exact)
+    return pf_R_bounds(p, exact)

@@ -129,18 +129,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exact(args) -> int:
     cfg = AdversaryConfig(args.config)
-    if cfg is AdversaryConfig.NO_FAULTY:
-        kinds = [BoundKind.EXACT]
-    elif args.kind == "both":
-        kinds = [BoundKind.LOWER, BoundKind.UPPER]
-    else:
-        kinds = [BoundKind(args.kind)]
     rows = []
     for m in _parse_m_list(args.m):
-        p = _params_from(args, m)
-        for kind in kinds:
-            report = analytics.failure_report(cfg, kind, p)
-            rows.append([m, cfg.value, kind.value, repr(float(report.value))])
+        for report in analytics.failure_reports(cfg, _params_from(args, m)):
+            # no-faulty has one exact report, shown whatever --kind asks for
+            if report.kind is BoundKind.EXACT or args.kind in ("both", report.kind.value):
+                rows.append([m, cfg.value, report.kind.value, repr(float(report.value))])
     _emit_table(["m", "config", "kind", "value"], rows, args)
     _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "m": args.m, "config": args.config})
     return EXIT_OK
@@ -230,9 +224,8 @@ def _cmd_fidelity(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg = AdversaryConfig(args.config)
     p = _params_from(args, args.m)
-    kind = BoundKind.EXACT if cfg is AdversaryConfig.NO_FAULTY else BoundKind(args.kind)
-    report = analytics.pf_bruteforce(cfg, p, kind=kind)
-    rows = [[args.m, cfg.value, kind.value, str(report.value), repr(float(report.value))]]
+    report = analytics.pf_bruteforce(cfg, p, kind=BoundKind(args.kind))
+    rows = [[args.m, cfg.value, report.kind.value, str(report.value), repr(float(report.value))]]
     _emit_table(["m", "config", "kind", "exact", "value"], rows, args)
     return EXIT_OK
 

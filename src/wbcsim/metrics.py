@@ -117,7 +117,8 @@ def ingest_counts(fh: IO[str]) -> BitstringDistribution:
     for key, value in raw.items():
         if key not in ALL_BITSTRINGS:
             raise InputFormatError(f"unknown bitstring key {key!r}")
-        if not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+        # bool is an int subclass, but JSON true/false are not counts
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
             raise InputFormatError(f"count for {key!r} must be a finite non-negative number")
     try:
         return BitstringDistribution.from_mapping(raw)

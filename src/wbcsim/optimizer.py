@@ -12,26 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
-from .protocol import ParameterError, ProtocolParams
+from .analytics import failure_reports
+from .protocol import AdversaryConfig, ParameterError, ProtocolParams
 from .security import in_guaranteed_region
 
 NOT_FOUND = "NOT_FOUND"
 OUTSIDE_REGION = "OUTSIDE_REGION"
 Verdict = Union[int, str]
-
-# Exact/upper failure probability of each configuration, in report order.
-_UPPER_BOUNDS = (
-    ("no-faulty", lambda p: pf_no_faulty_exact(p).value),
-    ("s-faulty", lambda p: pf_S_bounds(p)[1].value),
-    ("r0-faulty", lambda p: pf_R_bounds(p)[1].value),
-)
-
-
-def worst_upper_bound(mu, lam, m: int) -> float:
-    """max over configurations of the exact/upper failure probability."""
-    p = ProtocolParams.create(mu, lam, m)
-    return max(bound(p) for _, bound in _UPPER_BOUNDS)
 
 
 def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
@@ -50,11 +37,11 @@ def _crossings(mu, lam, p_target: float, ms: Iterable[int]) -> dict[str, Verdict
     crossing: there every bound is below the target, so each per-configuration
     crossing is already recorded. Bound monotonicity in m is not assumed.
     """
-    out: dict[str, Verdict] = {name: NOT_FOUND for name, _ in _UPPER_BOUNDS}
+    out: dict[str, Verdict] = {cfg.value: NOT_FOUND for cfg in AdversaryConfig}
     out["overall"] = NOT_FOUND
     for m in ms:
         p = ProtocolParams.create(mu, lam, m)
-        below = {name: bound(p) < p_target for name, bound in _UPPER_BOUNDS}
+        below = {cfg.value: failure_reports(cfg, p)[-1].value < p_target for cfg in AdversaryConfig}
         for name, crossed in below.items():
             if crossed and out[name] == NOT_FOUND:
                 out[name] = m
@@ -88,7 +75,7 @@ def m_min_table(
 def config_crossings(mu, lam, p_target: float, m_lo: int, m_hi: int) -> dict[str, Verdict]:
     """First m where each per-configuration bound drops below p_target."""
     table = m_min_table(mu, lam, p_target, m_lo, m_hi, require_region=False)
-    return {name: table[name] for name, _ in _UPPER_BOUNDS}
+    return {cfg.value: table[cfg.value] for cfg in AdversaryConfig}
 
 
 def m_min_upper(

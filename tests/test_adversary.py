@@ -11,8 +11,6 @@ from wbcsim.adversary import (
     StrategyS,
     _all_events,
     _events_by_local_list,
-    assemble_check_sets_S,
-    assemble_rho_R,
     best_failure_probability_bruteforce,
     conditional_failure_probability,
     local_counts_R,
@@ -79,28 +77,26 @@ class TestDomains:
 
 class TestAssembly:
     def test_check_sets_take_lowest_indices(self, params12):
-        sigma0, sigma1 = assemble_check_sets_S(EXAMPLE_EVENT, StrategyS(3, 1, 0, 0, 0, 4))
-        assert sigma0 == frozenset({2, 5, 6, 4})  # b, e, f from 0011 and d from mixed
-        assert sigma1 == frozenset({1, 3, 8, 11})  # a, c, h, k
+        t = run_protocol(EXAMPLE_EVENT, params12, S_FAULTY, strategy=StrategyS(3, 1, 0, 0, 0, 4))
+        assert t.sigma0 == frozenset({2, 5, 6, 4})  # b, e, f from 0011 and d from mixed
+        assert t.sigma1 == frozenset({1, 3, 8, 11})  # a, c, h, k
 
     def test_check_sets_reject_overdraw(self, params12):
-        with pytest.raises(ValueError):
-            assemble_check_sets_S(EXAMPLE_EVENT, StrategyS(5, 0, 0, 0, 0, 4))
+        with pytest.raises(ValueError, match="requests 5 indices from class 0011 of size 4"):
+            run_protocol(EXAMPLE_EVENT, params12, S_FAULTY, strategy=StrategyS(5, 0, 0, 0, 0, 4))
 
     def test_local_counts_after_invocation(self, params12):
         _, sigma0, _, _, _ = invocation_honest(EXAMPLE_EVENT, 0)
         assert local_counts_R(EXAMPLE_EVENT, sigma0) == LocalCountListR(4, 2, 6)
 
     def test_rho_takes_lowest_indices(self, params12):
-        _, sigma0, _, _, _ = invocation_honest(EXAMPLE_EVENT, 0)
-        y01, rho01 = assemble_rho_R(EXAMPLE_EVENT, sigma0, StrategyR(0, 2, 2))
-        assert y01 == 1
-        assert rho01 == frozenset({4, 7, 1, 3})  # XX10 = {d, g}, lowest XX0X = {a, c}
+        t = run_protocol(EXAMPLE_EVENT, params12, R0_FAULTY, strategy=StrategyR(0, 2, 2))
+        assert t.y01 == 1
+        assert t.rho01 == frozenset({4, 7, 1, 3})  # XX10 = {d, g}, lowest XX0X = {a, c}
 
     def test_rho_rejects_overdraw(self, params12):
-        _, sigma0, _, _, _ = invocation_honest(EXAMPLE_EVENT, 0)
-        with pytest.raises(ValueError):
-            assemble_rho_R(EXAMPLE_EVENT, sigma0, StrategyR(5, 0, 0))
+        with pytest.raises(ValueError, match="requests 5 indices from class 0011 of size 4"):
+            run_protocol(EXAMPLE_EVENT, params12, R0_FAULTY, strategy=StrategyR(5, 0, 0))
 
 
 class TestWorkedExamples:

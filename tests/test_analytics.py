@@ -8,7 +8,7 @@ import pytest
 from wbcsim.analytics import (
     BoundKind,
     FailureReport,
-    failure_report,
+    failure_reports,
     pf_bruteforce,
     pf_no_faulty_exact,
     pf_R_bounds,
@@ -139,10 +139,8 @@ class TestFailureReport:
 
     def test_dispatch(self):
         p = params("0.272", "0.94", 20)
-        assert failure_report(NO_FAULTY, BoundKind.EXACT, p).value == pf_no_faulty_exact(p).value
-        assert failure_report(S_FAULTY, BoundKind.UPPER, p).value == pf_S_bounds(p)[1].value
-        assert failure_report(R0_FAULTY, BoundKind.LOWER, p).value == pf_R_bounds(p)[0].value
-        with pytest.raises(ValueError):
-            failure_report(NO_FAULTY, BoundKind.UPPER, p)
-        with pytest.raises(ValueError):
-            failure_report(S_FAULTY, BoundKind.EXACT, p)
+        assert failure_reports(NO_FAULTY, p) == (pf_no_faulty_exact(p),)
+        assert failure_reports(S_FAULTY, p) == pf_S_bounds(p)
+        assert failure_reports(R0_FAULTY, p, exact=True) == pf_R_bounds(p, exact=True)
+        kinds = [tuple(r.kind for r in failure_reports(cfg, p)) for cfg in AdversaryConfig]
+        assert kinds == [(BoundKind.EXACT,), (BoundKind.LOWER, BoundKind.UPPER), (BoundKind.LOWER, BoundKind.UPPER)]

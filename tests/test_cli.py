@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wbcsim
-import wbcsim.optimizer as optimizer
+import wbcsim.analytics as analytics
 from wbcsim.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_USAGE, OUTPUT_DIR_ENV, main
 from wbcsim.metrics import TARGET_STATE
 from wbcsim.protocol import ABORT
@@ -27,18 +27,18 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def bound_calls(monkeypatch):
-    """Count the optimizer's bound evaluations per (config, m)."""
+    """Count the analytic bound evaluations per (config, m)."""
     calls = Counter()
     for config, name in (
         ("no-faulty", "pf_no_faulty_exact"),
         ("s-faulty", "pf_S_bounds"),
         ("r0-faulty", "pf_R_bounds"),
     ):
-        def counted(p, _fn=getattr(optimizer, name), _config=config):
+        def counted(p, *args, _fn=getattr(analytics, name), _config=config):
             calls[_config, p.m] += 1
-            return _fn(p)
+            return _fn(p, *args)
 
-        monkeypatch.setattr(optimizer, name, counted)
+        monkeypatch.setattr(analytics, name, counted)
     return calls
 
 
@@ -86,6 +86,12 @@ class TestExitCodes:
         path.write_text(payload)
         code, out, err = run(capsys, "fidelity", flag, str(path))
         assert code == EXIT_INPUT and out == "" and "finite" in err
+
+    def test_boolean_count_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text('{"0011": true, "1100": 1}')
+        code, out, err = run(capsys, "fidelity", "--counts", str(path))
+        assert code == EXIT_INPUT and out == "" and "0011" in err
 
     @pytest.mark.parametrize("pft", ["-1", "0", "1.5"])
     def test_mmin_rejects_target_outside_unit_interval(self, capsys, pft):
@@ -154,6 +160,16 @@ class TestCommands:
         rows = {r["config"]: r["m_min"] for r in json.loads(out)}
         assert rows == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280, "overall": 280}
         assert sum(bound_calls.values()) == 840 and set(bound_calls.values()) == {1}
+
+    @pytest.mark.parametrize("config", ["s-faulty", "r0-faulty"])
+    def test_exact_both_kinds_evaluate_each_bound_once(self, capsys, bound_calls, config):
+        argv = ("exact", "--config", config, "--mu", "0.272", "--lambda", "0.94", "--m", "50,100", "--kind", "both")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [
+            [m, config, kind] for m in ("50", "100") for kind in ("lower", "upper")
+        ]
+        assert bound_calls == {(config, 50): 1, (config, 100): 1}
 
     def test_exact_value_below_target(self, capsys):
         code, out, _ = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", "143")

@@ -132,7 +132,15 @@ class TestIngestion:
 
     @pytest.mark.parametrize(
         "payload",
-        ['{"00110": 3}', '{"0011": -1}', '{"0011": 0}', "[1, 2]", "not json"],
+        [
+            '{"00110": 3}',
+            '{"0011": -1}',
+            '{"0011": 0}',
+            "[1, 2]",
+            "not json",
+            '{"0011": true, "1100": 1}',
+            '{"0011": false, "1100": 1}',
+        ],
     )
     def test_malformed_counts_rejected(self, payload):
         with pytest.raises(InputFormatError):

@@ -13,12 +13,18 @@ from wbcsim.optimizer import (
     grid_search,
     m_min_table,
     m_min_upper,
-    worst_upper_bound,
 )
 from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
 from wbcsim.protocol import ParameterError, ProtocolParams
 
 MU, LAM = "0.272", "0.94"
+
+
+def worst_upper_bound(mu, lam, m):
+    """The largest exact/upper failure probability over the three
+    configurations, read from the formulas directly."""
+    p = ProtocolParams.create(mu, lam, m)
+    return max(pf_no_faulty_exact(p).value, pf_S_bounds(p)[1].value, pf_R_bounds(p)[1].value)
 
 
 class TestMMin:

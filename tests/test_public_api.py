@@ -1,0 +1,71 @@
+"""The public surface of the wbcsim package.
+
+The names below are every public name `wbcsim` exports, sorted, one per
+line, so that a change to the package's surface shows up as a one-line
+diff here. Submodules are not part of the surface.
+"""
+
+import types
+
+import wbcsim
+
+PUBLIC_NAMES = [
+    "ABORT",
+    "AdversaryConfig",
+    "BitstringDistribution",
+    "BoundKind",
+    "DensityMatrix16",
+    "DomainVerdict",
+    "Event",
+    "FailureReport",
+    "GlobalCountList",
+    "GridSpec",
+    "LocalCountListR",
+    "LocalCountListS",
+    "MonteCarloResult",
+    "NOT_FOUND",
+    "OUTCOMES",
+    "OUTCOME_PROBS",
+    "OUTSIDE_REGION",
+    "OutOfDomainError",
+    "Outcome",
+    "ParameterError",
+    "ProtocolParams",
+    "StrategyR",
+    "StrategyS",
+    "Transcript",
+    "best_failure_probability_bruteforce",
+    "chernoff_R",
+    "chernoff_S",
+    "chernoff_no_faulty",
+    "classical_fidelity",
+    "classify_broadcast",
+    "classify_transcript",
+    "classify_weak_broadcast",
+    "estimate_pf",
+    "failure_reports",
+    "global_counts",
+    "grid_search",
+    "ideal_distribution",
+    "in_guaranteed_region",
+    "ingest_counts",
+    "ingest_density_matrix",
+    "lambda_threshold",
+    "m_min_upper",
+    "pf_R_bounds",
+    "pf_S_bounds",
+    "pf_bruteforce",
+    "pf_no_faulty_exact",
+    "project_S",
+    "quantum_fidelity_pure_target",
+    "run_protocol",
+    "sample_event",
+    "substream",
+    "zeta_R",
+    "zeta_S",
+]
+
+
+def test_public_names_are_pinned():
+    exported = [n for n, v in vars(wbcsim).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+    assert sorted(exported) == PUBLIC_NAMES
