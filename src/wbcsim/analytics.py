@@ -11,21 +11,36 @@ binomial pmfs and tails:
 Out-of-domain masses are summed from their own tails, never taken as
 1 - (in-domain mass), so small values keep their relative precision.
 
-The formulas run over three binomial primitives (pmf, cdf, sf) with two
-implementations, and `exact=` only chooses between them: exact rationals
-(integer numerators summed into one Fraction; ground truth for the test
-oracles) or floats vectorised over scipy.special (`gammaln` for the pmf,
-`bdtr`/`bdtrc` for the tails). Float values agree with the exact ones to
-about 1e-15 * m relative, up to m ~ 10^4.
+Each formula evaluates a block of rows, one row per ProtocolParams (each
+with its own m, T and Q), and sums each row along the conditioned count;
+`failure_reports` and the `pf_*` functions are one-row views of it.
+
+Every tail inside a sum is a binomial tail at a fixed k whose trial count
+n runs along the row. The formulas run over a pmf, a cdf/sf pair and this
+fixed-k tail, with two implementations, and `exact=` only chooses between
+them: exact rationals (integer numerators summed into one Fraction, each
+tail summed on its own; ground truth for the test oracles) or floats. The
+float fixed-k tail walks n with
+
+    P(X_n <= k) = P(X_{n+1} <= k) + q * P(X_n = k),
+    P(X_{n+1} > k) = P(X_n > k) + q * P(X_n = k),
+
+anchored by one `bdtr` (at the row's largest n) or `bdtrc` (at its
+smallest n) and continued by a cumulative sum of these positive terms,
+with the pmf taken from one `gammaln` log-factorial table per call. There
+is no cancellation, so each tail keeps the anchor's precision plus about
+1e-16 per summed term; float values agree with the exact ones to about
+1e-15 * m relative, up to m ~ 10^4.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln
@@ -36,7 +51,7 @@ from .protocol import AdversaryConfig, ProtocolParams, _failed
 Probability = Union[float, Fraction]
 
 _THIRD, _SIXTH, _HALF = Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)
-_TWO_FIFTHS, _TWO_THIRDS = Fraction(2, 5), Fraction(2, 3)
+_TWO_FIFTHS = Fraction(2, 5)
 
 
 class BoundKind(enum.Enum):
@@ -63,34 +78,79 @@ def _exact_terms(ks: range, n: int, q: Fraction) -> Fraction:
     return Fraction(sum(math.comb(n, k) * a**k * (b - a) ** (n - k) for k in ks), b**n)
 
 
-def _float_tail(fn, k, n, q: Fraction, below: float):
-    """bdtr/bdtrc extended to k < 0 (value `below`) and k >= n."""
-    k, n = np.asarray(k), np.asarray(n)
-    return np.where(k < 0, below, fn(np.clip(k, 0, n), n, float(q)))
+_exact_cdf = np.frompyfunc(lambda k, n, q: _exact_terms(range(min(k, n) + 1), n, q), 3, 1)
+_exact_sf = np.frompyfunc(lambda k, n, q: _exact_terms(range(max(k + 1, 0), n + 1), n, q), 3, 1)
+
+
+def _exact_tail(k, n, q: Fraction, upper: bool, valid):
+    """The fixed-k tail, each element summed on its own (n < 0 counts as 0)."""
+    tail = _exact_sf if upper else _exact_cdf
+    return np.where(valid, tail(k[:, None], np.maximum(n, 0), q), 0)
+
+
+@functools.cache
+def _log_factorials(size: int) -> np.ndarray:
+    """log(i!) for 0 <= i < size."""
+    return gammaln(np.arange(size) + 1.0)
+
+
+def _float_pmf(k, n, q: Fraction):
+    """P(X = k) for X ~ Binom(n, q), 0 outside 0 <= k <= n."""
+    inside = (0 <= k) & (k <= n)
+    k, n_k = np.maximum(k, 0), np.maximum(n - k, 0)  # equal to k, n - k inside; in range outside
+    n = k + n_k
+    log_fact = _log_factorials(1 << int(n.max()).bit_length())  # sizes are powers of two
+    log_pmf = log_fact[n] - log_fact[k] - log_fact[n_k] + k * math.log(q) + n_k * math.log1p(-q)
+    return np.where(inside, np.exp(log_pmf), 0.0)
+
+
+def _float_tail(k, n, q: Fraction, upper: bool, valid):
+    """The fixed-k tail by the recurrence in n (module docstring): one
+    bdtrc anchor at the row's first n and a forward cumulative sum for
+    P(X > k); one bdtr anchor at its last valid n and a reverse one for
+    P(X <= k). The anchors' k is clipped into [0, n], where bdtr/bdtrc give
+    the tail's value; only P(X <= k < 0) = 0 needs its own case."""
+    rows, k, qf = np.arange(len(n)), k[:, None], float(q)
+    if upper:
+        terms = qf * _float_pmf(k, n - 1, q)
+        terms[:, 0] = bdtrc(np.minimum(k, n[:, :1]), n[:, :1], qf)[:, 0]
+        return np.cumsum(np.where(valid, terms, 0.0), axis=1)
+    terms = qf * _float_pmf(k, n, q)
+    last = valid.sum(axis=1) - 1
+    n_last = n[rows, last][:, None]
+    terms[rows, last] = ((k >= 0) * bdtr(np.clip(k, 0, n_last), n_last, qf))[:, 0]
+    return np.cumsum(np.where(valid, terms, 0.0)[:, ::-1], axis=1)[:, ::-1]
 
 
 class _Binomial(NamedTuple):
-    """X ~ Binom(n, q): pmf P(X = k), cdf P(X <= k) and sf P(X > k), each
-    broadcast over array k and n, plus the backend's scalar type."""
+    """X ~ Binom(n, q) primitives over integer arrays k and n, plus the
+    backend's scalar type:
+    - pmf(k, n, q): P(X = k), 0 outside 0 <= k <= n;
+    - cdf/sf(k, n, q): P(X <= k) and P(X > k) for 0 <= k < n;
+    - tail(k, n, q, upper, valid): P(X > k) if upper else P(X <= k), with
+      one k per row and each row of n consecutive ascending integers, on
+      the valid prefix of each row and 0 after it.
+    """
 
     pmf: Callable
     cdf: Callable
     sf: Callable
+    tail: Callable
     scalar: type
 
 
 _EXACT = _Binomial(
-    pmf=np.frompyfunc(lambda k, n, q: _exact_terms(range(k, k + 1), n, q), 3, 1),
-    cdf=np.frompyfunc(lambda k, n, q: _exact_terms(range(min(k, n) + 1), n, q), 3, 1),
-    sf=np.frompyfunc(lambda k, n, q: _exact_terms(range(max(k + 1, 0), n + 1), n, q), 3, 1),
+    pmf=np.frompyfunc(lambda k, n, q: _exact_terms(range(k, k + 1), n, q) if 0 <= k <= n else 0, 3, 1),
+    cdf=_exact_cdf,
+    sf=_exact_sf,
+    tail=_exact_tail,
     scalar=Fraction,
 )
 _FLOAT = _Binomial(
-    pmf=lambda k, n, q: np.exp(
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) + k * math.log(q) + (n - k) * math.log1p(-q)
-    ),
-    cdf=lambda k, n, q: _float_tail(bdtr, k, n, q, below=0.0),
-    sf=lambda k, n, q: _float_tail(bdtrc, k, n, q, below=1.0),
+    pmf=_float_pmf,
+    cdf=lambda k, n, q: bdtr(k, n, float(q)),
+    sf=lambda k, n, q: bdtrc(k, n, float(q)),
+    tail=_float_tail,
     scalar=float,
 )
 
@@ -99,63 +159,108 @@ def _backend(exact: bool) -> _Binomial:
     return _EXACT if exact else _FLOAT
 
 
-def _bounds(cfg: AdversaryConfig, p: ProtocolParams, lower, upper) -> tuple[FailureReport, FailureReport]:
-    """LOWER/UPPER reports. Float sums of terms that add up to 1 can round
-    just above it, so both are capped at 1 (never binding on rationals)."""
-    return (
-        FailureReport(cfg, BoundKind.LOWER, min(lower, 1.0), p),
-        FailureReport(cfg, BoundKind.UPPER, min(upper, 1.0), p),
-    )
+def _params(ps: Sequence[ProtocolParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns m, T and Q of a block of rows."""
+    m, T, Q = np.array([(p.m, p.T, p.Q) for p in ps]).T
+    return m, T, Q
 
 
-def pf_no_faulty_exact(p: ProtocolParams, exact: bool = False) -> FailureReport:
+def _at_most_one(values):
+    """Float sums of terms that add up to 1 can round just above it, so
+    bounds are capped at 1 (never binding on rationals)."""
+    return np.minimum(values, 1.0)
+
+
+def _no_faulty_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     """Exact failure probability with all components correct: the chance
     that fewer than T of the m outcomes back the sender's bit."""
-    b = _backend(exact)
-    return FailureReport(AdversaryConfig.NO_FAULTY, BoundKind.EXACT, b.scalar(b.cdf(p.T - 1, p.m, _THIRD)), p)
+    m, T, _ = _params(ps)
+    return b.cdf(T - 1, m, _THIRD)
 
 
-def pf_S_bounds(p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, FailureReport]:
-    """Failure probability bounds with a faulty sender playing zeta_S.
+def _s_rows(ps: Sequence[ProtocolParams], b: _Binomial):
+    """LOWER and UPPER failure bounds with a faulty sender playing zeta_S.
 
     An Event is in the domain of zeta_S when T <= l3 <= m - T and
-    T - Q <= l1 <= m - Q - l3. Lower bound: in-domain Events fail with
-    probability 2^-Q. Upper bound adds the out-of-domain mass: l3 outside
-    its range, or l1 in either tail given l3.
+    T - Q <= l1 <= n - Q, with n = m - l3. Lower bound: in-domain Events
+    fail with probability 2^-Q. Upper bound adds the out-of-domain mass: l3
+    outside its range, or l1 in either tail given l3. Row entries run over
+    n = T .. m - T; by the symmetry of q = 1/2, P(l1 > n - Q) = P(l1 <= Q - 1).
     """
-    b = _backend(exact)
-    m, T, Q = p.m, p.T, p.Q
-    l3 = np.arange(T, m - T + 1)
-    n = m - l3
-    w = b.pmf(l3, m, _THIRD)
-    dom = b.scalar(np.sum(w * (b.sf(T - Q - 1, n, _HALF) - b.sf(n - Q, n, _HALF))))
-    l1_tails = b.cdf(T - Q - 1, n, _HALF) + b.sf(n - Q, n, _HALF)
-    out = b.scalar(b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails))
-    lower = dom * _HALF**Q
-    return _bounds(AdversaryConfig.S_FAULTY, p, lower, lower + out)
+    m, T, Q = _params(ps)
+    n = T[:, None] + np.arange(max(1, (m - 2 * T + 1).max()))
+    valid = n <= (m - T)[:, None]
+    w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _THIRD), 0)  # P(l3 = m - n)
+    l1_tails = b.tail(T - Q - 1, n, _HALF, False, valid) + b.tail(Q - 1, n, _HALF, False, valid)
+    dom = np.sum(w * (1 - l1_tails), axis=1)
+    out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails, axis=1)
+    lower = dom * np.array([b.scalar(_HALF**p.Q) for p in ps])
+    return _at_most_one(lower), _at_most_one(lower + out)
 
 
-def pf_R_bounds(p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, FailureReport]:
-    """Failure probability bounds with a faulty R0 playing zeta_R.
+def _r_rows(ps: Sequence[ProtocolParams], b: _Binomial):
+    """LOWER and UPPER failure bounds with a faulty R0 playing zeta_R.
 
     The lower bound is the failure mass of the domain l1 <= m - T:
     - pink, l1 < T: too few vouched indices, failure guaranteed;
     - blue, T <= l1 <= m - T and l2 > T - Q: enough automatically-consistent
       XX10 indices, failure guaranteed;
-    - orange, T <= l1 <= m - T and l2 <= T - Q: failure needs at least
-      T - Q + 1 - l2 lucky picks among the T - l2 XX0X indices, each lucky
-      w.p. 2/3 (that tail is 1 in the blue region).
+    - orange, T <= l1 <= m - T and l2 <= T - Q: failure needs at most Q - 1
+      unlucky picks among the T - l2 XX0X indices, each unlucky w.p. 1/3
+      (that tail is 1 in the blue region).
     The upper bound adds the out-of-domain green region l1 > m - T.
+    Row entries run over n = m - l2 = T .. m; larger l2 leaves l1 < T.
+    """
+    m, T, Q = _params(ps)
+    n = T[:, None] + np.arange((m - T + 1).max())
+    valid = n <= m[:, None]
+    w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _SIXTH), 0)  # P(l2 = m - n)
+    window = b.tail(T - 1, n, _TWO_FIFTHS, True, valid) - b.tail(m - T, n, _TWO_FIFTHS, True, valid)
+    lucky = b.tail(Q - 1, n - (m - T)[:, None], _THIRD, False, valid)  # T - l2 picks
+    pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
+    lower = pink + np.sum(w * window * lucky, axis=1)
+    return _at_most_one(lower), _at_most_one(lower + green)
+
+
+def _report_rows(cfg: AdversaryConfig, ps: Sequence[ProtocolParams], exact: bool = False) -> dict[BoundKind, np.ndarray]:
+    """A configuration's report values over a block of rows, from one call
+    of its formula: {EXACT} with no faulty component, {LOWER, UPPER}
+    otherwise, in that order. The last kind is the one resource
+    minimisation reads.
+
+    The formulas are looked up as module globals on each call, so a wrapper
+    set on this module's attribute (a tracer, a test spy) sees every call.
     """
     b = _backend(exact)
-    m, T, Q = p.m, p.T, p.Q
-    l2 = np.arange(0, m - T + 1)  # larger l2 leaves l1 < T
-    n = m - l2
-    window = b.sf(T - 1, n, _TWO_FIFTHS) - b.sf(m - T, n, _TWO_FIFTHS)  # P(T <= l1 <= m - T | l2)
-    lucky = b.sf(T - Q - l2, np.maximum(T - l2, 0), _TWO_THIRDS)
-    pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
-    lower = b.scalar(pink + np.sum(b.pmf(l2, m, _SIXTH) * window * lucky))
-    return _bounds(AdversaryConfig.R0_FAULTY, p, lower, lower + b.scalar(green))
+    if cfg is AdversaryConfig.NO_FAULTY:
+        return {BoundKind.EXACT: _no_faulty_rows(ps, b)}
+    lower, upper = _s_rows(ps, b) if cfg is AdversaryConfig.S_FAULTY else _r_rows(ps, b)
+    return {BoundKind.LOWER: lower, BoundKind.UPPER: upper}
+
+
+def failure_reports(cfg: AdversaryConfig, p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, ...]:
+    """A configuration's reports at one p: (EXACT,) with no faulty
+    component, (LOWER, UPPER) otherwise. A one-row view of the formulas."""
+    scalar = _backend(exact).scalar
+    return tuple(FailureReport(cfg, kind, scalar(v[0]), p) for kind, v in _report_rows(cfg, [p], exact).items())
+
+
+def pf_no_faulty_exact(p: ProtocolParams, exact: bool = False) -> FailureReport:
+    """Exact failure probability with all components correct (one row of
+    `_no_faulty_rows`)."""
+    return failure_reports(AdversaryConfig.NO_FAULTY, p, exact)[0]
+
+
+def pf_S_bounds(p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, FailureReport]:
+    """LOWER/UPPER failure bounds with a faulty sender playing zeta_S (one
+    row of `_s_rows`)."""
+    return failure_reports(AdversaryConfig.S_FAULTY, p, exact)
+
+
+def pf_R_bounds(p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, FailureReport]:
+    """LOWER/UPPER failure bounds with a faulty R0 playing zeta_R (one row
+    of `_r_rows`)."""
+    return failure_reports(AdversaryConfig.R0_FAULTY, p, exact)
 
 
 def pf_bruteforce(
@@ -181,18 +286,3 @@ def pf_bruteforce(
     failed = sum(int(nums[_failed(cfg, p, codes, ood_fails=ood_fails)].sum()) for codes, nums in _event_blocks(p.m))
     total = Fraction(failed, _DENOMINATOR**p.m)
     return FailureReport(cfg, kind, total, p)
-
-
-def failure_reports(cfg: AdversaryConfig, p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, ...]:
-    """A configuration's reports from one call of its formula: (EXACT,) with
-    no faulty component, (LOWER, UPPER) otherwise. The last report is the
-    one resource minimisation reads.
-
-    The formulas are looked up as module globals on each call, so a wrapper
-    set on this module's attribute (a tracer, a test spy) sees every call.
-    """
-    if cfg is AdversaryConfig.NO_FAULTY:
-        return (pf_no_faulty_exact(p, exact),)
-    if cfg is AdversaryConfig.S_FAULTY:
-        return pf_S_bounds(p, exact)
-    return pf_R_bounds(p, exact)

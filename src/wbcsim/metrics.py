@@ -134,10 +134,14 @@ def ingest_density_matrix(fh: IO[str]) -> DensityMatrix16:
         raise InputFormatError(f"density-matrix file is not valid JSON: {exc}") from exc
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"density-matrix file is not a numeric array: {exc}") from exc
     if arr.shape != (16, 16, 2):
         raise InputFormatError(f"density matrix must be 16 rows x 16 [re, im] pairs, got shape {arr.shape}")
+    # numpy reads JSON true/false (bool is an int subclass) and numeric
+    # strings as numbers; neither is a matrix entry
+    if any(type(x) not in (int, float) for row in raw for pair in row for x in pair):
+        raise InputFormatError("density-matrix entries must be numbers")
     rho = arr[..., 0] + 1j * arr[..., 1]
     try:
         return DensityMatrix16(rho)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .analytics import failure_reports
-from .protocol import AdversaryConfig, ParameterError, ProtocolParams
+import numpy as np
+
+from . import analytics
+from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _block_rows
 from .security import in_guaranteed_region
 
 NOT_FOUND = "NOT_FOUND"
@@ -29,24 +31,38 @@ def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
 
 
+def _blocks(ms: Iterable[int]) -> Iterator[list[int]]:
+    """Consecutive runs of the ascending ms, each of at most
+    protocol._BLOCK_ELEMENTS rows x largest m (one row if m is larger)."""
+    block: list[int] = []
+    for m in ms:
+        if len(block) >= _block_rows(m):
+            yield block
+            block = []
+        block.append(m)
+    if block:
+        yield block
+
+
 def _crossings(mu, lam, p_target: float, ms: Iterable[int]) -> dict[str, Verdict]:
     """First m of the ascending ms where each configuration's bound, and all
     three at once ("overall"), drop below p_target; NOT_FOUND where none does.
 
-    Each bound is evaluated once per m. The scan stops at the overall
-    crossing: there every bound is below the target, so each per-configuration
-    crossing is already recorded. Bound monotonicity in m is not assumed.
+    Each bound is evaluated once per m, over a block of rows at a time. The
+    scan stops after the block that holds the overall crossing: there every
+    bound is below the target, so each per-configuration crossing is already
+    recorded. Bound monotonicity in m is not assumed.
     """
     out: dict[str, Verdict] = {cfg.value: NOT_FOUND for cfg in AdversaryConfig}
     out["overall"] = NOT_FOUND
-    for m in ms:
-        p = ProtocolParams.create(mu, lam, m)
-        below = {cfg.value: failure_reports(cfg, p)[-1].value < p_target for cfg in AdversaryConfig}
+    for block in _blocks(ms):
+        ps = [ProtocolParams.create(mu, lam, m) for m in block]
+        below = {cfg.value: [*analytics._report_rows(cfg, ps).values()][-1] < p_target for cfg in AdversaryConfig}
+        below["overall"] = np.logical_and.reduce(list(below.values()))
         for name, crossed in below.items():
-            if crossed and out[name] == NOT_FOUND:
-                out[name] = m
-        if all(below.values()):
-            out["overall"] = m
+            if crossed.any() and out[name] == NOT_FOUND:
+                out[name] = block[crossed.argmax()]
+        if out["overall"] != NOT_FOUND:
             break
     return out
 

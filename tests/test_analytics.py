@@ -8,6 +8,7 @@ import pytest
 from wbcsim.analytics import (
     BoundKind,
     FailureReport,
+    _report_rows,
     failure_reports,
     pf_bruteforce,
     pf_no_faulty_exact,
@@ -106,6 +107,20 @@ class TestFloatBackendRange:
         upper = pf_S_bounds(params("0.272", "0.94", 4000))[1].value
         # the float pmf's relative error grows like 1e-15 * m (gammaln rounding)
         assert math.isclose(upper, reference, rel_tol=1e-11)
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize(
+        "mu,lam,m_large", [("0.272", "0.94", 331), ("0.3", "0.8", 400), ("0.25", "0.9", 367), ("0.1", "0.6", 293)]
+    )
+    def test_block_matches_exact_backend(self, mu, lam, m_large):
+        # one block whose rows differ in width, against each row's exact rationals
+        ps = [params(mu, lam, m) for m in (*range(1, 13), 25, 50, 100, 200, m_large)]
+        for cfg in AdversaryConfig:
+            table = _report_rows(cfg, ps)
+            for i, p in enumerate(ps):
+                for exact in failure_reports(cfg, p, exact=True):
+                    assert math.isclose(table[exact.kind][i], float(exact.value), rel_tol=1e-11), (cfg, p.m, exact.kind)
 
 
 class TestBruteForceOracle:

@@ -27,19 +27,32 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def bound_calls(monkeypatch):
-    """Count the analytic bound evaluations per (config, m)."""
+    """Count the (config, m) rows the analytic formulas evaluate; `blocks`
+    keeps each formula call's (config, [m, ...]) in call order."""
     calls = Counter()
+    calls.blocks = []
     for config, name in (
-        ("no-faulty", "pf_no_faulty_exact"),
-        ("s-faulty", "pf_S_bounds"),
-        ("r0-faulty", "pf_R_bounds"),
+        ("no-faulty", "_no_faulty_rows"),
+        ("s-faulty", "_s_rows"),
+        ("r0-faulty", "_r_rows"),
     ):
-        def counted(p, *args, _fn=getattr(analytics, name), _config=config):
-            calls[_config, p.m] += 1
-            return _fn(p, *args)
+        def counted(ps, *args, _fn=getattr(analytics, name), _config=config):
+            calls.blocks.append((_config, [p.m for p in ps]))
+            calls.update((_config, p.m) for p in ps)
+            return _fn(ps, *args)
 
         monkeypatch.setattr(analytics, name, counted)
     return calls
+
+
+def assert_one_scan_up_to(calls, crossing):
+    """Each bound covers m = 1, 2, ... once, in blocks that stop with the
+    block holding the overall crossing."""
+    assert set(calls.values()) == {1}
+    for config in ("no-faulty", "s-faulty", "r0-faulty"):
+        blocks = [ms for name, ms in calls.blocks if name == config]
+        assert [m for ms in blocks for m in ms] == list(range(1, blocks[-1][-1] + 1))
+        assert crossing in blocks[-1] and all(m < crossing for ms in blocks[:-1] for m in ms)
 
 
 def _mixed_state_with_one_nan() -> str:
@@ -92,6 +105,14 @@ class TestExitCodes:
         path.write_text('{"0011": true, "1100": 1}')
         code, out, err = run(capsys, "fidelity", "--counts", str(path))
         assert code == EXIT_INPUT and out == "" and "0011" in err
+
+    def test_boolean_density_entry_is_input_error(self, capsys, tmp_path):
+        rho = [[[False, False] for _ in range(16)] for _ in range(16)]
+        rho[0][0] = [True, False]
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(rho))
+        code, out, err = run(capsys, "fidelity", "--density", str(path))
+        assert code == EXIT_INPUT and out == "" and "numbers" in err
 
     @pytest.mark.parametrize("pft", ["-1", "0", "1.5"])
     def test_mmin_rejects_target_outside_unit_interval(self, capsys, pft):
@@ -150,8 +171,7 @@ class TestCommands:
     def test_mmin_prints_reference_value(self, capsys, bound_calls):
         code, out, _ = run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05")
         assert code == EXIT_OK and out.strip() == "280"
-        # one scan: three bounds at each m = 1..280, none evaluated twice
-        assert sum(bound_calls.values()) == 840 and set(bound_calls.values()) == {1}
+        assert_one_scan_up_to(bound_calls, 280)
 
     def test_mmin_per_config(self, capsys, bound_calls):
         code, out, _ = run(
@@ -159,7 +179,7 @@ class TestCommands:
         )
         rows = {r["config"]: r["m_min"] for r in json.loads(out)}
         assert rows == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280, "overall": 280}
-        assert sum(bound_calls.values()) == 840 and set(bound_calls.values()) == {1}
+        assert_one_scan_up_to(bound_calls, 280)
 
     @pytest.mark.parametrize("config", ["s-faulty", "r0-faulty"])
     def test_exact_both_kinds_evaluate_each_bound_once(self, capsys, bound_calls, config):

@@ -169,3 +169,16 @@ class TestIngestion:
     def test_malformed_density_matrix_rejected(self, payload):
         with pytest.raises(InputFormatError):
             ingest_density_matrix(io.StringIO(payload))
+
+    @pytest.mark.parametrize(
+        "at,entry",
+        [(0, True), (1, False), (1, "0"), (1, None), (1, 10**400)],
+        ids=["true", "false", "string", "null", "beyond-float-range"],
+    )
+    def test_density_entries_must_be_numbers(self, at, entry):
+        # |0000><0000| with one real part replaced by an entry numpy would
+        # read as the same number (true as 1, false and "0" as 0)
+        payload = [[[float(i == j == 0), 0.0] for j in range(16)] for i in range(16)]
+        payload[at][at][0] = entry
+        with pytest.raises(InputFormatError):
+            ingest_density_matrix(io.StringIO(json.dumps(payload)))

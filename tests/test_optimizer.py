@@ -14,8 +14,10 @@ from wbcsim.optimizer import (
     m_min_table,
     m_min_upper,
 )
+import wbcsim.analytics as analytics
 from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
-from wbcsim.protocol import ParameterError, ProtocolParams
+from wbcsim.protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams
+from wbcsim.security import in_guaranteed_region
 
 MU, LAM = "0.272", "0.94"
 
@@ -144,3 +146,41 @@ class TestMMinTable:
     def test_matches_direct_scan(self, mu, lam, p_target, m_lo, m_hi):
         table = m_min_table(mu, lam, p_target, m_lo, m_hi, require_region=False)
         assert table == self.first_crossings(mu, lam, p_target, m_lo, m_hi)
+
+
+class TestBlocks:
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Each block-formula call as (config, [m, ...]), in call order."""
+        seen = []
+
+        def spy(cfg, ps, *args, _fn=analytics._report_rows):
+            seen.append((cfg, [p.m for p in ps]))
+            return _fn(cfg, ps, *args)
+
+        monkeypatch.setattr(analytics, "_report_rows", spy)
+        return seen
+
+    @pytest.mark.parametrize("m_lo,m_hi", [(1, 400), (9999, 10001)])
+    def test_blocks_are_bounded_and_cover_each_m_once(self, blocks, m_lo, m_hi):
+        assert m_min_upper(MU, LAM, 1e-300, m_lo, m_hi) == NOT_FOUND
+        for cfg in AdversaryConfig:
+            runs = [ms for name, ms in blocks if name is cfg]
+            assert [m for ms in runs for m in ms] == list(range(m_lo, m_hi + 1))
+            assert all(len(ms) * max(ms) <= _BLOCK_ELEMENTS for ms in runs)
+
+    @pytest.mark.parametrize(
+        "p_target,seen", [(0.05, {280, 289, NOT_FOUND, OUTSIDE_REGION}), (0.5, {100, OUTSIDE_REGION})]
+    )
+    def test_grid_matches_scalar_first_crossings(self, p_target, seen):
+        # candidates of very different widths share one block of rows
+        ms = [10, 50, 100, *range(270, 301)]
+        g = GridSpec((Fraction("0.25"), Fraction("0.275"), 4), (Fraction("0.9325"), Fraction("0.9475"), 4), ms, p_target)
+        verdicts = set()
+        for mu, lam, verdict in grid_search(g):
+            if in_guaranteed_region(mu, lam):
+                assert verdict == next((m for m in ms if worst_upper_bound(mu, lam, m) < p_target), NOT_FOUND)
+            else:
+                assert verdict == OUTSIDE_REGION
+            verdicts.add(verdict)
+        assert verdicts == seen
