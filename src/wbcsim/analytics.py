@@ -84,7 +84,7 @@ _exact_cdf = np.frompyfunc(lambda k, n, q: _exact_terms(range(min(k, n) + 1), n,
 _exact_sf = np.frompyfunc(lambda k, n, q: _exact_terms(range(max(k + 1, 0), n + 1), n, q), 3, 1)
 
 
-def _exact_tail(k, n, q: Fraction, upper: bool, valid):
+def _exact_tail(k, n, q: Fraction, valid, upper: bool):
     """The fixed-k tail, each element summed on its own (n < 0 counts as 0)."""
     tail = _exact_sf if upper else _exact_cdf
     return np.where(valid, tail(k[:, None], np.maximum(n, 0), q), 0)
@@ -109,7 +109,7 @@ def _float_pmf(k, n, q: Fraction):
     return np.where(inside, np.exp(log_pmf), 0.0)
 
 
-def _float_tail(k, n, q: Fraction, upper: bool, valid):
+def _float_tail(k, n, q: Fraction, valid, upper: bool):
     """The fixed-k tail by the recurrence in n (module docstring): one
     bdtrc anchor at the row's first n and a forward cumulative sum for
     P(X > k); one bdtr anchor at its last valid n and a reverse one for
@@ -132,7 +132,7 @@ class _Binomial(NamedTuple):
     backend's scalar type:
     - pmf(k, n, q): P(X = k), 0 outside 0 <= k <= n;
     - cdf/sf(k, n, q): P(X <= k) and P(X > k) for 0 <= k < n;
-    - tail(k, n, q, upper, valid): P(X > k) if upper else P(X <= k), with
+    - tail(k, n, q, valid, upper): P(X > k) if upper else P(X <= k), with
       one k per row and each row of n consecutive ascending integers, on
       the valid prefix of each row and 0 after it.
     """
@@ -196,7 +196,7 @@ def _s_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     n = T[:, None] + np.arange(max(1, (m - 2 * T + 1).max()))
     valid = n <= (m - T)[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _THIRD), 0)  # P(l3 = m - n)
-    l1_tails = b.tail(T - Q - 1, n, _HALF, False, valid) + b.tail(Q - 1, n, _HALF, False, valid)
+    l1_tails = b.tail(T - Q - 1, n, _HALF, valid, upper=False) + b.tail(Q - 1, n, _HALF, valid, upper=False)
     dom = np.sum(w * (1 - l1_tails), axis=1)
     out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails, axis=1)
     lower = dom * np.array([b.scalar(_HALF**p.Q) for p in ps])
@@ -220,14 +220,16 @@ def _r_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     n = T[:, None] + np.arange((m - T + 1).max())
     valid = n <= m[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _SIXTH), 0)  # P(l2 = m - n)
-    window = b.tail(T - 1, n, _TWO_FIFTHS, True, valid) - b.tail(m - T, n, _TWO_FIFTHS, True, valid)
-    lucky = b.tail(Q - 1, n - (m - T)[:, None], _THIRD, False, valid)  # T - l2 picks
+    window = b.tail(T - 1, n, _TWO_FIFTHS, valid, upper=True) - b.tail(m - T, n, _TWO_FIFTHS, valid, upper=True)
+    lucky = b.tail(Q - 1, n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
     pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
     lower = pink + np.sum(w * window * lucky, axis=1)
     return _at_most_one(lower), _at_most_one(lower + green)
 
 
-def _report_rows(cfg: AdversaryConfig, ps: Sequence[ProtocolParams], exact: bool = False) -> dict[BoundKind, np.ndarray]:
+def _report_rows(
+    cfg: AdversaryConfig, ps: Sequence[ProtocolParams], exact: bool = False
+) -> dict[BoundKind, np.ndarray]:
     """A configuration's report values over a block of rows, from one call
     of its formula: {EXACT} with no faulty component, {LOWER, UPPER}
     otherwise, in that order. The last kind is the one resource
