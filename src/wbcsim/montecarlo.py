@@ -4,9 +4,12 @@ Each trial samples one Event, runs the protocol in the requested adversary
 configuration, and scores the outputs against the weak broadcast truth
 table; trials go through the protocol's array engine in row blocks. Events
 outside a faulty strategy's domain count as failures, so the estimate
-tracks the analytic upper bound. Trials draw from counter-based
-substreams, making the estimate independent of how trials are split across
-workers.
+tracks the analytic upper bound. Trial t draws from substream(seed, t),
+so the estimate does not depend on how trials are split across workers.
+The block seeder in `source` hashes the trial numbers of many trials at
+once, sets one reused PCG64 to each trial's state in turn to fill that
+trial's row of draws, and maps the draws to outcome codes by comparing
+them with the outcome table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import AdversaryConfig, ProtocolParams, _block_rows, _failed
-from .source import _codes_of, substream
+from .source import _check_seed, _codes_of, _trial_draws
 
 
 @dataclass(frozen=True)
@@ -41,18 +44,11 @@ class MonteCarloResult:
 
 
 def _count_failures(cfg: AdversaryConfig, p: ProtocolParams, seed: int, lo: int, hi: int) -> int:
-    """Failures among trials lo..hi-1. Each trial draws its own substream
-    into one row, as sample_event does; then a whole block of rows goes
-    through the protocol engine at once."""
-    step = _block_rows(p.m)
-    draws = np.empty((step, p.m))
-    failures = 0
-    for start in range(lo, hi, step):
-        n = min(step, hi - start)
-        for row in range(n):
-            substream(seed, start + row).random(out=draws[row])
-        failures += int(np.count_nonzero(_failed(cfg, p, _codes_of(draws[:n]))))
-    return failures
+    """Failures among trials lo..hi-1. The block seeder fills one row of
+    draws per trial, as sample_event draws from the trial's substream; then
+    a whole block of rows goes through the protocol engine at once."""
+    draws = np.empty((_block_rows(p.m), p.m))
+    return sum(int(np.count_nonzero(_failed(cfg, p, _codes_of(block)))) for block in _trial_draws(seed, lo, hi, draws))
 
 
 def estimate_pf(
@@ -72,6 +68,7 @@ def estimate_pf(
         raise ValueError("n_trials must be a positive count")
     if jobs < 1:
         raise ValueError(f"jobs must be a positive count, got {jobs}")
+    _check_seed(seed)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         failures = _count_failures(cfg, p, seed, 0, n_trials)

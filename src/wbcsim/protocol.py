@@ -159,6 +159,12 @@ _ABORT = 2
 _R0_BITS = np.array(R0_BIT, np.int8)
 _R1_BITS = np.array(R1_BIT, np.int8)
 _S_CLASSES = np.array(S_CLASS, np.int8)
+# R0's class of each index, for x_S = 0 and 1, at code + 6 * (index in
+# sigma0): XX0X (2) where R0 measured x_S, otherwise 0011 (0) if S vouched
+# for the index and XX10 (1) if not.
+_R0_CLASSES = np.array(
+    [[2 if R0_BIT[code] == x_s else 1 - vouched for vouched in (0, 1) for code in range(6)] for x_s in (0, 1)], np.int8
+)
 _S_NAMES = ("0011", "mixed", "1100")
 _R_NAMES = ("0011", "XX10", "XX0X")
 
@@ -208,7 +214,7 @@ def _r0_classes(codes: np.ndarray, sigma0: np.ndarray, x_s: int) -> np.ndarray:
     """R0's classes after receiving sigma0: 0011 (class 0) where it measured
     1 - x_s and S vouched for the index, XX10 (1) where it measured 1 - x_s
     otherwise, XX0X (2) where it measured x_s."""
-    return np.where(_R0_BITS[codes] == x_s, np.int8(2), np.where(sigma0, np.int8(0), np.int8(1)))
+    return np.take(_R0_CLASSES[x_s], codes + 6 * sigma0.view(np.int8))
 
 
 def _check(bits: np.ndarray, x: int, sigma: np.ndarray, T: int) -> np.ndarray:
@@ -265,7 +271,7 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
 
     # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
     if cfg is AdversaryConfig.S_FAULTY:
-        view = _rank(_S_CLASSES[codes])
+        view = _rank(np.take(_S_CLASSES, codes))
         local = view.sizes
         if ks is None:
             ood, ks = adversary._zeta_S_rows(local, p)
@@ -278,7 +284,7 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
     # Check, then cross-calling. R1 always checks; a faulty R0 skips its check,
     # forwards a forgery instead of (y0, sigma0), and reports that forgery's
     # bit to the outside.
-    r1_bits = _R1_BITS[codes]
+    r1_bits = np.take(_R1_BITS, codes)
     y_tilde1 = _check(r1_bits, x1, sigma1, p.T)
     if cfg is AdversaryConfig.R0_FAULTY:
         view = _rank(_r0_classes(codes, sigma0, x_s))
@@ -288,7 +294,7 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
         y0 = y01 = np.full(n, 1 - x_s, np.int8)
         rho01 = _lowest(view, ks, _R_NAMES)
     else:
-        y0 = _check(_R0_BITS[codes], x0, sigma0, p.T)
+        y0 = _check(np.take(_R0_BITS, codes), x0, sigma0, p.T)
         y01, rho01 = y0, sigma0
 
     y1 = _cross_check(y_tilde1, y01, rho01, r1_bits, p)
@@ -357,7 +363,7 @@ def invocation_honest(event: Event, x_s: int):
 def check_phase(event: Event, receiver: str, x_j: int, sigma_j: frozenset[int], p: ProtocolParams) -> OutputValue:
     """Check phase of receiver 'R0' or 'R1': accept x_j iff the check set is
     long enough and the receiver measured the opposite bit at every index."""
-    bits = (_R0_BITS if receiver == "R0" else _R1_BITS)[_one_row(event)]
+    bits = np.take(_R0_BITS if receiver == "R0" else _R1_BITS, _one_row(event))
     return _value(_check(bits, x_j, _mask(sigma_j, event.m), p.T)[0])
 
 
@@ -369,7 +375,7 @@ def cross_check(
     p: ProtocolParams,
 ) -> OutputValue:
     """Cross-check phase of R1 (see `_cross_check`)."""
-    r1_bits = _R1_BITS[_one_row(event)]
+    r1_bits = np.take(_R1_BITS, _one_row(event))
     return _value(_cross_check(_code(y_tilde1), _code(y01), _mask(rho01, event.m), r1_bits, p)[0])
 
 

@@ -5,6 +5,13 @@ four-bit outcomes. The first two bits belong to the sender S, the third to
 receiver R0, and the fourth to receiver R1. An Event is the ordered list of
 outcomes from m independent states, which is the only source of randomness
 in a protocol run.
+
+Monte-Carlo trial t of root seed s draws its Event from the Generator of
+SeedSequence(entropy=s, spawn_key=(t,)). The block seeder here produces
+those generators' PCG64 states for a range of trials with one vectorised
+run of SeedSequence's hash, and maps uniform draws to outcome codes by
+counting the cumulative-probability table entries at or below each draw,
+as Generator.choice does.
 """
 
 from __future__ import annotations
@@ -137,14 +144,114 @@ def ideal_distribution() -> dict[str, Fraction]:
     return dist
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# Trial indices hashed at once, so memory stays flat however many trials run.
+_HASH_TRIALS = 1 << 10
+
+
+def _check_seed(value, name: str = "seed") -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of a non-negative int, least significant first, as
+    SeedSequence splits it (0 is one word)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix, as calls first .. first + count - 1 along the
+    last axis, with value broadcast against it. Call j xors with the hash
+    constant init * mult^j, multiplies by constant j + 1 and xor-shifts."""
+    consts = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(first, first + count + 1)], np.uint32)
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _trial_states(seed: int, lo: int, hi: int):
+    """The PCG64 state of each trial lo..hi-1, the state that
+    PCG64(SeedSequence(entropy=seed, spawn_key=(trial,))) starts in.
+
+    The hash's entropy is the seed's words, zero-padded to the pool size,
+    then the trial's words. The pool after the seed's words is the same for
+    every trial: it is SeedSequence(seed).pool. Each trial word is then
+    mixed into the four pool words; the hash constants do not depend on the
+    data, so this runs as uint32 array arithmetic on many trials at once.
+    The pool yields four uint64 words (generate_state), and PCG64 seeds its
+    LCG from them as pcg64_set_seed does: inc = 2*initseq + 1 and
+    state = (inc + initstate)*MULT + inc, on Python ints.
+    """
+    seed_pool = np.random.SeedSequence(seed).pool
+    # hashmix calls so far: one per pool word, one per ordered pair of pool
+    # words, and one per pool word for each seed word beyond the pool size
+    calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, len(_words(seed)) - _POOL_SIZE)
+    start = lo
+    while start < hi:
+        # trials that differ only in their lowest word
+        stop = min(hi, start + _HASH_TRIALS, (start | _MASK32) + 1)
+        first = start & _MASK32
+        pool = seed_pool
+        for j, word in enumerate([np.arange(first, first + stop - start, dtype=np.uint32)] + _words(start)[1:]):
+            hashed = _hashmix(np.array(word, np.uint32)[..., None], _INIT_A, _MULT_A, calls + _POOL_SIZE * j, _POOL_SIZE)
+            pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+            pool ^= pool >> 16
+        words = _hashmix(np.tile(pool, 2), _INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
+        # read as four little-endian uint64 words
+        for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+            yield {
+                "bit_generator": "PCG64",
+                "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        start = stop
+
+
+def _trial_draws(seed: int, lo: int, hi: int, out: np.ndarray):
+    """Uniform draws of trials lo..hi-1, filled into `out` a block of rows
+    at a time: each filled block `out[:n]` is yielded before the next
+    overwrites it. Row r holds what Generator.random draws first from
+    substream(seed, trial) for its trial; one PCG64 is set to each trial's
+    state in turn."""
+    bitgen = np.random.PCG64(0)
+    generator = np.random.Generator(bitgen)
+    states = _trial_states(seed, lo, hi)
+    for start in range(lo, hi, len(out)):
+        block = out[: min(len(out), hi - start)]
+        for row, state in zip(block, states):
+            bitgen.state = state
+            generator.random(out=row)
+        yield block
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent per-trial RNG substream.
 
-    Substream `index` of root `seed` is SeedSequence(entropy=seed,
-    spawn_key=(index,)), so trial results do not depend on how trials are
-    split across workers.
+    Substream `index` of root `seed` is the Generator of
+    SeedSequence(entropy=seed, spawn_key=(index,)), so trial results do not
+    depend on how trials are split across workers. Its state comes from the
+    same block hash that seeds the Monte-Carlo trials.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    _check_seed(seed)
+    _check_seed(index, "index")
+    bitgen = np.random.PCG64(0)
+    bitgen.state = next(_trial_states(seed, index, index + 1))
+    return np.random.Generator(bitgen)
 
 
 _FLOAT_PROBS = np.array([float(p) for p in OUTCOME_PROBS])
@@ -156,8 +263,13 @@ _CDF /= _CDF[-1]
 
 def _codes_of(draws: np.ndarray) -> np.ndarray:
     """Outcome codes of uniform draws from Generator.random, the codes that
-    Generator.choice(6, p=_FLOAT_PROBS) gives for the same draws."""
-    return _CDF.searchsorted(draws, side="right").astype(np.int8)
+    Generator.choice(6, p=_FLOAT_PROBS) gives for the same draws: the count
+    of table entries at or below each draw (searchsorted, side="right").
+    The last entry is 1.0, above every draw."""
+    codes = np.zeros(draws.shape, np.int8)
+    for edge in _CDF[:-1]:
+        codes += draws >= edge
+    return codes
 
 
 def sample_event(m: int, rng: int | np.random.Generator) -> Event:

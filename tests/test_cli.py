@@ -126,6 +126,12 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE and out == ""
 
+    def test_simulate_rejects_negative_seed(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--config", "no-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "4", "--seed", "-1"
+        )
+        assert code == EXIT_USAGE and out == "" and "seed must be a non-negative int, got -1" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -4,12 +4,14 @@ import math
 import os
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from wbcsim.analytics import pf_no_faulty_exact, pf_S_bounds
 import wbcsim.montecarlo as montecarlo
 from wbcsim.montecarlo import MonteCarloResult, estimate_pf
-from wbcsim.protocol import AdversaryConfig, ProtocolParams
+from wbcsim.protocol import AdversaryConfig, ProtocolParams, _block_rows
+from wbcsim.source import substream
 
 NO_FAULTY = AdversaryConfig.NO_FAULTY
 S_FAULTY = AdversaryConfig.S_FAULTY
@@ -108,3 +110,28 @@ class TestJobs:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         three = estimate_pf(S_FAULTY, params(12), 60, seed=3, jobs=10**6)
         assert requested[-1] == 3 and three.n_failures == serial.n_failures
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "3", None])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative int, got {seed!r}"):
+            estimate_pf(NO_FAULTY, params(2), 10, seed=seed)
+
+    def test_builds_no_seed_sequence_per_trial(self, monkeypatch):
+        # count the seed sequences and generators built through numpy's
+        # namespace; a substream per trial would show up in the count
+        built = []
+        for name in ("SeedSequence", "PCG64", "default_rng"):
+            def counted(*args, _fn=getattr(np.random, name), _name=name, **kwargs):
+                built.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        substream(3, 0)
+        assert built, "the spy sees a substream being built"
+        built.clear()
+        p = params(280, "0.272", "0.94")
+        estimate_pf(R0_FAULTY, p, 1000, seed=3)
+        assert 1000 // _block_rows(p.m) > 2
+        assert len(built) <= 2, built

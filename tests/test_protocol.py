@@ -299,6 +299,15 @@ class TestEngine:
             assert rows.ood[r] == 0
             assert achieved[r] == (classify_transcript(cfg, t) is ACH)
 
+    def test_r0_class_table_is_the_where_formula(self):
+        # every (code, sigma0) pair in one row, for both sender bits
+        codes = np.array([list(range(6)) * 2], np.int8)
+        sigma0 = np.array([[False] * 6 + [True] * 6])
+        for x_s in (0, 1):
+            want = np.where(protocol._R0_BITS[codes] == x_s, 2, np.where(sigma0, 0, 1))
+            got = protocol._r0_classes(codes, sigma0, x_s)
+            assert got.dtype == np.int8 and got.tolist() == want.tolist()
+
     def test_blocks_stay_within_the_element_budget(self, monkeypatch):
         shapes = []
         run_rows = protocol._run_rows

@@ -25,6 +25,7 @@ from wbcsim.source import (
     sample_event,
     substream,
 )
+from wbcsim.source import _CDF, _codes_of, _trial_draws, _trial_states
 
 events_st = st.lists(st.integers(0, 5), min_size=1, max_size=12).map(lambda c: Event(tuple(c)))
 
@@ -130,6 +131,17 @@ class TestSampling:
                 want = substream(seed, trial).choice(6, size=m, p=probs)
                 assert sample_event(m, substream(seed, trial)).codes == tuple(want.tolist())
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 280])
+    def test_codes_are_those_seed_sequence_generators_choose(self, m):
+        # the same contract, with the reference generator built by numpy
+        # itself rather than by substream
+        probs = [float(p) for p in OUTCOME_PROBS]
+        for seed in (0, 11, 20240817):
+            for trial in range(100):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+                want = rng.choice(6, size=m, p=probs)
+                assert sample_event(m, substream(seed, trial)).codes == tuple(want.tolist())
+
     def test_frequencies_match_distribution(self):
         n = 60000
         rng = substream(2024, 0)
@@ -138,6 +150,45 @@ class TestSampling:
             observed = codes.count(code) / n
             sigma = math.sqrt(float(p) * (1 - float(p)) / n)
             assert abs(observed - float(p)) < 5 * sigma
+
+
+def numpy_state(seed, trial):
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))).state
+
+
+class TestBlockSeeder:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1, 2**200])
+    def test_states_are_those_numpy_seeds(self, seed):
+        assert list(_trial_states(seed, 0, 100)) == [numpy_state(seed, t) for t in range(100)]
+        for trial in (2**32 - 1, 2**32, 2**40 + 3):
+            assert list(_trial_states(seed, trial, trial + 1)) == [numpy_state(seed, trial)]
+
+    def test_states_across_a_trial_word_boundary(self):
+        lo = 2**32 - 3
+        assert list(_trial_states(5, lo, lo + 6)) == [numpy_state(5, t) for t in range(lo, lo + 6)]
+
+    def test_blocks_hold_each_trials_first_draws(self):
+        # 23 trials from trial 4, in blocks of at most 5 rows of 7 draws
+        out = np.empty((5, 7))
+        blocks = [block.copy() for block in _trial_draws(9, 4, 27, out)]
+        assert [len(b) for b in blocks] == [5, 5, 5, 5, 3]
+        want = [np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(t,))).random(7) for t in range(4, 27)]
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0])
+    def test_substream_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            substream(seed, 0)
+        with pytest.raises(ValueError, match="index must be a non-negative int"):
+            substream(0, seed)
+
+    def test_codes_count_the_table_entries_at_or_below_each_draw(self):
+        # Generator.random draws lie in [0, 1); the last entry is 1.0
+        edges = np.concatenate([_CDF, np.nextafter(_CDF, 0), np.nextafter(_CDF, 2), [0.0]])
+        draws = np.concatenate([edges[edges < 1], np.random.default_rng(0).random(10**5)])
+        codes = _codes_of(draws)
+        assert codes.dtype == np.int8
+        assert np.array_equal(codes, _CDF.searchsorted(draws, side="right"))
 
 
 class TestCounts:
