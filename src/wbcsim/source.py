@@ -204,9 +204,11 @@ def _trial_states(seed: int, lo: int, hi: int):
         # trials that differ only in their lowest word
         stop = min(hi, start + _HASH_TRIALS, (start | _MASK32) + 1)
         first = start & _MASK32
+        trial_words = [np.arange(first, first + stop - start, dtype=np.uint32)] + _words(start)[1:]
         pool = seed_pool
-        for j, word in enumerate([np.arange(first, first + stop - start, dtype=np.uint32)] + _words(start)[1:]):
+        for j, word in enumerate(trial_words):
             hashed = _hashmix(np.array(word, np.uint32)[..., None], _INIT_A, _MULT_A, calls + _POOL_SIZE * j, _POOL_SIZE)
+            # SeedSequence's mix of each pool word with the hashed trial word
             pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
             pool ^= pool >> 16
         words = _hashmix(np.tile(pool, 2), _INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
