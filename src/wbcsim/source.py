@@ -17,6 +17,7 @@ as Generator.choice does.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
@@ -173,11 +174,19 @@ def _words(n: int) -> list[int]:
     return words
 
 
+@functools.lru_cache(maxsize=64)
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """Hash constants init * mult^j mod 2^32 for j = first .. first + count."""
+    consts = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(first, first + count + 1)], np.uint32)
+    consts.flags.writeable = False
+    return consts
+
+
 def _hashmix(value: np.ndarray, init: int, mult: int, first: int, count: int) -> np.ndarray:
     """SeedSequence's hashmix, as calls first .. first + count - 1 along the
     last axis, with value broadcast against it. Call j xors with the hash
-    constant init * mult^j, multiplies by constant j + 1 and xor-shifts."""
-    consts = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(first, first + count + 1)], np.uint32)
+    constant j, multiplies by constant j + 1 and xor-shifts."""
+    consts = _hash_consts(init, mult, first, count)
     value = (value ^ consts[:-1]) * consts[1:]
     return value ^ (value >> 16)
 
@@ -211,7 +220,7 @@ def _trial_states(seed: int, lo: int, hi: int):
             # SeedSequence's mix of each pool word with the hashed trial word
             pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
             pool ^= pool >> 16
-        words = _hashmix(np.tile(pool, 2), _INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
+        words = _hashmix(np.concatenate((pool, pool), axis=-1), _INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
         # read as four little-endian uint64 words
         for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
             inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
