@@ -25,6 +25,8 @@ from wbcsim.source import (
     sample_event,
     substream,
 )
+import wbcsim.protocol as protocol
+import wbcsim.source as source
 from wbcsim.source import _CDF, _codes_of, _trial_draws, _trial_states
 
 events_st = st.lists(st.integers(0, 5), min_size=1, max_size=12).map(lambda c: Event(tuple(c)))
@@ -166,6 +168,23 @@ class TestBlockSeeder:
     def test_states_across_a_trial_word_boundary(self):
         lo = 2**32 - 3
         assert list(_trial_states(5, lo, lo + 6)) == [numpy_state(5, t) for t in range(lo, lo + 6)]
+
+    def test_hash_runs_on_bounded_chunks(self, monkeypatch):
+        # the hash sees a bounded number of trials at once, and the chunk
+        # edges keep every trial's state
+        rows = []
+        hashmix = source._hashmix
+
+        def spy(value, *args):
+            rows.append(len(value))
+            return hashmix(value, *args)
+
+        monkeypatch.setattr(source, "_hashmix", spy)
+        states = list(_trial_states(7, 0, 2500))
+        assert len(states) == 2500
+        assert max(rows) < len(states) and max(rows) <= protocol._BLOCK_ELEMENTS
+        for t in (0, 1023, 1024, 2047, 2048, 2499):
+            assert states[t] == numpy_state(7, t)
 
     def test_blocks_hold_each_trials_first_draws(self):
         # 23 trials from trial 4, in blocks of at most 5 rows of 7 draws
