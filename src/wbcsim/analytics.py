@@ -16,22 +16,25 @@ with its own m, T and Q), and sums each row along the conditioned count;
 `failure_reports` and the `pf_*` functions are one-row views of it.
 
 Every tail inside a sum is a binomial tail at a fixed k whose trial count
-n runs along the row. The formulas run over a pmf, a cdf/sf pair and this
-fixed-k tail, with two implementations, and `exact=` only chooses between
-them: exact rationals (integer numerators summed into one Fraction, each
-tail summed on its own; ground truth for the test oracles) or floats. The
-float fixed-k tail walks n with
+n runs along the row. One recurrence in n computes all of them,
 
     P(X_n <= k) = P(X_{n+1} <= k) + q * P(X_n = k),
     P(X_{n+1} > k) = P(X_n > k) + q * P(X_n = k),
 
-anchored by one `bdtr` (at the row's largest n) or `bdtrc` (at its
-smallest n) and continued by a cumulative sum of these positive terms,
-with the pmf read from a cached `gammaln` log-factorial table: O(1) per
-element, where a `bdtr`/`bdtrc` per element costs an incomplete beta.
-There is no cancellation, so each tail keeps the anchor's precision plus
-about 1e-16 per summed term. The pmf's `gammaln` rounding dominates: float
-values agree with the exact ones to about 1e-15 * m relative, up to
+anchored by one cdf (at the row's largest n) or sf (at its smallest n)
+and continued by a cumulative sum of these positive terms. `exact=` only
+chooses the backend of pmf, cdf and sf primitives it runs on:
+
+- exact rationals, ground truth for the test oracles: integer numerators
+  summed into one Fraction per element. The cdf and sf sum each element
+  on its own, so they are also the recurrence's element-wise reference;
+- floats: `bdtr`/`bdtrc` anchors and a pmf read from a cached `gammaln`
+  log-factorial table, O(1) per element, where a `bdtr`/`bdtrc` per
+  element costs an incomplete beta.
+
+There is no cancellation, so each float tail keeps the anchor's precision
+plus about 1e-16 per summed term. The pmf's `gammaln` rounding dominates:
+float values agree with the exact ones to about 1e-15 * m relative, up to
 m ~ 10^4.
 """
 
@@ -80,14 +83,11 @@ def _exact_terms(ks: range, n: int, q: Fraction) -> Fraction:
     return Fraction(sum(math.comb(n, k) * a**k * (b - a) ** (n - k) for k in ks), b**n)
 
 
-_exact_cdf = np.frompyfunc(lambda k, n, q: _exact_terms(range(min(k, n) + 1), n, q), 3, 1)
-_exact_sf = np.frompyfunc(lambda k, n, q: _exact_terms(range(max(k + 1, 0), n + 1), n, q), 3, 1)
-
-
-def _exact_tail(k, n, q: Fraction, valid, upper: bool):
-    """The fixed-k tail, each element summed on its own (n < 0 counts as 0)."""
-    tail = _exact_sf if upper else _exact_cdf
-    return np.where(valid, tail(k[:, None], np.maximum(n, 0), q), 0)
+def _exact_pmf(k: int, n: int, q: Fraction):
+    """P(X = k), 0 outside 0 <= k <= n: one term of `_exact_terms`, built
+    without its range and sum, as the recurrence calls it per element."""
+    a, b = q.numerator, q.denominator
+    return Fraction(math.comb(n, k) * a**k * (b - a) ** (n - k), b**n) if 0 <= k <= n else 0
 
 
 @functools.cache
@@ -109,55 +109,52 @@ def _float_pmf(k, n, q: Fraction):
     return np.where(inside, np.exp(log_pmf), 0.0)
 
 
-def _float_tail(k, n, q: Fraction, valid, upper: bool):
-    """The fixed-k tail by the recurrence in n (module docstring): one
-    bdtrc anchor at the row's first n and a forward cumulative sum for
-    P(X > k); one bdtr anchor at its last valid n and a reverse one for
-    P(X <= k). The anchors' k is clipped into [0, n], where bdtr/bdtrc give
-    the tail's value; only P(X <= k < 0) = 0 needs its own case."""
-    k, qf = k[:, None], float(q)
-    if upper:
-        terms = qf * _float_pmf(k, n - 1, q)
-        terms[:, 0] = bdtrc(np.minimum(k, n[:, :1]), n[:, :1], qf)[:, 0]
-        return np.cumsum(np.where(valid, terms, 0.0), axis=1)
-    terms = qf * _float_pmf(k, n, q)
-    rows, last = np.arange(len(n)), valid.sum(axis=1) - 1
-    n_last = n[rows, last][:, None]
-    terms[rows, last] = ((k >= 0) * bdtr(np.clip(k, 0, n_last), n_last, qf))[:, 0]
-    return np.cumsum(np.where(valid, terms, 0.0)[:, ::-1], axis=1)[:, ::-1]
-
-
 class _Binomial(NamedTuple):
     """X ~ Binom(n, q) primitives over integer arrays k and n, plus the
-    backend's scalar type:
+    backend's scalar type; `exact=` chooses only between two of these:
     - pmf(k, n, q): P(X = k), 0 outside 0 <= k <= n;
-    - cdf/sf(k, n, q): P(X <= k) and P(X > k) for 0 <= k < n;
-    - tail(k, n, q, valid, upper): P(X > k) if upper else P(X <= k), with
-      one k per row and each row of n consecutive ascending integers, on
-      the valid prefix of each row and 0 after it.
+    - cdf/sf(k, n, q): P(X <= k) and P(X > k) for n >= 0 and any k.
+    The exact cdf/sf sum each element's pmfs on their own: they anchor the
+    one fixed-k recurrence (`_tail`) and are its element-wise reference.
     """
 
     pmf: Callable
     cdf: Callable
     sf: Callable
-    tail: Callable
     scalar: type
 
 
 _EXACT = _Binomial(
-    pmf=np.frompyfunc(lambda k, n, q: _exact_terms(range(k, k + 1), n, q) if 0 <= k <= n else 0, 3, 1),
-    cdf=_exact_cdf,
-    sf=_exact_sf,
-    tail=_exact_tail,
+    pmf=np.frompyfunc(_exact_pmf, 3, 1),
+    cdf=np.frompyfunc(lambda k, n, q: _exact_terms(range(min(k, n) + 1), n, q), 3, 1),
+    sf=np.frompyfunc(lambda k, n, q: _exact_terms(range(max(k + 1, 0), n + 1), n, q), 3, 1),
     scalar=Fraction,
 )
+# bdtr gives nan for k outside [0, n] and bdtrc for k > n; there the tail is 0 or 1
 _FLOAT = _Binomial(
     pmf=_float_pmf,
-    cdf=lambda k, n, q: bdtr(k, n, float(q)),
-    sf=lambda k, n, q: bdtrc(k, n, float(q)),
-    tail=_float_tail,
+    cdf=lambda k, n, q: (k >= 0) * bdtr(np.clip(k, 0, n), n, float(q)),
+    sf=lambda k, n, q: bdtrc(np.minimum(k, n), n, float(q)),
     scalar=float,
 )
+
+
+def _tail(b: _Binomial, k, n, q: Fraction, valid, upper: bool):
+    """P(X_n > k) if upper else P(X_n <= k), X_n ~ Binom(n, q), with one k
+    per row and each row of n consecutive ascending integers, on the valid
+    prefix of each row and 0 after it (n < 0 counts as 0). The recurrence in
+    n (module docstring): an sf anchor at the row's first n and a forward
+    cumulative sum for the upper tail; a cdf anchor at its last valid n and
+    a reverse one for the lower tail."""
+    k = k[:, None]
+    if upper:
+        terms = b.scalar(q) * b.pmf(k, n - 1, q)
+        terms[:, 0] = b.sf(k, n[:, :1], q)[:, 0]
+        return np.where(valid, np.cumsum(terms, axis=1), 0)
+    terms = b.scalar(q) * b.pmf(k, n, q)
+    rows, last = np.arange(len(n)), valid.sum(axis=1) - 1
+    terms[rows, last] = b.cdf(k, n[rows, last][:, None], q)[:, 0]
+    return np.cumsum(np.where(valid, terms, 0)[:, ::-1], axis=1)[:, ::-1]
 
 
 def _backend(exact: bool) -> _Binomial:
@@ -196,7 +193,7 @@ def _s_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     n = T[:, None] + np.arange(max(1, (m - 2 * T + 1).max()))
     valid = n <= (m - T)[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _THIRD), 0)  # P(l3 = m - n)
-    l1_tails = b.tail(T - Q - 1, n, _HALF, valid, upper=False) + b.tail(Q - 1, n, _HALF, valid, upper=False)
+    l1_tails = _tail(b, T - Q - 1, n, _HALF, valid, upper=False) + _tail(b, Q - 1, n, _HALF, valid, upper=False)
     dom = np.sum(w * (1 - l1_tails), axis=1)
     out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails, axis=1)
     lower = dom * np.array([b.scalar(_HALF**p.Q) for p in ps])
@@ -220,8 +217,8 @@ def _r_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     n = T[:, None] + np.arange((m - T + 1).max())
     valid = n <= m[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _SIXTH), 0)  # P(l2 = m - n)
-    window = b.tail(T - 1, n, _TWO_FIFTHS, valid, upper=True) - b.tail(m - T, n, _TWO_FIFTHS, valid, upper=True)
-    lucky = b.tail(Q - 1, n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
+    window = _tail(b, T - 1, n, _TWO_FIFTHS, valid, upper=True) - _tail(b, m - T, n, _TWO_FIFTHS, valid, upper=True)
+    lucky = _tail(b, Q - 1, n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
     pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
     lower = pink + np.sum(w * window * lucky, axis=1)
     return _at_most_one(lower), _at_most_one(lower + green)

@@ -128,8 +128,9 @@ class GridSpec:
         for lo, hi, steps in (self.mu_range, self.lambda_range):
             if not (lo < hi and steps >= 2):
                 raise ValueError("grid ranges must be non-degenerate with at least 2 steps")
-        if list(self.m_candidates) != sorted(set(self.m_candidates)):
-            raise ValueError("m_candidates must be strictly ascending")
+        ms = list(self.m_candidates)
+        if not ms or ms[0] < 1 or ms != sorted(set(ms)):
+            raise ValueError("m_candidates must be a non-empty, strictly ascending list of positive counts")
         if not 0 < self.p_target <= 1:
             raise ValueError("p_target must be a probability in (0, 1]")
 

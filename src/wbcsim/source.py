@@ -255,14 +255,12 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
     Substream `index` of root `seed` is the Generator of
     SeedSequence(entropy=seed, spawn_key=(index,)), so trial results do not
-    depend on how trials are split across workers. Its state comes from the
-    same block hash that seeds the Monte-Carlo trials.
+    depend on how trials are split across workers. The Monte-Carlo trials
+    start from the same states, which the block seeder computes.
     """
     _check_seed(seed)
     _check_seed(index, "index")
-    bitgen = np.random.PCG64(0)
-    bitgen.state = next(_trial_states(seed, index, index + 1))
-    return np.random.Generator(bitgen)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
 _FLOAT_PROBS = np.array([float(p) for p in OUTCOME_PROBS])
@@ -292,6 +290,7 @@ def sample_event(m: int, rng: int | np.random.Generator) -> Event:
     if m < 1:
         raise ValueError("m must be a positive count")
     if not isinstance(rng, np.random.Generator):
+        _check_seed(rng)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng))
     return Event(tuple(_codes_of(rng.random(m)).tolist()))
 

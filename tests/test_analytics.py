@@ -3,12 +3,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wbcsim.analytics import (
+    _EXACT,
+    _FLOAT,
     BoundKind,
     FailureReport,
     _report_rows,
+    _tail,
     failure_reports,
     pf_bruteforce,
     pf_no_faulty_exact,
@@ -77,7 +81,7 @@ class TestBounds:
 
 
 class TestFloatBackendRange:
-    @pytest.mark.parametrize("m", [280, 400])
+    @pytest.mark.parametrize("m", [280, 400, 1000])
     def test_every_bound_matches_exact(self, m):
         p = params("0.272", "0.94", m)
         for exact, approx in zip(all_reports(p, exact=True), all_reports(p, exact=False)):
@@ -121,6 +125,48 @@ class TestBoundTable:
             for i, p in enumerate(ps):
                 for exact in failure_reports(cfg, p, exact=True):
                     assert math.isclose(table[exact.kind][i], float(exact.value), rel_tol=1e-11), (cfg, p.m, exact.kind)
+
+
+def element_wise_tail(k, n, q, valid, upper):
+    """The fixed-k tail with each element summed on its own by the exact
+    cdf/sf (n < 0 counts as 0): the reference for the recurrence."""
+    tail = _EXACT.sf if upper else _EXACT.cdf
+    return np.where(valid, tail(k[:, None], np.maximum(n, 0), q), 0)
+
+
+# (k, first n, last valid n) per row, as the bound formulas build them
+TAIL_ROWS = {
+    # rows of different widths, one of them empty (the S rows when m < 2T - 1)
+    "widths": [(2, 3, 10), (0, 5, 6), (7, 8, 20), (1, 1, 1), (3, 6, 4)],
+    # k = -1: the S tail at T - Q - 1 when T = Q
+    "k_minus_one": [(-1, 1, 9), (-1, 4, 4), (0, 2, 7)],
+    # the lucky tail: its trial count T - l2 starts at 2T - m, which can be <= 0
+    "lucky": [(0, -4, 3), (2, -1, 5), (-1, 0, 2), (3, -6, 9)],
+}
+
+
+class TestTail:
+    @staticmethod
+    def rows(name):
+        k, first, last = map(np.array, zip(*TAIL_ROWS[name]))
+        n = first[:, None] + np.arange(max(1, (last - first + 1).max()))
+        return k, n, n <= last[:, None]
+
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 5), Fraction(1, 3)])
+    @pytest.mark.parametrize("name", sorted(TAIL_ROWS))
+    def test_recurrence_is_the_element_wise_tail(self, name, q, upper):
+        k, n, valid = self.rows(name)
+        if upper:
+            n = n - min(0, n.min())  # the upper tails' n runs over T..m
+        want = element_wise_tail(k, n, q, valid, upper)
+        got = _tail(_EXACT, k, n, q, valid, upper)
+        assert got.shape == want.shape
+        assert all(isinstance(g, Fraction) for g in got[valid])
+        assert all(g == w for g, w in zip(got.flat, want.flat))
+        approx = _tail(_FLOAT, k, n, q, valid, upper)
+        assert approx.dtype == np.float64
+        assert np.allclose(approx, want.astype(float), rtol=1e-14, atol=0)
 
 
 class TestBruteForceOracle:

@@ -83,6 +83,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((Fraction(1, 4), Fraction(3, 10), 5), (Fraction(3, 5), Fraction(4, 5), 5), [10], 0.0)
 
+    @pytest.mark.parametrize("ms", [[], [0, 280], [-3]])
+    def test_rejects_candidates_that_are_empty_or_below_one(self, ms):
+        # both used to pass the spec: [] answered NOT_FOUND for every
+        # in-region cell, and m = 0 failed only when a cell evaluated it
+        with pytest.raises(ValueError, match="m_candidates"):
+            GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), ms, 0.05)
+
     def test_grid_values_are_exact_and_inclusive(self):
         mus = even_grid("0.269", "0.275", 7)
         assert mus[0] == Fraction("0.269") and mus[-1] == Fraction("0.275")

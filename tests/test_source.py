@@ -123,6 +123,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_event(0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.0])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        # True used to seed as 1, and -1 and 2.0 reached numpy's own errors
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            sample_event(3, seed)
+
     @pytest.mark.parametrize("m", [1, 2, 5, 280])
     def test_codes_are_those_generator_choice_draws(self, m):
         # the reproducibility contract: (seed, trial) -> the codes that
