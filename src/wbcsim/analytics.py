@@ -133,7 +133,7 @@ _EXACT = _Binomial(
 # bdtr gives nan for k outside [0, n] and bdtrc for k > n; there the tail is 0 or 1
 _FLOAT = _Binomial(
     pmf=_float_pmf,
-    cdf=lambda k, n, q: (k >= 0) * bdtr(np.clip(k, 0, n), n, float(q)),
+    cdf=lambda k, n, q: np.where(k < 0, 0.0, bdtr(np.minimum(k, n), n, float(q))),
     sf=lambda k, n, q: bdtrc(np.minimum(k, n), n, float(q)),
     scalar=float,
 )

@@ -136,8 +136,9 @@ def element_wise_tail(k, n, q, valid, upper):
 
 # (k, first n, last valid n) per row, as the bound formulas build them
 TAIL_ROWS = {
-    # rows of different widths, one of them empty (the S rows when m < 2T - 1)
-    "widths": [(2, 3, 10), (0, 5, 6), (7, 8, 20), (1, 1, 1), (3, 6, 4)],
+    # rows of different widths, one of them empty (the S rows when m < 2T - 1),
+    # one with k above every n
+    "widths": [(2, 3, 10), (0, 5, 6), (7, 8, 20), (1, 1, 1), (3, 6, 4), (6, 1, 3)],
     # k = -1: the S tail at T - Q - 1 when T = Q
     "k_minus_one": [(-1, 1, 9), (-1, 4, 4), (0, 2, 7)],
     # the lucky tail: its trial count T - l2 starts at 2T - m, which can be <= 0
