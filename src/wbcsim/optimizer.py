@@ -44,26 +44,64 @@ def _blocks(ms: Iterable[int]) -> Iterator[list[int]]:
         yield block
 
 
-def _crossings(mu, lam, p_target: float, ms: Iterable[int]) -> dict[str, Verdict]:
-    """First m of the ascending ms where each configuration's bound, and all
-    three at once ("overall"), drop below p_target; NOT_FOUND where none does.
+def _thresholds(mu: Fraction, lam: Fraction, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T = ceil(mu*m) and Q = T - ceil(lam*T) + 1, as ProtocolParams.create
+    derives them, over an object array of int m, as floor divisions of
+    Python ints: a float mu or lambda can have a numerator near 2^53, so
+    its product with m or T would overflow int64 from m ~ 1000."""
+    T = -(-mu.numerator * m // mu.denominator)
+    return T, T + (-lam.numerator * T // lam.denominator) + 1
 
-    Each bound is evaluated once per m, over a block of rows at a time. The
-    scan stops after the block that holds the overall crossing: there every
-    bound is below the target, so each per-configuration crossing is already
-    recorded. Bound monotonicity in m is not assumed.
+
+def _scan(cells: Sequence[tuple], p_target: float, ms: Iterable[int]) -> list[dict[str, Verdict]]:
+    """For each (mu, lambda) cell, the first m of the ascending ms where each
+    configuration's bound, and all three at once ("overall"), drop below
+    p_target; NOT_FOUND where none does.
+
+    One scan over m serves every cell. The formulas read only (m, T, Q), so
+    each block of m evaluates the distinct (m, T, Q) of the open cells once
+    per configuration, in row blocks as `_blocks` cuts them, and every cell
+    reads its crossings from those rows. A cell leaves the scan after the
+    block that holds its overall crossing: there every bound is below the
+    target, so each per-configuration crossing is already recorded. Bound
+    monotonicity in m is not assumed.
     """
-    out: dict[str, Verdict] = {cfg.value: NOT_FOUND for cfg in AdversaryConfig}
-    out["overall"] = NOT_FOUND
+    cells = [(p.mu, p.lam) for p in (ProtocolParams.create(mu, lam, 1) for mu, lam in cells)]  # range checks
+    names = [cfg.value for cfg in AdversaryConfig] + ["overall"]
+    out: list[dict[str, Verdict]] = [dict.fromkeys(names, NOT_FOUND) for _ in cells]
+    open_cells = list(range(len(cells)))
     for block in _blocks(ms):
-        ps = [ProtocolParams.create(mu, lam, m) for m in block]
-        below = {cfg.value: [*analytics._report_rows(cfg, ps).values()][-1] < p_target for cfg in AdversaryConfig}
-        below["overall"] = np.logical_and.reduce(list(below.values()))
-        for name, crossed in below.items():
-            if crossed.any() and out[name] == NOT_FOUND:
-                out[name] = block[crossed.argmax()]
-        if out["overall"] != NOT_FOUND:
+        if not open_cells:
             break
+        m_column = np.array(block, dtype=object)
+        columns = [_thresholds(*cells[i], m_column) for i in open_cells]
+        rows: dict[tuple[int, int, int], int] = {}  # distinct (m, T, Q), in ascending m, -> row index
+        ps: list[ProtocolParams] = []  # each row's params, from the first open cell that has it
+        index = np.empty((len(open_cells), len(block)), dtype=np.intp)
+        for j, m in enumerate(block):
+            for k, (T, Q) in enumerate(columns):
+                key = (m, T[j], Q[j])
+                if key not in rows:
+                    rows[key] = len(ps)
+                    ps.append(ProtocolParams(*cells[open_cells[k]], *key))
+                index[k, j] = rows[key]
+        chunks, start = [], 0
+        for chunk in _blocks(p.m for p in ps):
+            chunks.append(ps[start : start + len(chunk)])
+            start += len(chunk)
+        below = np.array(
+            [
+                np.concatenate([[*analytics._report_rows(cfg, chunk).values()][-1] for chunk in chunks])
+                for cfg in AdversaryConfig
+            ]
+        )[:, index] < p_target
+        below = np.concatenate([below, below.all(axis=0, keepdims=True)])
+        crossed, at = below.any(axis=2), below.argmax(axis=2)
+        for j, i in enumerate(open_cells):
+            for k, name in enumerate(names):
+                if crossed[k, j] and out[i][name] == NOT_FOUND:
+                    out[i][name] = block[at[k, j]]
+        open_cells = [i for i in open_cells if out[i]["overall"] == NOT_FOUND]
     return out
 
 
@@ -85,7 +123,7 @@ def m_min_table(
     _check_scan(p_target, m_lo, m_hi)
     if require_region and not in_guaranteed_region(mu, lam):
         raise ParameterError(f"(mu={mu}, lambda={lam}) outside the guaranteed exponential-security region")
-    return _crossings(mu, lam, p_target, range(m_lo, m_hi + 1))
+    return _scan([(mu, lam)], p_target, range(m_lo, m_hi + 1))[0]
 
 
 def config_crossings(mu, lam, p_target: float, m_lo: int, m_hi: int) -> dict[str, Verdict]:
@@ -144,12 +182,6 @@ class GridSpec:
 def grid_search(g: GridSpec) -> list[tuple[Fraction, Fraction, Verdict]]:
     """Evaluate every cell: OUTSIDE_REGION, the minimal sufficient candidate
     m, or NOT_FOUND. Ordered row-major by grid indices (mu outer)."""
-    table: list[tuple[Fraction, Fraction, Verdict]] = []
-    for mu in g.mu_values():
-        for lam in g.lambda_values():
-            if in_guaranteed_region(mu, lam):
-                verdict = _crossings(mu, lam, g.p_target, g.m_candidates)["overall"]
-            else:
-                verdict = OUTSIDE_REGION
-            table.append((mu, lam, verdict))
-    return table
+    cells = [(mu, lam, in_guaranteed_region(mu, lam)) for mu in g.mu_values() for lam in g.lambda_values()]
+    found = iter(_scan([(mu, lam) for mu, lam, inside in cells if inside], g.p_target, g.m_candidates))
+    return [(mu, lam, next(found)["overall"] if inside else OUTSIDE_REGION) for mu, lam, inside in cells]

@@ -55,6 +55,19 @@ def assert_one_scan_up_to(calls, crossing):
         assert crossing in blocks[-1] and all(m < crossing for ms in blocks[:-1] for m in ms)
 
 
+# verdicts of the default `optimize` grid: mu -> verdict at each lambda
+DEFAULT_LAMBDAS = ("0.9325", "0.935", "0.9375", "0.94", "0.9425", "0.945", "0.9475")
+DEFAULT_OPTIMIZE = {
+    "0.269": ("NOT_FOUND", "NOT_FOUND", 287, 287, 287, 287, 287),
+    "0.27": ("NOT_FOUND", "NOT_FOUND", 282, 282, 282, 282, 282),
+    "0.271": ("NOT_FOUND", "NOT_FOUND", 281, 281, 281, 281, 281),
+    "0.272": ("NOT_FOUND", "NOT_FOUND", 280, 280, 280, 280, 280),
+    "0.273": ("NOT_FOUND", "NOT_FOUND", 280, 280, 280, 280, 280),
+    "0.274": ("NOT_FOUND", "NOT_FOUND", 280, 280, 280, 280, 280),
+    "0.275": ("NOT_FOUND", "NOT_FOUND", 280, 280, 280, 280, 280),
+}
+
+
 def _mixed_state_with_one_nan() -> str:
     rho = [[[float(i == j) / 16, 0.0] for j in range(16)] for i in range(16)]
     rho[0][0][0] = float("nan")
@@ -146,6 +159,11 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--m", "10,300..270")
         assert code == EXIT_USAGE and out == "" and "300..270" in err
 
+    @pytest.mark.parametrize("ms", ["300,280", "270..300,300"])
+    def test_optimize_rejects_candidates_not_strictly_ascending(self, capsys, ms):
+        code, out, err = run(capsys, "optimize", "--m", ms)
+        assert code == EXIT_USAGE and out == "" and "m_candidates" in err
+
     def test_mmin_outside_region_evaluates_no_bound(self, capsys, bound_calls):
         code, out, _ = run(capsys, "mmin", "--mu", "0.25", "--lambda", "0.90", "--pft", "0.05")
         assert code == EXIT_PARAMETER and out == ""
@@ -186,6 +204,29 @@ class TestCommands:
         rows = {r["config"]: r["m_min"] for r in json.loads(out)}
         assert rows == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280, "overall": 280}
         assert_one_scan_up_to(bound_calls, 280)
+
+    def test_mmin_inexact_past_int64_thresholds(self, capsys):
+        # --inexact reads 0.3 as a float with a numerator of 5.4e15, so
+        # mu.numerator * m is past int64 for every m of this window; the
+        # exact decimals give the same m
+        argv = ("mmin", "--mu", "0.3", "--lambda", "0.945", "--pft", "1e-4", "--m-lo", "1750", "--m-hi", "4000", "--per-config")
+        expected = "config,m_min\nno-faulty,2700\ns-faulty,2700\nr0-faulty,2700\noverall,2700\n"
+        assert run(capsys, *argv, "--inexact") == (EXIT_OK, expected, "")
+        assert run(capsys, *argv) == (EXIT_OK, expected, "")
+
+    def test_optimize_default_table(self, capsys):
+        code, out, _ = run(capsys, "optimize")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["mu,lambda,verdict"] + [
+            f"{mu},{lam},{verdict}" for mu, verdicts in DEFAULT_OPTIMIZE.items() for lam, verdict in zip(DEFAULT_LAMBDAS, verdicts)
+        ]
+        code, out, _ = run(capsys, "optimize", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == [
+            {"mu": float(mu), "lambda": float(lam), "verdict": verdict}
+            for mu, verdicts in DEFAULT_OPTIMIZE.items()
+            for lam, verdict in zip(DEFAULT_LAMBDAS, verdicts)
+        ]
 
     @pytest.mark.parametrize("config", ["s-faulty", "r0-faulty"])
     def test_exact_both_kinds_evaluate_each_bound_once(self, capsys, bound_calls, config):

@@ -1,13 +1,18 @@
 """Tests for minimal-resource search and the (mu, lambda) grid scan."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wbcsim.optimizer import (
     NOT_FOUND,
     OUTSIDE_REGION,
     GridSpec,
+    _blocks,
+    _thresholds,
     config_crossings,
     even_grid,
     grid_search,
@@ -125,6 +130,34 @@ class TestGridSearch:
         assert shared and all(coarse_map[k] == fine_map[k] for k in shared)
 
 
+class TestThresholdColumns:
+    @given(
+        st.one_of(
+            st.decimals(Fraction(1, 10**6), Fraction(333333, 10**6), places=6).map(Fraction),
+            st.floats(1e-6, 0.333333).map(Fraction),
+        ),
+        st.one_of(
+            st.decimals(Fraction(500001, 10**6), Fraction(999999, 10**6), places=6).map(Fraction),
+            st.floats(0.500001, 0.999999).map(Fraction),
+        ),
+        st.lists(st.integers(1, 10**4), min_size=1, max_size=40),
+    )
+    @settings(max_examples=100)
+    def test_threshold_columns_match_create(self, mu, lam, ms):
+        T, Q = _thresholds(mu, lam, np.array(ms, dtype=object))
+        assert [(t, q) for t, q in zip(T, Q)] == [(p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for m in ms)]
+
+    def test_threshold_columns_of_float_parameters_past_int64(self):
+        # --inexact reads floats: 0.3 and 0.945 have numerators of 5.4e15 and
+        # 8.5e15, so their products with m and T leave int64 from m ~ 1700
+        mu, lam = Fraction(0.3), Fraction(0.945)
+        ms = range(1, 10**4 + 1)
+        assert mu.numerator * ms[-1] > np.iinfo(np.int64).max
+        T, Q = _thresholds(mu, lam, np.array(ms, dtype=object))
+        assert list(T) == [math.ceil(mu * m) for m in ms]
+        assert [(t, q) for t, q in zip(T, Q)] == [(p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for m in ms)]
+
+
 class TestMMinTable:
     @staticmethod
     def first_crossings(mu, lam, p_target, m_lo, m_hi):
@@ -183,6 +216,17 @@ class TestBlocks:
         # candidates of very different widths share one block of rows
         ms = [10, 50, 100, *range(270, 301)]
         g = GridSpec((Fraction("0.25"), Fraction("0.275"), 4), (Fraction("0.9325"), Fraction("0.9475"), 4), ms, p_target)
+        self.assert_grid_matches_scalar_first_crossings(g, seen)
+
+    def test_wide_window_matches_scalar_first_crossings(self):
+        # cells cross in three different blocks of m and leave the scan at different times
+        ms = range(1, 2001)
+        g = GridSpec((Fraction("0.26"), Fraction("0.30"), 3), (Fraction("0.90"), Fraction("0.94"), 2), ms, 0.2)
+        self.assert_grid_matches_scalar_first_crossings(g, {143, 164, 223, 276, 288, OUTSIDE_REGION})
+
+    @staticmethod
+    def assert_grid_matches_scalar_first_crossings(g, seen):
+        ms, p_target = g.m_candidates, g.p_target
         verdicts = set()
         for mu, lam, verdict in grid_search(g):
             if in_guaranteed_region(mu, lam):
@@ -191,3 +235,42 @@ class TestBlocks:
                 assert verdict == OUTSIDE_REGION
             verdicts.add(verdict)
         assert verdicts == seen
+
+
+class TestGridScan:
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """Each block-formula call as (config, [ProtocolParams, ...]), in call order."""
+        seen = []
+
+        def spy(cfg, ps, *args, _fn=analytics._report_rows):
+            seen.append((cfg, list(ps)))
+            return _fn(cfg, ps, *args)
+
+        monkeypatch.setattr(analytics, "_report_rows", spy)
+        return seen
+
+    @staticmethod
+    def spec(lambda_range, ms):
+        return GridSpec((Fraction("0.269"), Fraction("0.275"), 7), lambda_range, ms, 0.05)
+
+    def test_default_grid_evaluates_each_distinct_row_once(self, rows):
+        g = self.spec((Fraction("0.9325"), Fraction("0.9475"), 7), range(270, 301))
+        cells = [(mu, lam) for mu, lam, _ in grid_search(g)]
+        keys = {(p.m, p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for mu, lam in cells for m in g.m_candidates)}
+        assert len(keys) == 187
+        assert len(rows) <= 12
+        for cfg in AdversaryConfig:
+            evaluated = [p for name, ps in rows if name is cfg for p in ps]
+            assert sorted((p.m, p.T, p.Q) for p in evaluated) == sorted(keys)
+        for _, ps in rows:
+            assert len(ps) * max(p.m for p in ps) <= _BLOCK_ELEMENTS
+            # each row is a real cell's params, as ProtocolParams.create gives them
+            assert all((p.mu, p.lam) in cells and p == ProtocolParams.create(p.mu, p.lam, p.m) for p in ps)
+
+    def test_scan_stops_after_the_block_of_the_last_crossing(self, rows):
+        g = self.spec((Fraction("0.9375"), Fraction("0.9475"), 5), range(1, 2001))
+        verdicts = [verdict for _, _, verdict in grid_search(g)]
+        assert set(verdicts) == {280, 281, 282, 287}
+        last_block = next(block for block in _blocks(range(1, 2001)) if max(verdicts) in block)
+        assert max(p.m for _, ps in rows for p in ps) == last_block[-1]
