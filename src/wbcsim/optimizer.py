@@ -73,7 +73,7 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Iterable[int]) -> list[di
     for block in _blocks(ms):
         if not open_cells:
             break
-        m_column = np.array(block, dtype=object)
+        m_column = np.array(block).astype(object)  # Python ints, also from numpy candidates
         columns = [_thresholds(*cells[i], m_column) for i in open_cells]
         rows: dict[tuple[int, int, int], int] = {}  # distinct (m, T, Q), in ascending m, -> row index
         ps: list[ProtocolParams] = []  # each row's params, from the first open cell that has it

@@ -274,3 +274,11 @@ class TestGridScan:
         assert set(verdicts) == {280, 281, 282, 287}
         last_block = next(block for block in _blocks(range(1, 2001)) if max(verdicts) in block)
         assert max(p.m for _, ps in rows for p in ps) == last_block[-1]
+
+    def test_numpy_candidates_keep_exact_thresholds(self, rows):
+        # Fraction(0.3) has a numerator of 5.4e15: times an np.int64 m past
+        # 1707 it would wrap around in int64
+        ms = np.arange(1800, 1811)
+        g = GridSpec((Fraction(0.29), Fraction(0.3), 2), (Fraction(0.94), Fraction(0.945), 2), ms, 1e-4)
+        assert grid_search(g) == grid_search(GridSpec(g.mu_range, g.lambda_range, ms.tolist(), g.p_target))
+        assert rows and all(p == ProtocolParams.create(p.mu, p.lam, p.m) for _, ps in rows for p in ps)
