@@ -10,7 +10,6 @@ verdict is OutOfDomain, which bound computations score as worst case.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,23 +20,30 @@ import numpy as np
 
 from .protocol import (
     AdversaryConfig,
-    DomainVerdict,
     ProtocolParams,
     _block_rows,
     _failed,
+    _ks,
     _mask,
     _one_row,
-    _r0_classes,
-    _rank,
+    _reason,
+    _view,
+    _zeta_R_rows,
+    _zeta_S_rows,
 )
-from .source import (
-    OUTCOME_PROBS,
-    Event,
-    LocalCountListR,
-    LocalCountListS,
-    S_CLASS,
-    R_CLASS,
-)
+from .source import OUTCOME_PROBS, Event, LocalCountListR, LocalCountListS
+
+
+@dataclass(frozen=True)
+class DomainVerdict:
+    """Result of a strategy domain check; out-of-domain carries the reason."""
+
+    in_domain: bool
+    reason: str | None = None
+
+    def __post_init__(self):
+        if not self.in_domain and not self.reason:
+            raise ValueError("an out-of-domain verdict needs a reason")
 
 
 @dataclass(frozen=True)
@@ -66,42 +72,6 @@ class StrategyR:
     k_xx0x: int
 
 
-# Out-of-domain reasons by the engine's code: zeta_S's first failing
-# condition (1-3) and zeta_R's (4). Code 0 means in domain.
-_REASONS = {
-    1: "cond1: T-Q={TQ} > l1={l1}",
-    2: "cond2: Q={Q} > l2={l2}",
-    3: "cond3: T={T} > l3={l3}",
-    4: "l1={l1} > m-T={mT}",
-}
-
-
-def _reason(code: int, local, p: ProtocolParams) -> str:
-    l1, l2, l3 = (int(x) for x in local)
-    return _REASONS[int(code)].format(T=p.T, Q=p.Q, TQ=p.T - p.Q, mT=p.m - p.T, l1=l1, l2=l2, l3=l3)
-
-
-def _zeta_S_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """zeta_S on each row's local count list (l1, l2, l3): the reason code
-    and the strategy counts (T-Q, Q, 0; 0, 0, l3), zero outside the domain."""
-    l1, l2, l3 = local.T
-    ood = np.select([p.T - p.Q > l1, p.Q > l2, p.T > l3], [1, 2, 3], 0).astype(np.int8)
-    ks = np.zeros((len(local), 6), np.intp)
-    ks[:, 0], ks[:, 1], ks[:, 5] = p.T - p.Q, p.Q, l3
-    ks[ood != 0] = 0
-    return ood, ks
-
-
-def _zeta_R_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """zeta_R on each row's local count list: the reason code and the
-    strategy counts (0, l2, max(0, T - l2)), zero outside the domain."""
-    l1, l2, _ = local.T
-    ood = np.where(l1 > p.m - p.T, 4, 0).astype(np.int8)
-    ks = np.stack([np.zeros_like(l2), l2, np.maximum(p.T - l2, 0)], axis=1)
-    ks[ood != 0] = 0
-    return ood, ks
-
-
 def _strategy_view(zeta_rows, l: LocalCountListS, p: ProtocolParams, kind: type):
     local = (l.l1, l.l2, l.l3)
     ood, ks = zeta_rows(np.array([local]), p)
@@ -126,14 +96,9 @@ def zeta_R(l: LocalCountListR, p: ProtocolParams) -> Union[StrategyR, DomainVerd
     return _strategy_view(_zeta_R_rows, l, p, StrategyR)
 
 
-def _ks(strategy: Union[StrategyS, StrategyR]) -> np.ndarray:
-    """A strategy's counts as the one-row k array the engine takes."""
-    return np.array([dataclasses.astuple(strategy)])
-
-
 def local_counts_R(event: Event, sigma0: frozenset[int], x_s: int = 0) -> LocalCountListR:
     """R0's local count list (0011, XX10, XX0X) after receiving sigma0."""
-    view = _rank(_r0_classes(_one_row(event), _mask(sigma0, event.m), x_s))
+    view = _view(AdversaryConfig.R0_FAULTY, _one_row(event), x_s, _mask(sigma0, event.m))
     return LocalCountListR(*view.sizes[0].tolist())
 
 
@@ -159,35 +124,23 @@ def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
             yield Event(tuple(row)), Fraction(num, den)
 
 
-# Each faulty party's coarse outcome classes, by outcome code.
-_CLASS_MAP = {AdversaryConfig.S_FAULTY: S_CLASS, AdversaryConfig.R0_FAULTY: R_CLASS}
-
-
-def _local_counts(event: Event, cfg: AdversaryConfig) -> tuple[int, int, int]:
-    return tuple(np.bincount([_CLASS_MAP[cfg][c] for c in event.codes], minlength=3).tolist())
-
-
-def _strategy_ks(cfg: AdversaryConfig, counts: tuple[int, int, int]) -> np.ndarray:
+def _strategy_ks(cfg: AdversaryConfig, counts: np.ndarray) -> np.ndarray:
     """Every k-vector that draws at most the available indices per class,
     one per row."""
     check_sets = 2 if cfg is AdversaryConfig.S_FAULTY else 1
     return np.array(list(itertools.product(*[range(b + 1) for b in counts] * check_sets)))
 
 
-def _events_by_local_list(m: int, cfg: AdversaryConfig):
-    """Group all 6^m Events by the adversary's local count list."""
-    grouped: dict[tuple[int, int, int], list[tuple[Event, Fraction]]] = {}
-    for event, weight in _all_events(m):
-        grouped.setdefault(_local_counts(event, cfg), []).append((event, weight))
-    return grouped
-
-
-def _group_rows(events: list[tuple[Event, Fraction]]) -> tuple[np.ndarray, np.ndarray]:
-    """A group's code matrix and its weights as integer numerators over one
-    common denominator."""
-    den = math.lcm(*(w.denominator for _, w in events))
-    codes = np.array([e.codes for e, _ in events], np.int8)
-    return codes, np.array([w.numerator * (den // w.denominator) for _, w in events], np.int64)
+def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]:
+    """Group all 6^m Events by the faulty party's local count list. Each
+    group is its rows' codes, in itertools.product order, with their
+    probability numerators over 12^m."""
+    blocks = list(_event_blocks(m))
+    sizes = np.concatenate([_view(cfg, codes).sizes for codes, _ in blocks])
+    codes, nums = (np.concatenate(parts) for parts in zip(*blocks))
+    keys, group = np.unique(sizes, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    return {tuple(key): (codes[group == g], nums[group == g]) for g, key in enumerate(keys.tolist())}
 
 
 def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray, ks: np.ndarray):
@@ -204,30 +157,34 @@ def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, 
     return np.concatenate(weights)
 
 
+def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray) -> int:
+    """The largest failed weight numerator any strategy reaches on one
+    local count list group (exhaustive enumeration of k-vectors)."""
+    ks = _strategy_ks(cfg, _view(cfg, codes[:1]).sizes[0])
+    return int(_failed_weights(cfg, p, codes, nums, ks).max())
+
+
 def conditional_failure_probability(
     cfg: AdversaryConfig,
     p: ProtocolParams,
-    events: list[tuple[Event, Fraction]],
+    events: tuple[np.ndarray, np.ndarray],
     strategy: Union[StrategyS, StrategyR],
 ) -> Fraction:
-    """Exact failure probability of one strategy, conditioned on the given
-    equal-local-count-list group of Events."""
-    codes, nums = _group_rows(events)
+    """Exact failure probability of one strategy, conditioned on one
+    `_events_by_local_list` group (codes, numerators) of Events."""
+    codes, nums = events
     return Fraction(int(_failed_weights(cfg, p, codes, nums, _ks(strategy))[0]), int(nums.sum()))
 
 
 def max_conditional_failure(
     cfg: AdversaryConfig,
     p: ProtocolParams,
-    events: list[tuple[Event, Fraction]],
+    events: tuple[np.ndarray, np.ndarray],
 ) -> Fraction:
     """Best conditional failure probability any strategy achieves on one
-    local count list group (exhaustive enumeration of k-vectors)."""
-    if cfg not in _CLASS_MAP:
-        raise ValueError("brute-force strategy search applies to faulty configurations only")
-    codes, nums = _group_rows(events)
-    ks = _strategy_ks(cfg, _local_counts(events[0][0], cfg))
-    return Fraction(int(_failed_weights(cfg, p, codes, nums, ks).max()), int(nums.sum()))
+    `_events_by_local_list` group (codes, numerators) of Events."""
+    codes, nums = events
+    return Fraction(_best_failed_weight(cfg, p, codes, nums), int(nums.sum()))
 
 
 def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams, max_m: int = 6) -> Fraction:
@@ -235,17 +192,13 @@ def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams,
 
     A complete strategy maps each local count list to a check-set
     composition, so the optimum factorizes: for every local count list,
-    take the best conditional failure probability, then average with the
-    local-count-list probabilities. Exact rationals; m is capped because
-    enumeration is 6^m Events times all k-vectors. Faulty configurations
-    only: the no-faulty oracle is analytics.pf_bruteforce.
+    take the best strategy's failed weight; the group's probability times
+    its best conditional failure probability is that weight over 12^m.
+    Exact rationals; m is capped because enumeration is 6^m Events times
+    all k-vectors. Faulty configurations only: the no-faulty oracle is
+    analytics.pf_bruteforce.
     """
     if p.m > max_m:
         raise ValueError(f"brute force limited to m <= {max_m}")
-    if cfg not in _CLASS_MAP:
-        raise ValueError("brute-force strategy search applies to faulty configurations only")
-    total = Fraction(0)
-    for _, events in _events_by_local_list(p.m, cfg).items():
-        group_prob = sum(w for _, w in events)
-        total += group_prob * max_conditional_failure(cfg, p, events)
-    return total
+    groups = _events_by_local_list(p.m, cfg).values()
+    return Fraction(sum(_best_failed_weight(cfg, p, codes, nums) for codes, nums in groups), _DENOMINATOR**p.m)

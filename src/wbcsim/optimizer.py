@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import analytics
-from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _block_rows
+from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _block_rows, _is_count
 from .security import in_guaranteed_region
 
 NOT_FOUND = "NOT_FOUND"
@@ -167,7 +167,7 @@ class GridSpec:
             if not (lo < hi and steps >= 2):
                 raise ValueError("grid ranges must be non-degenerate with at least 2 steps")
         ms = list(self.m_candidates)
-        if not ms or ms[0] < 1 or ms != sorted(set(ms)):
+        if not ms or not all(map(_is_count, ms)) or ms != sorted(set(ms)):
             raise ValueError("m_candidates must be a non-empty, strictly ascending list of positive counts")
         if not 0 < self.p_target <= 1:
             raise ValueError("p_target must be a probability in (0, 1]")

@@ -14,19 +14,18 @@ phase functions are views of it on a single row.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .source import R0_BIT, R1_BIT, S_CLASS, Event
-
-if TYPE_CHECKING:
-    from .adversary import StrategyR, StrategyS
 
 
 class ParameterError(ValueError):
@@ -39,18 +38,6 @@ class OutOfDomainError(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class DomainVerdict:
-    """Result of a strategy domain check; out-of-domain carries the reason."""
-
-    in_domain: bool
-    reason: str | None = None
-
-    def __post_init__(self):
-        if not self.in_domain and not self.reason:
-            raise ValueError("an out-of-domain verdict needs a reason")
 
 
 class _AbortType:
@@ -83,6 +70,15 @@ class Outcome(enum.Enum):
     FAILURE = "failure"
 
 
+def _is_count(value) -> bool:
+    """Whether value is a positive integer of a Python or numpy integer type
+    (one that operator.index accepts), a bool excluded."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= 1
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol parameters (mu, lambda, m) with derived thresholds T, Q."""
@@ -98,15 +94,17 @@ class ProtocolParams:
         """Check the ranges and derive the check-set length threshold
         T = ceil(mu*m) and inconsistency budget Q = T - ceil(lam*T) + 1 in
         exact rational arithmetic. mu and lam may be decimal strings, ints,
-        Fractions or floats; the ranges imply 1 <= Q <= T <= m."""
+        Fractions or floats, m any integer type but bool. The ranges imply
+        1 <= Q <= T <= m."""
         mu = Fraction(mu)
         lam = Fraction(lam)
         if not 0 < mu < Fraction(1, 3):
             raise ParameterError(f"mu={mu} violates 0 < mu < 1/3")
         if not Fraction(1, 2) < lam < 1:
             raise ParameterError(f"lambda={lam} violates 1/2 < lambda < 1")
-        if m < 1:
-            raise ParameterError(f"m={m} must be a positive count")
+        if not _is_count(m):
+            raise ParameterError(f"m={m!r} must be a positive count")
+        m = operator.index(m)
         T = math.ceil(mu * m)
         Q = T - math.ceil(lam * T) + 1
         return cls(mu=mu, lam=lam, m=m, T=T, Q=Q)
@@ -189,12 +187,6 @@ class _Ranked(NamedTuple):
     sizes: np.ndarray
 
 
-def _rank(cls: np.ndarray) -> _Ranked:
-    member = cls == np.arange(3, dtype=cls.dtype)[:, None, None]
-    rank = np.cumsum(member, axis=2, dtype=np.int32)
-    return _Ranked(member, rank, rank[:, :, -1].T)
-
-
 def _lowest(view: _Ranked, ks: np.ndarray, names) -> np.ndarray:
     """Mask of the lowest ks[r, c] indices of each class c in each row r."""
     bad = (ks < 0) | (ks > view.sizes)
@@ -215,6 +207,62 @@ def _r0_classes(codes: np.ndarray, sigma0: np.ndarray, x_s: int) -> np.ndarray:
     1 - x_s and S vouched for the index, XX10 (1) where it measured 1 - x_s
     otherwise, XX0X (2) where it measured x_s."""
     return np.take(_R0_CLASSES[x_s], codes + 6 * sigma0.view(np.int8))
+
+
+def _view(cfg: AdversaryConfig, codes: np.ndarray, x_s: int = 0, sigma0: Optional[np.ndarray] = None) -> _Ranked:
+    """The faulty party's ranked classes of each row: S's by its pair, R0's
+    after receiving sigma0 (by default the correct sender's check set)."""
+    if cfg is AdversaryConfig.S_FAULTY:
+        cls = np.take(_S_CLASSES, codes)
+    elif cfg is AdversaryConfig.R0_FAULTY:
+        cls = _r0_classes(codes, _honest_sigma(codes, x_s) if sigma0 is None else sigma0, x_s)
+    else:
+        raise ValueError(f"only a faulty party has a strategy view, not {cfg!r}")
+    member = cls == np.arange(3, dtype=cls.dtype)[:, None, None]
+    rank = np.cumsum(member, axis=2, dtype=np.int32)
+    return _Ranked(member, rank, rank[:, :, -1].T)
+
+
+# Out-of-domain reasons by the engine's code: zeta_S's first failing
+# condition (1-3) and zeta_R's (4). Code 0 means in domain.
+_REASONS = {
+    1: "cond1: T-Q={TQ} > l1={l1}",
+    2: "cond2: Q={Q} > l2={l2}",
+    3: "cond3: T={T} > l3={l3}",
+    4: "l1={l1} > m-T={mT}",
+}
+
+
+def _reason(code: int, local, p: ProtocolParams) -> str:
+    l1, l2, l3 = (int(x) for x in local)
+    return _REASONS[int(code)].format(T=p.T, Q=p.Q, TQ=p.T - p.Q, mT=p.m - p.T, l1=l1, l2=l2, l3=l3)
+
+
+def _zeta_S_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """zeta_S on each row's local count list (l1, l2, l3): the reason code
+    and the strategy counts (T-Q, Q, 0; 0, 0, l3), zero outside the domain."""
+    l1, l2, l3 = local.T
+    ood = np.select([p.T - p.Q > l1, p.Q > l2, p.T > l3], [1, 2, 3], 0).astype(np.int8)
+    ks = np.zeros((len(local), 6), np.intp)
+    ks[:, 0], ks[:, 1], ks[:, 5] = p.T - p.Q, p.Q, l3
+    ks[ood != 0] = 0
+    return ood, ks
+
+
+def _zeta_R_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """zeta_R on each row's local count list: the reason code and the
+    strategy counts (0, l2, max(0, T - l2)), zero outside the domain."""
+    l1, l2, _ = local.T
+    ood = np.where(l1 > p.m - p.T, 4, 0).astype(np.int8)
+    ks = np.stack([np.zeros_like(l2), l2, np.maximum(p.T - l2, 0)], axis=1)
+    ks[ood != 0] = 0
+    return ood, ks
+
+
+def _ks(strategy) -> np.ndarray:
+    """A strategy's counts (an `adversary.StrategyS` or `StrategyR`) as the
+    one-row k array the engine takes."""
+    return np.array([dataclasses.astuple(strategy)])
 
 
 def _check(bits: np.ndarray, x: int, sigma: np.ndarray, T: int) -> np.ndarray:
@@ -241,7 +289,7 @@ def _cross_check(y_tilde1, y01, rho01, r1_bits, p: ProtocolParams) -> np.ndarray
 
 class _Rows(NamedTuple):
     """The engine's per-row results. `ood` is 0 in the strategy domain and
-    otherwise an `adversary._REASONS` code; the outputs of such a row are
+    otherwise a `_REASONS` code; the outputs of such a row are
     meaningless. `local` holds the faulty party's local count lists."""
 
     x0: int
@@ -271,10 +319,10 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
 
     # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
     if cfg is AdversaryConfig.S_FAULTY:
-        view = _rank(np.take(_S_CLASSES, codes))
+        view = _view(cfg, codes)
         local = view.sizes
         if ks is None:
-            ood, ks = adversary._zeta_S_rows(local, p)
+            ood, ks = _zeta_S_rows(local, p)
         x0, x1 = 0, 1
         sigma0, sigma1 = _lowest(view, ks[:, :3], _S_NAMES), _lowest(view, ks[:, 3:], _S_NAMES)
     else:
@@ -287,10 +335,10 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
     r1_bits = np.take(_R1_BITS, codes)
     y_tilde1 = _check(r1_bits, x1, sigma1, p.T)
     if cfg is AdversaryConfig.R0_FAULTY:
-        view = _rank(_r0_classes(codes, sigma0, x_s))
+        view = _view(cfg, codes, x_s, sigma0)
         local = view.sizes
         if ks is None:
-            ood, ks = adversary._zeta_R_rows(local, p)
+            ood, ks = _zeta_R_rows(local, p)
         y0 = y01 = np.full(n, 1 - x_s, np.int8)
         rho01 = _lowest(view, ks, _R_NAMES)
     else:
@@ -384,13 +432,14 @@ def run_protocol(
     p: ProtocolParams,
     cfg: AdversaryConfig,
     x_s: int = 0,
-    strategy: Optional[Union["StrategyS", "StrategyR"]] = None,
+    strategy=None,
 ) -> Transcript:
     """Run the four phases once and return the full transcript.
 
     A faulty party replaces only the messages it controls: a faulty S its
     invocation, a faulty R0 its check and cross-calling. The strategy may be
-    given explicitly (any legal check-set composition); when None, the
+    given explicitly (any legal check-set composition, an
+    `adversary.StrategyS` or `StrategyR`); when None, the
     optimal incomplete strategy is derived from the adversary's local count
     list, raising OutOfDomainError when the Event falls outside its domain.
     """
@@ -400,10 +449,10 @@ def run_protocol(
         raise ValueError(f"unknown adversary configuration {cfg!r}")
     if strategy is not None and cfg is AdversaryConfig.NO_FAULTY:
         raise ValueError("no strategy allowed in the no-faulty configuration")
-    ks = None if strategy is None else adversary._ks(strategy)
+    ks = None if strategy is None else _ks(strategy)
     r = _run_rows(_one_row(event), p, cfg, x_s, ks)
     if r.ood[0]:
-        raise OutOfDomainError(adversary._reason(r.ood[0], r.local[0], p))
+        raise OutOfDomainError(_reason(r.ood[0], r.local[0], p))
     return Transcript(
         x_s,
         r.x0,
@@ -446,7 +495,3 @@ def classify_transcript(cfg: AdversaryConfig, t: Transcript) -> Outcome:
     """Weak broadcast verdict for a full transcript."""
     return classify_weak_broadcast(cfg, t.x_s, t.y0, t.y1)
 
-
-# Imported last, because adversary imports this module's names. The engine
-# looks adversary's functions up on the module at each call.
-from . import adversary  # noqa: E402

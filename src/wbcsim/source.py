@@ -44,8 +44,6 @@ R1_BIT: tuple[int, ...] = tuple(int(s[3]) for s in OUTCOMES)
 
 # Coarse outcome class as seen by S: 0011 / mixed / 1100.
 S_CLASS: tuple[int, ...] = (0, 1, 1, 1, 1, 2)
-# Coarse outcome class as seen by R0: 0011 / XX10 / XX0X.
-R_CLASS: tuple[int, ...] = (0, 2, 1, 2, 1, 2)
 
 # Bitwise complement of each outcome, used by the x_S=0 <-> x_S=1 symmetry.
 FLIP_CODE: tuple[int, ...] = tuple(OUTCOME_CODE[s.translate(str.maketrans("01", "10"))] for s in OUTCOMES)
@@ -72,8 +70,8 @@ class Event:
     def __post_init__(self):
         if len(self.codes) == 0:
             raise ValueError("an Event needs at least one outcome")
-        if any(c < 0 or c > 5 for c in self.codes):
-            raise ValueError("outcome codes must be in 0..5")
+        if not all(type(c) is int and 0 <= c <= 5 for c in self.codes):
+            raise ValueError("outcome codes must be ints in 0..5")
 
     @property
     def m(self) -> int:

@@ -148,6 +148,30 @@ class TestOptimality:
         with pytest.raises(ValueError):
             best_failure_probability_bruteforce(AdversaryConfig.NO_FAULTY, _small_params(2))
 
+    @pytest.mark.parametrize("mu,lam", [("0.3", "0.8"), ("0.272", "0.94")])
+    @pytest.mark.parametrize("cfg", [S_FAULTY, R0_FAULTY], ids=lambda c: c.value)
+    def test_brute_force_values_are_pinned(self, cfg, mu, lam):
+        # the exhaustive search's answers at m = 1..5, as exact literals
+        want = {
+            S_FAULTY: [Fraction(1, 6), Fraction(5, 18), Fraction(19, 54), Fraction(31, 108), Fraction(13, 36)],
+            R0_FAULTY: [Fraction(2, 3), Fraction(7, 9), Fraction(89, 108), Fraction(41, 54), Fraction(41, 54)],
+        }[cfg]
+        got = [best_failure_probability_bruteforce(cfg, ProtocolParams.create(mu, lam, m)) for m in range(1, 6)]
+        assert got == want
+
+    def test_groups_are_code_blocks_with_numerators(self):
+        # each group holds its Events' codes and weight numerators over 12^m
+        m = 3
+        groups = _events_by_local_list(m, R0_FAULTY)
+        events = {e.codes: w for e, w in _all_events(m)}
+        assert sum(len(codes) for codes, _ in groups.values()) == 6**m
+        for counts, (codes, nums) in groups.items():
+            for row, num in zip(codes.tolist(), nums.tolist()):
+                event = Event(tuple(row))
+                assert Fraction(num, 12**m) == events[event.codes]
+                _, sigma0, _, _, _ = invocation_honest(event, 0)
+                assert local_counts_R(event, sigma0) == LocalCountListR(*counts)
+
     def test_brute_force_rejects_large_m(self):
         with pytest.raises(ValueError):
             best_failure_probability_bruteforce(S_FAULTY, _small_params(7), max_m=6)

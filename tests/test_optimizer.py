@@ -94,6 +94,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="m_candidates"):
             GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), ms, 0.05)
 
+    @pytest.mark.parametrize("ms", [[279.5, 280.5], [True, 280], [270.0, 280], ["280"]])
+    def test_rejects_candidates_that_are_not_integers(self, ms):
+        # [279.5, 280.5] used to fail later with an IndexError, and a bool
+        # passed as the count 1
+        with pytest.raises(ValueError, match="m_candidates"):
+            GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), ms, 0.05)
+
     def test_grid_values_are_exact_and_inclusive(self):
         mus = even_grid("0.269", "0.275", 7)
         assert mus[0] == Fraction("0.269") and mus[-1] == Fraction("0.275")

@@ -1,16 +1,17 @@
 """Tests for the protocol state machine and outcome classification."""
 
+import ast
 import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wbcsim.protocol as protocol
-from wbcsim.adversary import _reason
 from wbcsim.analytics import pf_bruteforce
 from wbcsim.montecarlo import estimate_pf
 from wbcsim.protocol import (
@@ -28,6 +29,7 @@ from wbcsim.protocol import (
     cross_check,
     invocation_honest,
     run_protocol,
+    _reason,
 )
 from wbcsim.source import Event, global_counts
 
@@ -96,6 +98,16 @@ class TestThresholds:
     def test_nonpositive_m(self):
         with pytest.raises(ParameterError):
             ProtocolParams.create("0.25", "0.9", 0)
+
+    @pytest.mark.parametrize("m", [2.5, 12.0, True, "12", Fraction(12)])
+    def test_non_integer_m(self, m):
+        # 2.5 used to give T = 1 and True to act as m = 1
+        with pytest.raises(ParameterError, match="must be a positive count"):
+            ProtocolParams.create("0.3", "0.8", m)
+
+    def test_numpy_integer_m_becomes_an_int(self):
+        p = ProtocolParams.create("0.3", "0.8", np.int64(12))
+        assert type(p.m) is int and p == ProtocolParams.create("0.3", "0.8", 12)
 
     def test_params_carry_exact_rationals(self):
         p = ProtocolParams.create("0.272", "0.94", 143)
@@ -323,3 +335,17 @@ class TestEngine:
         for blocks, total, m in ((monte_carlo, 10_000, 280), (shapes, 6**6, 6)):
             assert len(blocks) > 1 and sum(n for n, _ in blocks) == total
             assert all(width == m and n * width <= protocol._BLOCK_ELEMENTS for n, width in blocks)
+
+
+def test_protocol_imports_no_module_built_on_it():
+    # adversary, analytics, optimizer and montecarlo import the engine; an
+    # import back from protocol would make a cycle
+    tree = ast.parse(Path(protocol.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
+    assert "source" in imported
+    assert not imported & {"adversary", "analytics", "optimizer", "montecarlo"}

@@ -15,7 +15,6 @@ from wbcsim.source import (
     R0_BIT,
     R1_BIT,
     S_CLASS,
-    R_CLASS,
     Event,
     GlobalCountList,
     global_counts,
@@ -56,7 +55,7 @@ class TestOutcomeTables:
         assert all(OUTCOME_PROBS[FLIP_CODE[c]] == OUTCOME_PROBS[c] for c in range(6))
 
     def test_class_maps_cover_all_codes(self):
-        assert set(S_CLASS) == {0, 1, 2} and set(R_CLASS) == {0, 1, 2}
+        assert set(S_CLASS) == {0, 1, 2}
 
 
 class TestIdealDistribution:
@@ -81,6 +80,12 @@ class TestEvent:
             Event(())
         with pytest.raises(ValueError):
             Event((0, 6))
+
+    @pytest.mark.parametrize("codes", [(1.5, 2), (True, 0), (1.0,), ("1",), (np.int8(1), 0)])
+    def test_rejects_codes_that_are_not_ints(self, codes):
+        # the engine used to truncate 1.5 to code 1 and read True as 1
+        with pytest.raises(ValueError, match="outcome codes"):
+            Event(codes)
 
     @given(events_st)
     def test_flipped_is_involution(self, e):
