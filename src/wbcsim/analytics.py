@@ -11,8 +11,8 @@ binomial pmfs and tails:
 Out-of-domain masses are summed from their own tails, never taken as
 1 - (in-domain mass), so small values keep their relative precision.
 
-Each formula evaluates a block of rows, one row per ProtocolParams (each
-with its own m, T and Q), and sums each row along the conditioned count;
+Each formula evaluates a block of integer (m, T, Q) rows, the whole state
+a bound reads, and sums each row along the conditioned count;
 `failure_reports` and the `pf_*` functions are one-row views of it.
 
 Every tail inside a sum is a binomial tail at a fixed k whose trial count
@@ -45,7 +45,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln
@@ -161,26 +161,19 @@ def _backend(exact: bool) -> _Binomial:
     return _EXACT if exact else _FLOAT
 
 
-def _params(ps: Sequence[ProtocolParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns m, T and Q of a block of rows."""
-    m, T, Q = np.array([(p.m, p.T, p.Q) for p in ps]).T
-    return m, T, Q
-
-
 def _at_most_one(values):
     """Float sums of terms that add up to 1 can round just above it, so
     bounds are capped at 1 (never binding on rationals)."""
     return np.minimum(values, 1.0)
 
 
-def _no_faulty_rows(ps: Sequence[ProtocolParams], b: _Binomial):
+def _no_faulty_rows(m, T, Q, b: _Binomial):
     """Exact failure probability with all components correct: the chance
     that fewer than T of the m outcomes back the sender's bit."""
-    m, T, _ = _params(ps)
     return b.cdf(T - 1, m, _THIRD)
 
 
-def _s_rows(ps: Sequence[ProtocolParams], b: _Binomial):
+def _s_rows(m, T, Q, b: _Binomial):
     """LOWER and UPPER failure bounds with a faulty sender playing zeta_S.
 
     An Event is in the domain of zeta_S when T <= l3 <= m - T and
@@ -189,18 +182,17 @@ def _s_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     outside its range, or l1 in either tail given l3. Row entries run over
     n = T .. m - T; by the symmetry of q = 1/2, P(l1 > n - Q) = P(l1 <= Q - 1).
     """
-    m, T, Q = _params(ps)
     n = T[:, None] + np.arange(max(1, (m - 2 * T + 1).max()))
     valid = n <= (m - T)[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _THIRD), 0)  # P(l3 = m - n)
     l1_tails = _tail(b, T - Q - 1, n, _HALF, valid, upper=False) + _tail(b, Q - 1, n, _HALF, valid, upper=False)
     dom = np.sum(w * (1 - l1_tails), axis=1)
     out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails, axis=1)
-    lower = dom * np.array([b.scalar(_HALF**p.Q) for p in ps])
+    lower = dom * np.array([b.scalar(_HALF**q) for q in Q.tolist()])
     return _at_most_one(lower), _at_most_one(lower + out)
 
 
-def _r_rows(ps: Sequence[ProtocolParams], b: _Binomial):
+def _r_rows(m, T, Q, b: _Binomial):
     """LOWER and UPPER failure bounds with a faulty R0 playing zeta_R.
 
     The lower bound is the failure mass of the domain l1 <= m - T:
@@ -213,7 +205,6 @@ def _r_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     The upper bound adds the out-of-domain green region l1 > m - T.
     Row entries run over n = m - l2 = T .. m; larger l2 leaves l1 < T.
     """
-    m, T, Q = _params(ps)
     n = T[:, None] + np.arange((m - T + 1).max())
     valid = n <= m[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _SIXTH), 0)  # P(l2 = m - n)
@@ -224,21 +215,19 @@ def _r_rows(ps: Sequence[ProtocolParams], b: _Binomial):
     return _at_most_one(lower), _at_most_one(lower + green)
 
 
-def _report_rows(
-    cfg: AdversaryConfig, ps: Sequence[ProtocolParams], exact: bool = False
-) -> dict[BoundKind, np.ndarray]:
-    """A configuration's report values over a block of rows, from one call
-    of its formula: {EXACT} with no faulty component, {LOWER, UPPER}
-    otherwise, in that order. The last kind is the one resource
-    minimisation reads.
+def _report_rows(cfg: AdversaryConfig, rows, exact: bool = False) -> dict[BoundKind, np.ndarray]:
+    """A configuration's report values over an (N, 3) block of integer
+    (m, T, Q) rows, from one call of its formula: {EXACT} with no faulty
+    component, {LOWER, UPPER} otherwise, in that order. The last kind is
+    the one resource minimisation reads.
 
     The formulas are looked up as module globals on each call, so a wrapper
     set on this module's attribute (a tracer, a test spy) sees every call.
     """
-    b = _backend(exact)
+    b, columns = _backend(exact), np.asarray(rows).T
     if cfg is AdversaryConfig.NO_FAULTY:
-        return {BoundKind.EXACT: _no_faulty_rows(ps, b)}
-    lower, upper = _s_rows(ps, b) if cfg is AdversaryConfig.S_FAULTY else _r_rows(ps, b)
+        return {BoundKind.EXACT: _no_faulty_rows(*columns, b)}
+    lower, upper = _s_rows(*columns, b) if cfg is AdversaryConfig.S_FAULTY else _r_rows(*columns, b)
     return {BoundKind.LOWER: lower, BoundKind.UPPER: upper}
 
 
@@ -246,7 +235,8 @@ def failure_reports(cfg: AdversaryConfig, p: ProtocolParams, exact: bool = False
     """A configuration's reports at one p: (EXACT,) with no faulty
     component, (LOWER, UPPER) otherwise. A one-row view of the formulas."""
     scalar = _backend(exact).scalar
-    return tuple(FailureReport(cfg, kind, scalar(v[0]), p) for kind, v in _report_rows(cfg, [p], exact).items())
+    values = _report_rows(cfg, [(p.m, p.T, p.Q)], exact)
+    return tuple(FailureReport(cfg, kind, scalar(v[0]), p) for kind, v in values.items())
 
 
 def pf_no_faulty_exact(p: ProtocolParams, exact: bool = False) -> FailureReport:
@@ -270,7 +260,7 @@ def pf_R_bounds(p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, 
 def pf_bruteforce(
     cfg: AdversaryConfig,
     p: ProtocolParams,
-    kind: BoundKind = BoundKind.UPPER,
+    kind: Union[BoundKind, str] = BoundKind.UPPER,
     max_m: int = 8,
 ) -> FailureReport:
     """Exhaustive 6^m oracle: run the protocol on every Event, block by
@@ -278,8 +268,10 @@ def pf_bruteforce(
 
     Faulty configurations apply the optimal incomplete strategy; an Event
     outside the strategy domain scores as failure for UPPER and as success
-    for LOWER. NO_FAULTY ignores `kind` and reports EXACT.
+    for LOWER. `kind` may also be a BoundKind value ("upper"); NO_FAULTY
+    ignores it and reports EXACT.
     """
+    kind = BoundKind(kind)
     if p.m > max_m:
         raise ValueError(f"exhaustive enumeration limited to m <= {max_m}")
     if cfg is AdversaryConfig.NO_FAULTY:

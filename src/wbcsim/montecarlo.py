@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import AdversaryConfig, ProtocolParams, _block_rows, _failed
+from .protocol import AdversaryConfig, ProtocolParams, _block_rows, _failed, _is_count
 from .source import _check_seed, _codes_of, _trial_draws
 
 
@@ -64,9 +64,9 @@ def estimate_pf(
     result is identical for every jobs value. At most one worker process
     per CPU is started, however large jobs is.
     """
-    if n_trials < 1:
+    if not _is_count(n_trials):
         raise ValueError("n_trials must be a positive count")
-    if jobs < 1:
+    if not _is_count(jobs):
         raise ValueError(f"jobs must be a positive count, got {jobs}")
     _check_seed(seed)
     workers = min(jobs, os.cpu_count() or 1)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import analytics
-from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _block_rows, _is_count
+from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _block_rows, _is_count, _thresholds
 from .security import in_guaranteed_region
 
 NOT_FOUND = "NOT_FOUND"
@@ -24,10 +24,11 @@ Verdict = Union[int, str]
 
 
 def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
-    """Reject a target outside (0, 1] or an m window other than 1 <= m_lo <= m_hi."""
+    """Reject a target outside (0, 1] or an m window other than counts
+    1 <= m_lo <= m_hi."""
     if not 0 < p_target <= 1:
         raise ValueError(f"p_target must be a probability in (0, 1], got {p_target}")
-    if m_lo > m_hi or m_lo < 1:
+    if not (_is_count(m_lo) and _is_count(m_hi)) or m_lo > m_hi:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
 
 
@@ -44,27 +45,19 @@ def _blocks(ms: Iterable[int]) -> Iterator[list[int]]:
         yield block
 
 
-def _thresholds(mu: Fraction, lam: Fraction, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T = ceil(mu*m) and Q = T - ceil(lam*T) + 1, as ProtocolParams.create
-    derives them, over an object array of int m, as floor divisions of
-    Python ints: a float mu or lambda can have a numerator near 2^53, so
-    its product with m or T would overflow int64 from m ~ 1000."""
-    T = -(-mu.numerator * m // mu.denominator)
-    return T, T + (-lam.numerator * T // lam.denominator) + 1
-
-
 def _scan(cells: Sequence[tuple], p_target: float, ms: Iterable[int]) -> list[dict[str, Verdict]]:
     """For each (mu, lambda) cell, the first m of the ascending ms where each
     configuration's bound, and all three at once ("overall"), drop below
     p_target; NOT_FOUND where none does.
 
     One scan over m serves every cell. The formulas read only (m, T, Q), so
-    each block of m evaluates the distinct (m, T, Q) of the open cells once
-    per configuration, in row blocks as `_blocks` cuts them, and every cell
-    reads its crossings from those rows. A cell leaves the scan after the
-    block that holds its overall crossing: there every bound is below the
-    target, so each per-configuration crossing is already recorded. Bound
-    monotonicity in m is not assumed.
+    each block of m evaluates the distinct (m, T, Q) rows of the open cells
+    (`np.unique`, in ascending m) once per configuration, in chunks as
+    `_blocks` cuts them, and every cell reads its crossings from those
+    rows. A cell leaves the scan after the block that holds its overall
+    crossing: there every bound is below the target, so each
+    per-configuration crossing is already recorded. Bound monotonicity in m
+    is not assumed.
     """
     cells = [(p.mu, p.lam) for p in (ProtocolParams.create(mu, lam, 1) for mu, lam in cells)]  # range checks
     names = [cfg.value for cfg in AdversaryConfig] + ["overall"]
@@ -74,27 +67,17 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Iterable[int]) -> list[di
         if not open_cells:
             break
         m_column = np.array(block).astype(object)  # Python ints, also from numpy candidates
-        columns = [_thresholds(*cells[i], m_column) for i in open_cells]
-        rows: dict[tuple[int, int, int], int] = {}  # distinct (m, T, Q), in ascending m, -> row index
-        ps: list[ProtocolParams] = []  # each row's params, from the first open cell that has it
-        index = np.empty((len(open_cells), len(block)), dtype=np.intp)
-        for j, m in enumerate(block):
-            for k, (T, Q) in enumerate(columns):
-                key = (m, T[j], Q[j])
-                if key not in rows:
-                    rows[key] = len(ps)
-                    ps.append(ProtocolParams(*cells[open_cells[k]], *key))
-                index[k, j] = rows[key]
-        chunks, start = [], 0
-        for chunk in _blocks(p.m for p in ps):
-            chunks.append(ps[start : start + len(chunk)])
-            start += len(chunk)
+        keys = np.concatenate(
+            [np.stack([m_column, *_thresholds(*cells[i], m_column)], axis=1) for i in open_cells]
+        ).astype(np.int64)  # T and Q are at most m
+        rows, index = np.unique(keys, axis=0, return_inverse=True)
+        chunks = np.split(rows, np.cumsum([len(chunk) for chunk in _blocks(rows[:, 0])])[:-1])
         below = np.array(
             [
                 np.concatenate([[*analytics._report_rows(cfg, chunk).values()][-1] for chunk in chunks])
                 for cfg in AdversaryConfig
             ]
-        )[:, index] < p_target
+        )[:, index.reshape(len(open_cells), len(block))] < p_target
         below = np.concatenate([below, below.all(axis=0, keepdims=True)])
         crossed, at = below.any(axis=2), below.argmax(axis=2)
         for j, i in enumerate(open_cells):
@@ -147,7 +130,7 @@ def m_min_upper(
 
 def even_grid(lo, hi, steps: int) -> list[Fraction]:
     """steps evenly spaced exact rationals from lo to hi, both included."""
-    if steps < 2:
+    if not _is_count(steps) or steps < 2:
         raise ValueError(f"a grid needs at least 2 steps, got {steps}")
     lo, hi = Fraction(lo), Fraction(hi)
     return [lo + (hi - lo) * Fraction(i, steps - 1) for i in range(steps)]
@@ -164,7 +147,7 @@ class GridSpec:
 
     def __post_init__(self):
         for lo, hi, steps in (self.mu_range, self.lambda_range):
-            if not (lo < hi and steps >= 2):
+            if not (lo < hi and _is_count(steps) and steps >= 2):
                 raise ValueError("grid ranges must be non-degenerate with at least 2 steps")
         ms = list(self.m_candidates)
         if not ms or not all(map(_is_count, ms)) or ms != sorted(set(ms)):

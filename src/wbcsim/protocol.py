@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +78,15 @@ def _is_count(value) -> bool:
         return False
 
 
+def _thresholds(mu: Fraction, lam: Fraction, m):
+    """T = ceil(mu*m) and Q = T - ceil(lam*T) + 1 for an int m or an object
+    array of int m, as floor divisions of Python ints: a float mu or lambda
+    can have a numerator near 2^53, so its product with m or T would
+    overflow int64 from m ~ 1000."""
+    T = -(-mu.numerator * m // mu.denominator)
+    return T, T + (-lam.numerator * T // lam.denominator) + 1
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol parameters (mu, lambda, m) with derived thresholds T, Q."""
@@ -105,8 +113,7 @@ class ProtocolParams:
         if not _is_count(m):
             raise ParameterError(f"m={m!r} must be a positive count")
         m = operator.index(m)
-        T = math.ceil(mu * m)
-        Q = T - math.ceil(lam * T) + 1
+        T, Q = _thresholds(mu, lam, m)
         return cls(mu=mu, lam=lam, m=m, T=T, Q=Q)
 
 

@@ -121,7 +121,7 @@ class TestBoundTable:
         # one block whose rows differ in width, against each row's exact rationals
         ps = [params(mu, lam, m) for m in (*range(1, 13), 25, 50, 100, 200, m_large)]
         for cfg in AdversaryConfig:
-            table = _report_rows(cfg, ps)
+            table = _report_rows(cfg, [(p.m, p.T, p.Q) for p in ps])
             for i, p in enumerate(ps):
                 for exact in failure_reports(cfg, p, exact=True):
                     assert math.isclose(table[exact.kind][i], float(exact.value), rel_tol=1e-11), (cfg, p.m, exact.kind)
@@ -191,6 +191,20 @@ class TestBruteForceOracle:
     def test_rejects_exact_kind_for_faulty(self):
         with pytest.raises(ValueError):
             pf_bruteforce(S_FAULTY, params("0.3", "0.8", 2), BoundKind.EXACT)
+
+    def test_string_kind_is_its_bound_kind(self):
+        # "upper" used to score as LOWER: 2/27, labelled upper
+        p = params("0.3", "0.8", 4)
+        upper = pf_bruteforce(S_FAULTY, p, "upper")
+        assert upper == pf_bruteforce(S_FAULTY, p, BoundKind.UPPER)
+        assert upper.kind is BoundKind.UPPER and upper.value == Fraction(25, 27)
+        assert pf_bruteforce(S_FAULTY, p, "lower").value == Fraction(2, 27)
+
+    @pytest.mark.parametrize("kind", ["exact", "UPPER", "tight"])
+    def test_rejects_exact_or_unknown_kind_strings(self, kind):
+        # "exact" on a faulty config used to return the LOWER value
+        with pytest.raises(ValueError):
+            pf_bruteforce(S_FAULTY, params("0.3", "0.8", 2), kind)
 
 
 class TestFailureReport:

@@ -36,10 +36,10 @@ def bound_calls(monkeypatch):
         ("s-faulty", "_s_rows"),
         ("r0-faulty", "_r_rows"),
     ):
-        def counted(ps, *args, _fn=getattr(analytics, name), _config=config):
-            calls.blocks.append((_config, [p.m for p in ps]))
-            calls.update((_config, p.m) for p in ps)
-            return _fn(ps, *args)
+        def counted(m, *args, _fn=getattr(analytics, name), _config=config):
+            calls.blocks.append((_config, m.tolist()))
+            calls.update((_config, row_m) for row_m in m.tolist())
+            return _fn(m, *args)
 
         monkeypatch.setattr(analytics, name, counted)
     return calls

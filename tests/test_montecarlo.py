@@ -76,11 +76,23 @@ class TestStatistics:
         with pytest.raises(ValueError):
             estimate_pf(NO_FAULTY, params(2), 0, seed=0)
 
+    @pytest.mark.parametrize("n_trials", [True, 2.5, 10.0])
+    def test_rejects_trial_counts_that_are_not_integers(self, n_trials):
+        # True used to run one trial and report n_trials=True; 2.5 failed
+        # with a TypeError from range
+        with pytest.raises(ValueError, match="n_trials must be a positive count"):
+            estimate_pf(NO_FAULTY, params(2), n_trials, seed=0)
+
+    def test_numpy_counts_pass(self):
+        r = estimate_pf(S_FAULTY, params(12), np.int64(60), seed=3, jobs=np.int64(1))
+        assert r.n_failures == estimate_pf(S_FAULTY, params(12), 60, seed=3).n_failures
+
 
 class TestJobs:
-    @pytest.mark.parametrize("jobs", [0, -1])
+    # True used to pass as one job, and 1.5 to fail later with a TypeError from range
+    @pytest.mark.parametrize("jobs", [0, -1, True, 1.5])
     def test_rejects_nonpositive_jobs(self, jobs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="jobs must be a positive count"):
             estimate_pf(NO_FAULTY, params(2), 10, seed=0, jobs=jobs)
 
     def test_pool_is_capped_at_cpu_count(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for minimal-resource search and the (mu, lambda) grid scan."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from wbcsim.optimizer import (
     OUTSIDE_REGION,
     GridSpec,
     _blocks,
-    _thresholds,
     config_crossings,
     even_grid,
     grid_search,
@@ -20,7 +20,7 @@ from wbcsim.optimizer import (
 )
 import wbcsim.analytics as analytics
 from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
-from wbcsim.protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams
+from wbcsim.protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams, _thresholds
 from wbcsim.security import in_guaranteed_region
 
 MU, LAM = "0.272", "0.94"
@@ -65,9 +65,13 @@ class TestMMin:
         with pytest.raises(ParameterError):
             m_min_upper("0.4", "0.94", 0.05, 1, 20, require_region=False)
 
-    @pytest.mark.parametrize("m_lo,m_hi", [(50, 10), (0, 10)])
+    def test_numpy_window_bounds_pass(self):
+        assert m_min_table(MU, LAM, 0.05, np.int64(270), np.int64(300)) == m_min_table(MU, LAM, 0.05, 270, 300)
+
+    # m_lo = 1.5 used to raise a TypeError from range, and m_hi = True to scan m = 1 alone
+    @pytest.mark.parametrize("m_lo,m_hi", [(50, 10), (0, 10), (1.5, 10), (1, 10.0), (True, 10), (1, True)])
     def test_crossings_reject_bad_window(self, m_lo, m_hi):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m_lo <= m_hi"):
             config_crossings(MU, LAM, 0.05, m_lo, m_hi)
 
     def test_crossing_is_first_not_last(self):
@@ -100,6 +104,17 @@ class TestGridSpec:
         # passed as the count 1
         with pytest.raises(ValueError, match="m_candidates"):
             GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), ms, 0.05)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
+    def test_rejects_steps_that_are_not_counts(self, steps):
+        # 2.5 and 3.0 used to pass the spec and fail in even_grid with a TypeError
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            GridSpec((Fraction("0.271"), Fraction("0.273"), steps), (Fraction("0.93"), Fraction("0.95"), 2), [280], 0.05)
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            even_grid("0.271", "0.273", steps)
+
+    def test_numpy_steps_pass(self):
+        assert even_grid("0.271", "0.273", np.int64(3)) == even_grid("0.271", "0.273", 3)
 
     def test_grid_values_are_exact_and_inclusive(self):
         mus = even_grid("0.269", "0.275", 7)
@@ -136,6 +151,12 @@ class TestGridSearch:
         assert shared and all(coarse_map[k] == fine_map[k] for k in shared)
 
 
+def fraction_thresholds(mu, lam, m):
+    """T = ceil(mu*m) and Q = T - ceil(lam*T) + 1 as Fraction ceilings."""
+    T = math.ceil(mu * m)
+    return T, T - math.ceil(lam * T) + 1
+
+
 class TestThresholdColumns:
     @given(
         st.one_of(
@@ -150,8 +171,10 @@ class TestThresholdColumns:
     )
     @settings(max_examples=100)
     def test_threshold_columns_match_create(self, mu, lam, ms):
+        # ProtocolParams.create calls _thresholds too, so the reference is
+        # the rule itself, as Fraction ceilings
         T, Q = _thresholds(mu, lam, np.array(ms, dtype=object))
-        assert list(zip(T, Q)) == [(p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for m in ms)]
+        assert list(zip(T, Q)) == [fraction_thresholds(mu, lam, m) for m in ms]
 
     def test_threshold_columns_of_float_parameters_past_int64(self):
         # --inexact reads floats: 0.3 and 0.945 have numerators of 5.4e15 and
@@ -160,7 +183,7 @@ class TestThresholdColumns:
         ms = range(1, 10**4 + 1)
         assert mu.numerator * ms[-1] > np.iinfo(np.int64).max
         T, Q = _thresholds(mu, lam, np.array(ms, dtype=object))
-        assert list(zip(T, Q)) == [(p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for m in ms)]
+        assert list(zip(T, Q)) == [fraction_thresholds(mu, lam, m) for m in ms]
 
 
 class TestMMinTable:
@@ -199,9 +222,9 @@ class TestBlocks:
         """Each block-formula call as (config, [m, ...]), in call order."""
         seen = []
 
-        def spy(cfg, ps, *args, _fn=analytics._report_rows):
-            seen.append((cfg, [p.m for p in ps]))
-            return _fn(cfg, ps, *args)
+        def spy(cfg, rows, *args, _fn=analytics._report_rows):
+            seen.append((cfg, [int(m) for m, _, _ in rows]))
+            return _fn(cfg, rows, *args)
 
         monkeypatch.setattr(analytics, "_report_rows", spy)
         return seen
@@ -245,12 +268,12 @@ class TestBlocks:
 class TestGridScan:
     @pytest.fixture
     def rows(self, monkeypatch):
-        """Each block-formula call as (config, [ProtocolParams, ...]), in call order."""
+        """Each block-formula call as (config, [(m, T, Q), ...]), in call order."""
         seen = []
 
-        def spy(cfg, ps, *args, _fn=analytics._report_rows):
-            seen.append((cfg, list(ps)))
-            return _fn(cfg, ps, *args)
+        def spy(cfg, rows, *args, _fn=analytics._report_rows):
+            seen.append((cfg, [tuple(map(int, row)) for row in rows]))
+            return _fn(cfg, rows, *args)
 
         monkeypatch.setattr(analytics, "_report_rows", spy)
         return seen
@@ -259,31 +282,43 @@ class TestGridScan:
     def spec(lambda_range, ms):
         return GridSpec((Fraction("0.269"), Fraction("0.275"), 7), lambda_range, ms, 0.05)
 
+    @staticmethod
+    def cell_rows(g, inside_only=False):
+        """Every (m, T, Q) that ProtocolParams.create gives the grid's cells."""
+        cells = [(mu, lam) for mu in g.mu_values() for lam in g.lambda_values()]
+        cells = [cell for cell in cells if in_guaranteed_region(*cell) or not inside_only]
+        return {(p.m, p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for mu, lam in cells for m in g.m_candidates)}
+
     def test_default_grid_evaluates_each_distinct_row_once(self, rows):
         g = self.spec((Fraction("0.9325"), Fraction("0.9475"), 7), range(270, 301))
-        cells = [(mu, lam) for mu, lam, _ in grid_search(g)]
-        keys = {(p.m, p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for mu, lam in cells for m in g.m_candidates)}
+        grid_search(g)
+        keys = self.cell_rows(g)
         assert len(keys) == 187
         assert len(rows) <= 12
         for cfg in AdversaryConfig:
-            evaluated = [p for name, ps in rows if name is cfg for p in ps]
-            assert sorted((p.m, p.T, p.Q) for p in evaluated) == sorted(keys)
-        for _, ps in rows:
-            assert len(ps) * max(p.m for p in ps) <= _BLOCK_ELEMENTS
-            # each row is a real cell's params, as ProtocolParams.create gives them
-            assert all((p.mu, p.lam) in cells and p == ProtocolParams.create(p.mu, p.lam, p.m) for p in ps)
+            # each row is a real cell's (m, T, Q), as ProtocolParams.create gives them, once
+            assert sorted(row for name, block in rows if name is cfg for row in block) == sorted(keys)
+        for _, block in rows:
+            assert len(block) * max(m for m, _, _ in block) <= _BLOCK_ELEMENTS
+            assert block == sorted(set(block))  # distinct, in ascending m
 
     def test_scan_stops_after_the_block_of_the_last_crossing(self, rows):
         g = self.spec((Fraction("0.9375"), Fraction("0.9475"), 5), range(1, 2001))
         verdicts = [verdict for _, _, verdict in grid_search(g)]
         assert set(verdicts) == {280, 281, 282, 287}
         last_block = next(block for block in _blocks(range(1, 2001)) if max(verdicts) in block)
-        assert max(p.m for _, ps in rows for p in ps) == last_block[-1]
+        assert max(m for _, block in rows for m, _, _ in block) == last_block[-1]
 
     def test_numpy_candidates_keep_exact_thresholds(self, rows):
         # Fraction(0.3) has a numerator of 5.4e15: times an np.int64 m past
         # 1707 it would wrap around in int64
         ms = np.arange(1800, 1811)
         g = GridSpec((Fraction(0.29), Fraction(0.3), 2), (Fraction(0.94), Fraction(0.945), 2), ms, 1e-4)
-        assert grid_search(g) == grid_search(GridSpec(g.mu_range, g.lambda_range, ms.tolist(), g.p_target))
-        assert rows and all(p == ProtocolParams.create(p.mu, p.lam, p.m) for _, ps in rows for p in ps)
+        verdicts = grid_search(g)
+        keys, first = self.cell_rows(g, inside_only=True), next(_blocks(ms))
+        for cfg in AdversaryConfig:
+            evaluated = [row for name, block in rows if name is cfg for row in block]
+            # each row is a real cell's (m, T, Q), once; every cell is open over the first block of m
+            assert len(set(evaluated)) == len(evaluated) and set(evaluated) <= keys
+            assert {row for row in evaluated if row[0] in first} == {row for row in keys if row[0] in first}
+        assert verdicts == grid_search(GridSpec(g.mu_range, g.lambda_range, ms.tolist(), g.p_target))

@@ -122,6 +122,7 @@ class TestThresholds:
         p = ProtocolParams.create(mu, lam, m)
         T, Q = p.T, p.Q
         assert T == math.ceil(mu * m)
+        assert Q == T - math.ceil(lam * T) + 1
         assert 1 <= T <= m
         assert 1 <= Q <= T
 
