@@ -36,6 +36,17 @@ There is no cancellation, so each float tail keeps the anchor's precision
 plus about 1e-16 per summed term. The pmf's `gammaln` rounding dominates:
 float values agree with the exact ones to about 1e-15 * m relative, up to
 m ~ 10^4.
+
+Float S and R0 rows are evaluated on certified windows (`_certified`).
+Each row's weight, the pmf of l3 or l2, carries its mass within O(sqrt(m))
+entries of its mode, so a row keeps only the entries n within z standard
+deviations of it (never fewer than 400 on a side, so rows of m <= 400 stay
+whole), and the tails re-anchor at the window's edges. Every factor beside
+the weight is a probability <= 1, so the left-out entries add at most the
+weight's mass outside the window, one sf plus one cdf: UPPER adds it and
+LOWER does not, and both stay bounds in their direction. A window widens
+until that certificate is below 1e-17 of each bound. The exact backend
+keeps whole rows.
 """
 
 from __future__ import annotations
@@ -57,6 +68,16 @@ Probability = Union[float, Fraction]
 
 _THIRD, _SIXTH, _HALF = Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)
 _TWO_FIFTHS = Fraction(2, 5)
+
+# Float rows start on windows of _Z0 standard deviations of their weight,
+# and widen until what a window leaves out is below _CERTIFIED of each bound;
+# 18 certifies every row of the 1e-30 scan to m = 12000 on its first window.
+# A window keeps at least _MIN_HALF_WIDTH entries on each side of the mode:
+# shorter rows cost less than a call's fixed overhead, so rows of m <= 400
+# stay whole.
+_Z0 = 18.0
+_CERTIFIED = 1e-17
+_MIN_HALF_WIDTH = 400
 
 
 class BoundKind(enum.Enum):
@@ -105,8 +126,15 @@ def _float_pmf(k, n, q: Fraction):
     k, n_k = np.maximum(k, 0), np.maximum(n - k, 0)  # equal to k, n - k inside; in range outside
     n = k + n_k
     log_fact = _log_factorials(1 << int(n.max()).bit_length())
-    log_pmf = log_fact[n] - log_fact[k] - log_fact[n_k] + k * math.log(q) + n_k * math.log1p(-q)
-    return np.where(inside, np.exp(log_pmf), 0.0)
+    # log_fact[n] - log_fact[k] - log_fact[n_k] + k log q + n_k log(1 - q), in place
+    pmf = log_fact.take(n)
+    pmf -= log_fact.take(k)
+    pmf -= log_fact.take(n_k)
+    pmf += k * math.log(q)
+    pmf += n_k * math.log1p(-q)
+    np.exp(pmf, out=pmf)
+    pmf[~inside] = 0.0
+    return pmf
 
 
 class _Binomial(NamedTuple):
@@ -149,11 +177,11 @@ def _tail(b: _Binomial, k, n, q: Fraction, valid, upper: bool):
     k = k[:, None]
     if upper:
         terms = b.scalar(q) * b.pmf(k, n - 1, q)
-        terms[:, 0] = b.sf(k, n[:, :1], q)[:, 0]
+        terms[:, 0] = b.sf(k, np.maximum(n[:, :1], 0), q)[:, 0]
         return np.where(valid, np.cumsum(terms, axis=1), 0)
     terms = b.scalar(q) * b.pmf(k, n, q)
     rows, last = np.arange(len(n)), valid.sum(axis=1) - 1
-    terms[rows, last] = b.cdf(k, n[rows, last][:, None], q)[:, 0]
+    terms[rows, last] = b.cdf(k, np.maximum(n[rows, last], 0)[:, None], q)[:, 0]
     return np.cumsum(np.where(valid, terms, 0)[:, ::-1], axis=1)[:, ::-1]
 
 
@@ -173,8 +201,30 @@ def _no_faulty_rows(m, T, Q, b: _Binomial):
     return b.cdf(T - 1, m, _THIRD)
 
 
-def _s_rows(m, T, Q, b: _Binomial):
-    """LOWER and UPPER failure bounds with a faulty sender playing zeta_S.
+def _window(b: _Binomial, m, lo, hi, q: Fraction, z):
+    """The window of a row whose entries are n = m - X, X ~ Binom(m, q) the
+    weight's count: the n of [lo, hi] within z standard deviations of X's
+    mode, and the weight's mass at the n of [lo, hi] it leaves out (one sf
+    and one cdf, 0 where it keeps an edge). With z None (the exact backend)
+    it is the whole [lo, hi] and leaves nothing out."""
+    if z is None:
+        return lo, hi, 0
+    mode = m - (m + 1) * q.numerator // q.denominator
+    h = np.ceil(np.clip(z * np.sqrt(m * (float(q) * float(1 - q))), _MIN_HALF_WIDTH, m)).astype(np.int64)
+    n_lo, n_hi = np.maximum(lo, mode - h), np.minimum(hi, mode + h)
+    left_out = np.where(n_lo > lo, b.sf(m - n_lo, m, q), 0.0) + np.where(n_hi < hi, b.cdf(m - n_hi - 1, m, q), 0.0)
+    return n_lo, n_hi, left_out
+
+
+def _row_width(m: int) -> int:
+    """The most entries a float S or R0 row at m spans on its first window
+    (S's weight has the larger standard deviation), for sizing blocks."""
+    return min(m, 2 * max(math.ceil(_Z0 * math.sqrt(2 * m / 9)), _MIN_HALF_WIDTH) + 1)
+
+
+def _s_rows(m, T, Q, b: _Binomial, z=None):
+    """LOWER and UPPER failure bounds with a faulty sender playing zeta_S,
+    and how far a window (`_window`, float only) can have moved each.
 
     An Event is in the domain of zeta_S when T <= l3 <= m - T and
     T - Q <= l1 <= n - Q, with n = m - l3. Lower bound: in-domain Events
@@ -182,18 +232,22 @@ def _s_rows(m, T, Q, b: _Binomial):
     outside its range, or l1 in either tail given l3. Row entries run over
     n = T .. m - T; by the symmetry of q = 1/2, P(l1 > n - Q) = P(l1 <= Q - 1).
     """
-    n = T[:, None] + np.arange(max(1, (m - 2 * T + 1).max()))
-    valid = n <= (m - T)[:, None]
+    lo, hi, left_out = _window(b, m, T, m - T, _THIRD, z)
+    n = lo[:, None] + np.arange(max(1, (hi - lo + 1).max()))
+    valid = n <= hi[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _THIRD), 0)  # P(l3 = m - n)
     l1_tails = _tail(b, T - Q - 1, n, _HALF, valid, upper=False) + _tail(b, Q - 1, n, _HALF, valid, upper=False)
     dom = np.sum(w * (1 - l1_tails), axis=1)
     out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails, axis=1)
-    lower = dom * np.array([b.scalar(_HALF**q) for q in Q.tolist()])
-    return _at_most_one(lower), _at_most_one(lower + out)
+    two_to_minus_q = np.array([b.scalar(_HALF**q) for q in Q.tolist()])
+    lower = dom * two_to_minus_q
+    # a left-out entry adds at most its weight to UPPER and 2^-Q times it to LOWER
+    return _at_most_one(lower), _at_most_one(lower + out + left_out), left_out * two_to_minus_q, left_out
 
 
-def _r_rows(m, T, Q, b: _Binomial):
-    """LOWER and UPPER failure bounds with a faulty R0 playing zeta_R.
+def _r_rows(m, T, Q, b: _Binomial, z=None):
+    """LOWER and UPPER failure bounds with a faulty R0 playing zeta_R, and
+    how far a window (`_window`, float only) can have moved each.
 
     The lower bound is the failure mass of the domain l1 <= m - T:
     - pink, l1 < T: too few vouched indices, failure guaranteed;
@@ -205,14 +259,33 @@ def _r_rows(m, T, Q, b: _Binomial):
     The upper bound adds the out-of-domain green region l1 > m - T.
     Row entries run over n = m - l2 = T .. m; larger l2 leaves l1 < T.
     """
-    n = T[:, None] + np.arange((m - T + 1).max())
-    valid = n <= m[:, None]
+    lo, hi, left_out = _window(b, m, T, m, _SIXTH, z)
+    n = lo[:, None] + np.arange(max(1, (hi - lo + 1).max()))
+    valid = n <= hi[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _SIXTH), 0)  # P(l2 = m - n)
     window = _tail(b, T - 1, n, _TWO_FIFTHS, valid, upper=True) - _tail(b, m - T, n, _TWO_FIFTHS, valid, upper=True)
     lucky = _tail(b, Q - 1, n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
     pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
     lower = pink + np.sum(w * window * lucky, axis=1)
-    return _at_most_one(lower), _at_most_one(lower + green)
+    # a left-out entry adds at most its weight to either bound
+    return _at_most_one(lower), _at_most_one(lower + green + left_out), left_out, left_out
+
+
+def _certified(formula, m, T, Q):
+    """Float LOWER and UPPER of a faulty formula, each row on a window that
+    moves both by at most _CERTIFIED of their values. Every row starts at
+    _Z0 standard deviations of its weight; a row whose left-out mass is
+    too large for that is evaluated again on twice the width, and so on up
+    to the whole row, where nothing is left out. UPPER adds what a window
+    leaves out and LOWER does not, so both stay bounds in their direction."""
+    if m.max() <= _MIN_HALF_WIDTH:  # every window is the whole row
+        return formula(m, T, Q, _FLOAT)[:2]
+    z = np.full(len(m), _Z0)
+    values = np.array(formula(m, T, Q, _FLOAT, z))  # lower, upper and the most each moved
+    while (short := np.flatnonzero((values[2:] > _CERTIFIED * values[:2]).any(axis=0))).size:
+        z[short] *= 2
+        values[:, short] = formula(m[short], T[short], Q[short], _FLOAT, z[short])
+    return values[0], values[1]
 
 
 def _report_rows(cfg: AdversaryConfig, rows, exact: bool = False) -> dict[BoundKind, np.ndarray]:
@@ -227,7 +300,8 @@ def _report_rows(cfg: AdversaryConfig, rows, exact: bool = False) -> dict[BoundK
     b, columns = _backend(exact), np.asarray(rows).T
     if cfg is AdversaryConfig.NO_FAULTY:
         return {BoundKind.EXACT: _no_faulty_rows(*columns, b)}
-    lower, upper = _s_rows(*columns, b) if cfg is AdversaryConfig.S_FAULTY else _r_rows(*columns, b)
+    formula = _s_rows if cfg is AdversaryConfig.S_FAULTY else _r_rows
+    lower, upper = formula(*columns, b)[:2] if exact else _certified(formula, *columns)
     return {BoundKind.LOWER: lower, BoundKind.UPPER: upper}
 
 

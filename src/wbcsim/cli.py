@@ -9,6 +9,7 @@ accepted only with --inexact. Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -57,7 +58,10 @@ def _parse_m_list(text: str) -> list[int]:
     values: list[int] = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi = map(int, part.split(".."))
+            try:
+                lo, hi = map(int, part.split(".."))
+            except ValueError:  # not two ints: '1..3..5', '1..', '..5', 'a..b'
+                raise ValueError(f"invalid m range {part!r} in {text!r}") from None
             if lo > hi:
                 raise ValueError(f"inverted m range {part!r} in {text!r}")
             values.extend(range(lo, hi + 1))
@@ -312,10 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: building one costs more than a large-m
+    query, and parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import analytics
-from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _block_rows, _is_count, _thresholds
+from .protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams, _is_count, _thresholds
 from .security import in_guaranteed_region
 
 NOT_FOUND = "NOT_FOUND"
@@ -34,10 +34,11 @@ def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
 
 def _blocks(ms: Iterable[int]) -> Iterator[list[int]]:
     """Consecutive runs of the ascending ms, each of at most
-    protocol._BLOCK_ELEMENTS rows x largest m (one row if m is larger)."""
+    protocol._BLOCK_ELEMENTS float row entries: rows x the largest m's
+    `analytics._row_width` (one row if that is larger)."""
     block: list[int] = []
     for m in ms:
-        if len(block) >= _block_rows(m):
+        if len(block) >= max(1, _BLOCK_ELEMENTS // analytics._row_width(m)):
             yield block
             block = []
         block.append(m)

@@ -6,13 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wbcsim.analytics as analytics
 from wbcsim.analytics import (
     _EXACT,
     _FLOAT,
+    _THIRD,
+    _Z0,
     BoundKind,
     FailureReport,
+    _certified,
+    _r_rows,
     _report_rows,
+    _row_width,
+    _s_rows,
     _tail,
+    _window,
     failure_reports,
     pf_bruteforce,
     pf_no_faulty_exact,
@@ -127,6 +135,104 @@ class TestBoundTable:
                     assert math.isclose(table[exact.kind][i], float(exact.value), rel_tol=1e-11), (cfg, p.m, exact.kind)
 
 
+# the (mu, lambda) pairs of the float-vs-exact checks: two in the region
+# interior, two at its edge and two outside it
+WINDOW_PAIRS = [("0.272", "0.94"), ("0.3", "0.8"), ("0.25", "0.9"), ("0.1", "0.6"), ("0.26", "0.94"), ("0.30", "0.95")]
+FORMULAS = [_s_rows, _r_rows]
+
+
+def block(mu, lam, ms):
+    """(N, 3) integer (m, T, Q) rows at one (mu, lambda)."""
+    return np.array([(p.m, p.T, p.Q) for p in (params(mu, lam, m) for m in ms)])
+
+
+def assert_windowed_matches_whole_rows(mu, lam, ms):
+    """Windowed and whole float rows are two float sums of the same terms,
+    each within about 1e-15 * m relative of the exact value (README), so
+    they may differ by twice that; what a window leaves out is below
+    1e-17 of each bound."""
+    rows = block(mu, lam, ms)
+    for formula in FORMULAS:
+        for windowed, whole in zip(_certified(formula, *rows.T), formula(*rows.T, _FLOAT)):
+            assert np.all(np.abs(windowed - whole) <= 2e-15 * rows[:, 0] * whole), (mu, lam, formula.__name__)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("mu,lam", WINDOW_PAIRS)
+    def test_rows_up_to_m_400_are_whole(self, mu, lam):
+        # a window keeps 400 entries on each side of the mode: below that the
+        # bits are those of the whole row, and nothing is left out
+        rows = block(mu, lam, range(1, 401))
+        for formula in FORMULAS:
+            whole = formula(*rows.T, _FLOAT)
+            windowed = formula(*rows.T, _FLOAT, np.full(len(rows), _Z0))
+            assert all(np.array_equal(w, v) for w, v in zip(windowed[:2], whole[:2]))
+            assert not windowed[2].any() and not windowed[3].any()
+            assert all(np.array_equal(w, v) for w, v in zip(_certified(formula, *rows.T), whole[:2]))
+
+    @pytest.mark.parametrize("mu,lam", WINDOW_PAIRS)
+    def test_large_m_windows_match_whole_rows(self, mu, lam):
+        assert_windowed_matches_whole_rows(mu, lam, (401, 1000, 2500, 5000, 10000, 15000))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mu,lam", WINDOW_PAIRS)
+    def test_windows_match_whole_rows_every_500th_m(self, mu, lam):
+        assert_windowed_matches_whole_rows(mu, lam, range(500, 15001, 500))
+
+    @pytest.mark.parametrize("m", [401, 1000, 2000, 10000, 15000])
+    def test_first_windows_fit_the_row_width(self, m):
+        for mu, lam in WINDOW_PAIRS:
+            (m_, T, Q), z = block(mu, lam, [m]).T, np.array([_Z0])
+            for lo, hi, q in ((T, m_ - T, _THIRD), (T, m_, analytics._SIXTH)):
+                n_lo, n_hi, _ = _window(_FLOAT, m_, lo, hi, q, z)
+                assert n_hi - n_lo + 1 <= _row_width(m)
+        # O(sqrt(m)) at large m: at m = 10^4 about a third of the whole rows
+        assert _row_width(10000) < 2000 < 10000 - 2 * 2720 + 1
+
+    def test_certificate_bounds_what_a_window_leaves_out(self, monkeypatch):
+        # narrow windows leave out mass far above float rounding; each bound
+        # moves by at most its certificate, LOWER down and UPPER up
+        monkeypatch.setattr(analytics, "_MIN_HALF_WIDTH", 0)
+        for mu, lam in (("0.272", "0.94"), ("0.1", "0.6")):
+            rows = block(mu, lam, (150, 300))
+            for formula in FORMULAS:
+                exact = [np.array([float(v) for v in values]) for values in formula(*rows.T, _EXACT)[:2]]
+                tol = 1e-12 * np.maximum(exact[0], exact[1])  # float rounding at m <= 300
+                for z in (1.0, 3.0, 6.0):
+                    lower, upper, lower_cert, upper_cert = formula(*rows.T, _FLOAT, np.full(len(rows), z))
+                    assert (upper_cert > 0).all()
+                    assert np.all(lower <= exact[0] + tol) and np.all(exact[0] - lower <= lower_cert + tol)
+                    assert np.all(upper >= exact[1] - tol) and np.all(upper - exact[1] <= upper_cert + tol)
+
+    def test_short_windows_widen(self, monkeypatch):
+        # a first window that certifies nothing is widened until it does
+        monkeypatch.setattr(analytics, "_Z0", 1.0)
+        monkeypatch.setattr(analytics, "_MIN_HALF_WIDTH", 0)
+        rows = block("0.272", "0.94", (2000, 4000))
+        for formula in FORMULAS:
+            for windowed, whole in zip(_certified(formula, *rows.T), formula(*rows.T, _FLOAT)):
+                assert np.all(np.abs(windowed - whole) <= 2e-15 * rows[:, 0] * whole)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            2000,
+            pytest.param(4000, marks=pytest.mark.slow),
+            pytest.param(8000, marks=pytest.mark.slow),
+            pytest.param(12000, marks=pytest.mark.slow),
+        ],
+    )
+    def test_windowed_bounds_bracket_the_exact_backend(self, m):
+        # UPPER never below, LOWER never above the exact rationals, beyond float rounding
+        p = params("0.272", "0.94", m)
+        tol = 2e-15 * m
+        for cfg in (S_FAULTY, R0_FAULTY):
+            lower, upper = (v[0] for v in _report_rows(cfg, [(p.m, p.T, p.Q)]).values())
+            exact_lower, exact_upper = (float(r.value) for r in failure_reports(cfg, p, exact=True))
+            assert exact_lower * (1 - tol) <= lower <= exact_lower * (1 + tol), (cfg, m)
+            assert exact_upper * (1 - tol) <= upper <= exact_upper * (1 + tol), (cfg, m)
+
+
 def element_wise_tail(k, n, q, valid, upper):
     """The fixed-k tail with each element summed on its own by the exact
     cdf/sf (n < 0 counts as 0): the reference for the recurrence."""
@@ -143,6 +249,8 @@ TAIL_ROWS = {
     "k_minus_one": [(-1, 1, 9), (-1, 4, 4), (0, 2, 7)],
     # the lucky tail: its trial count T - l2 starts at 2T - m, which can be <= 0
     "lucky": [(0, -4, 3), (2, -1, 5), (-1, 0, 2), (3, -6, 9)],
+    # a window of the lucky tail can end below 0, so its cdf anchor reads n < 0
+    "lucky_window": [(0, -9, -3), (2, -3, -1), (1, -2, 4), (-1, -5, -5)],
 }
 
 

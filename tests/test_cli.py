@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 
 import wbcsim
 import wbcsim.analytics as analytics
-from wbcsim.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_USAGE, OUTPUT_DIR_ENV, main
+from wbcsim import cli
+from wbcsim.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_USAGE, OUTPUT_DIR_ENV, build_parser, main
 from wbcsim.metrics import TARGET_STATE
 from wbcsim.protocol import ABORT
 
@@ -159,6 +161,14 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--m", "10,300..270")
         assert code == EXIT_USAGE and out == "" and "300..270" in err
 
+    @pytest.mark.parametrize("part", ["1..3..5", "1..", "..5", "a..b"])
+    def test_malformed_m_range_is_named(self, capsys, part):
+        # these used to fail with "too many values to unpack" or "invalid literal for int()"
+        text = f"10,{part}"
+        code, out, err = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", text)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: invalid m range {part!r} in {text!r}\n"
+
     @pytest.mark.parametrize("ms", ["300,280", "270..300,300"])
     def test_optimize_rejects_candidates_not_strictly_ascending(self, capsys, ms):
         code, out, err = run(capsys, "optimize", "--m", ms)
@@ -303,6 +313,53 @@ class TestCommands:
     def test_fidelity_requires_an_input(self, capsys):
         code, _, _ = run(capsys, "fidelity")
         assert code == EXIT_PARAMETER
+
+
+class TestParserReuse:
+    EXACT = ("exact", "--config", "r0-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", "50,2000", "--kind", "both")
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        """Every add_argument call, on a parser cache emptied before and after."""
+        calls = []
+
+        def spy(parser, *args, _add=argparse.ArgumentParser.add_argument, **kwargs):
+            calls.append(args)
+            return _add(parser, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_repeated_calls_print_the_same_bytes(self, capsys):
+        first = run(capsys, *self.EXACT)
+        assert first[0] == EXIT_OK and run(capsys, *self.EXACT) == first
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys):
+        first = run(capsys, *self.EXACT)
+        code, out, _ = run(capsys, "exact", "--config", "r0-faulty", "--mu", "0.272", "--kind", "neither")
+        assert code == EXIT_USAGE and out == ""
+        assert run(capsys, *self.EXACT) == first
+
+    def test_parser_is_built_once_per_process(self, capsys, added):
+        run(capsys, *self.EXACT)
+        per_build = len(added)
+        assert per_build > 50  # the whole tree: every subcommand's arguments
+        run(capsys, *self.EXACT)
+        run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05")
+        assert len(added) == per_build
+
+    def test_build_parser_returns_a_new_parser_each_call(self, added):
+        first = build_parser()
+        per_build = len(added)
+        assert build_parser() is not first and len(added) == 2 * per_build
+
+    @pytest.mark.parametrize("argv", [("--help",), ("exact", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK and out.startswith("usage: wbcsim")
 
 
 class TestOutputFiles:

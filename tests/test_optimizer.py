@@ -216,6 +216,13 @@ class TestMMinTable:
         assert table == self.first_crossings(mu, lam, p_target, m_lo, m_hi)
 
 
+@pytest.mark.slow
+def test_smallest_advertised_target_up_to_m_15000():
+    # the 1e-30 target: about 4 s on certified windows, where whole rows took 13-19 s
+    table = m_min_table(MU, LAM, 1e-30, 1, 15000)
+    assert table == {"no-faulty": 7492, "s-faulty": 7492, "r0-faulty": 11927, "overall": 11927}
+
+
 class TestBlocks:
     @pytest.fixture
     def blocks(self, monkeypatch):
@@ -235,7 +242,10 @@ class TestBlocks:
         for cfg in AdversaryConfig:
             runs = [ms for name, ms in blocks if name is cfg]
             assert [m for ms in runs for m in ms] == list(range(m_lo, m_hi + 1))
-            assert all(len(ms) * max(ms) <= _BLOCK_ELEMENTS for ms in runs)
+            # float rows span windows of at most _row_width entries, not m
+            assert all(len(ms) * analytics._row_width(max(ms)) <= _BLOCK_ELEMENTS for ms in runs)
+        if m_lo > 1000:
+            assert max(map(len, runs)) > 1  # large-m blocks hold several rows
 
     @pytest.mark.parametrize(
         "p_target,seen", [(0.05, {280, 289, NOT_FOUND, OUTSIDE_REGION}), (0.5, {100, OUTSIDE_REGION})]
