@@ -26,8 +26,11 @@ and continued by a cumulative sum of these positive terms. `exact=` only
 chooses the backend of pmf, cdf and sf primitives it runs on:
 
 - exact rationals, ground truth for the test oracles: integer numerators
-  summed into one Fraction per element. The cdf and sf sum each element
-  on its own, so they are also the recurrence's element-wise reference;
+  over one 2^a 3^b 5^c denominator per array (`_Smooth`), which every q
+  here (1/2, 1/3, 1/6, 2/5) and every 2^-Q divides, so nothing is reduced
+  until a report's one Fraction. The pmf walks rows with exact integer
+  steps, C(n+1, k) = C(n, k)(n+1)/(n+1-k) along n and C(m, j+1) =
+  C(m, j)(m-j)/(j+1) along the weight's count; cdf and sf sum such walks;
 - floats: `bdtr`/`bdtrc` anchors and a pmf read from a cached `gammaln`
   log-factorial table, O(1) per element, where a `bdtr`/`bdtrc` per
   element costs an incomplete beta.
@@ -98,17 +101,101 @@ class FailureReport:
             raise ValueError(f"failure probability {self.value} outside [0, 1]")
 
 
-def _exact_terms(ks: range, n: int, q: Fraction) -> Fraction:
-    """sum over k in ks of P(X = k) for X ~ Binom(n, q), as one Fraction."""
-    a, b = q.numerator, q.denominator
-    return Fraction(sum(math.comb(n, k) * a**k * (b - a) ** (n - k) for k in ks), b**n)
+@functools.lru_cache(maxsize=256)
+def _power(e: tuple[int, int, int], less=(0, 0, 0)) -> int:
+    """2^a * 3^b * 5^c for (a, b, c) = e - less."""
+    return 2 ** (e[0] - less[0]) * 3 ** (e[1] - less[1]) * 5 ** (e[2] - less[2])
 
 
-def _exact_pmf(k: int, n: int, q: Fraction):
-    """P(X = k), 0 outside 0 <= k <= n: one term of `_exact_terms`, built
-    without its range and sum, as the recurrence calls it per element."""
-    a, b = q.numerator, q.denominator
-    return Fraction(math.comb(n, k) * a**k * (b - a) ** (n - k), b**n) if 0 <= k <= n else 0
+_EXPONENTS = {2: (1, 0, 0), 3: (0, 1, 0), 5: (0, 0, 1), 6: (1, 1, 0)}  # of the q denominators
+
+
+class _Smooth(np.lib.mixins.NDArrayOperatorsMixin):
+    """Exact rationals: Python-int numerators `num` over one 2^a 3^b 5^c per array, e = (a, b, c).
+    Sums, differences and minima raise both operands to the larger exponents, products add them, and
+    the rest acts on `num`, so no gcd runs. Assigning may rescale `num`, so it need not reach a view's base."""
+
+    def __init__(self, num, e=(0, 0, 0)):
+        self.num, self.e = np.asarray(num, dtype=object), e
+
+    def item(self) -> Fraction:
+        return Fraction(self.num.item(), _power(self.e))
+
+    def __getitem__(self, index):
+        return _Smooth(self.num[index], self.e)
+
+    def __setitem__(self, index, value):
+        self.e, (self.num, num) = _aligned(self, value)
+        self.num[index] = num
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc is np.power:  # integer exponents p >= 0, over the base's denominator^max(p)
+            x, p = inputs[0], np.asarray(inputs[1], dtype=object)
+            return _Smooth(x.num**p * _power(x.e) ** (p.max() - p), tuple(p.max() * a for a in x.e))
+        if ufunc is np.multiply:
+            x, y = map(_lift, inputs)
+            return _Smooth(x.num * y.num, tuple(a + b for a, b in zip(x.e, y.e)))
+        if ufunc in (np.add, np.subtract, np.minimum):
+            e, nums = _aligned(*inputs)
+            return _Smooth(ufunc(*nums), e)
+        return NotImplemented
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.where:
+            e, nums = _aligned(*args[1:])
+            return _Smooth(np.where(args[0], *nums), e)
+        if func in (np.cumsum, np.sum):
+            return _Smooth(func(args[0].num, *args[1:], **kwargs), args[0].e)
+        return NotImplemented
+
+
+def _lift(x) -> _Smooth:
+    return x if isinstance(x, _Smooth) else _Smooth(x)
+
+
+def _aligned(*values):
+    """The larger exponents of the values, and their numerators over them."""
+    values = [_lift(x) for x in values]
+    e = tuple(map(max, *(x.e for x in values)))
+    return e, [x.num if x.e == e else x.num * _power(e, x.e) for x in values]
+
+
+def _walk(ks, ns, q: Fraction, top: int) -> list[int]:
+    """Numerators of P(X = k), X ~ Binom(n, q) and q = a/d, over d^top along
+    paired sequences of k and n: a step to n + 1 at one k multiplies by
+    (n+1)(d-a) / ((n+1-k) d), one to k - 1 at one n by k(d-a) / ((n-k+1) a)."""
+    a, d = q.numerator, q.denominator
+    num, last_k, last_n = [], -2, -2
+    for k, n in zip(ks, ns):
+        if not 0 <= k <= n:
+            num.append(0)
+            last_k = -2
+            continue
+        if k == last_k and n == last_n + 1:
+            c = c * (n * (d - a)) // ((n - k) * d)
+        elif k == last_k - 1 and n == last_n:
+            c = c * ((k + 1) * (d - a)) // ((n - k) * a)
+        else:
+            c = math.comb(n, k) * a**k * (d - a) ** (n - k) * d ** (top - n)
+        last_k, last_n = k, n
+        num.append(c)
+    return num
+
+
+def _exact(k, n, q: Fraction, tail=None) -> _Smooth:
+    """P(X = k), one `_walk` over the broadcast k and n in row order (tails step n at one k, weights k
+    at one n); or with tail "sf" or "cdf", P(X > k) or P(X <= k), each a walk down k from n or min(k, n)."""
+    shape = np.broadcast(k, n).shape  # k and n differ at most in a last axis of length 1
+    ks, ns = (x.repeat(shape[-1] // x.shape[-1], axis=-1).ravel().tolist() for x in (k, n))
+    top = max(max(ns), 0)
+    if tail is None:
+        num = _walk(ks, ns, q, top)
+    else:
+        runs = (range(n_, max(k_, -1), -1) if tail == "sf" else range(min(k_, n_), -1, -1) for k_, n_ in zip(ks, ns))
+        num = [sum(_walk(run, [n_] * len(run), q, top)) for run, n_ in zip(runs, ns)]
+    return _Smooth(np.array(num, dtype=object).reshape(shape), tuple(top * a for a in _EXPONENTS[q.denominator]))
 
 
 @functools.cache
@@ -139,11 +226,9 @@ def _float_pmf(k, n, q: Fraction):
 
 class _Binomial(NamedTuple):
     """X ~ Binom(n, q) primitives over integer arrays k and n, plus the
-    backend's scalar type; `exact=` chooses only between two of these:
+    backend's value of a Fraction; `exact=` chooses only between two of these:
     - pmf(k, n, q): P(X = k), 0 outside 0 <= k <= n;
     - cdf/sf(k, n, q): P(X <= k) and P(X > k) for n >= 0 and any k.
-    The exact cdf/sf sum each element's pmfs on their own: they anchor the
-    one fixed-k recurrence (`_tail`) and are its element-wise reference.
     """
 
     pmf: Callable
@@ -153,10 +238,10 @@ class _Binomial(NamedTuple):
 
 
 _EXACT = _Binomial(
-    pmf=np.frompyfunc(_exact_pmf, 3, 1),
-    cdf=np.frompyfunc(lambda k, n, q: _exact_terms(range(min(k, n) + 1), n, q), 3, 1),
-    sf=np.frompyfunc(lambda k, n, q: _exact_terms(range(max(k + 1, 0), n + 1), n, q), 3, 1),
-    scalar=Fraction,
+    pmf=_exact,
+    cdf=functools.partial(_exact, tail="cdf"),
+    sf=functools.partial(_exact, tail="sf"),
+    scalar=lambda q: _Smooth(q.numerator, _EXPONENTS[q.denominator]),
 )
 # bdtr gives nan for k outside [0, n] and bdtrc for k > n; there the tail is 0 or 1
 _FLOAT = _Binomial(
@@ -185,14 +270,10 @@ def _tail(b: _Binomial, k, n, q: Fraction, valid, upper: bool):
     return np.cumsum(np.where(valid, terms, 0)[:, ::-1], axis=1)[:, ::-1]
 
 
-def _backend(exact: bool) -> _Binomial:
-    return _EXACT if exact else _FLOAT
-
-
 def _at_most_one(values):
     """Float sums of terms that add up to 1 can round just above it, so
     bounds are capped at 1 (never binding on rationals)."""
-    return np.minimum(values, 1.0)
+    return np.minimum(values, 1)
 
 
 def _no_faulty_rows(m, T, Q, b: _Binomial):
@@ -239,7 +320,7 @@ def _s_rows(m, T, Q, b: _Binomial, z=None):
     l1_tails = _tail(b, T - Q - 1, n, _HALF, valid, upper=False) + _tail(b, Q - 1, n, _HALF, valid, upper=False)
     dom = np.sum(w * (1 - l1_tails), axis=1)
     out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails, axis=1)
-    two_to_minus_q = np.array([b.scalar(_HALF**q) for q in Q.tolist()])
+    two_to_minus_q = b.scalar(_HALF) ** Q
     lower = dom * two_to_minus_q
     # a left-out entry adds at most its weight to UPPER and 2^-Q times it to LOWER
     return _at_most_one(lower), _at_most_one(lower + out + left_out), left_out * two_to_minus_q, left_out
@@ -297,7 +378,7 @@ def _report_rows(cfg: AdversaryConfig, rows, exact: bool = False) -> dict[BoundK
     The formulas are looked up as module globals on each call, so a wrapper
     set on this module's attribute (a tracer, a test spy) sees every call.
     """
-    b, columns = _backend(exact), np.asarray(rows).T
+    b, columns = _EXACT if exact else _FLOAT, np.asarray(rows).T
     if cfg is AdversaryConfig.NO_FAULTY:
         return {BoundKind.EXACT: _no_faulty_rows(*columns, b)}
     formula = _s_rows if cfg is AdversaryConfig.S_FAULTY else _r_rows
@@ -308,9 +389,8 @@ def _report_rows(cfg: AdversaryConfig, rows, exact: bool = False) -> dict[BoundK
 def failure_reports(cfg: AdversaryConfig, p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, ...]:
     """A configuration's reports at one p: (EXACT,) with no faulty
     component, (LOWER, UPPER) otherwise. A one-row view of the formulas."""
-    scalar = _backend(exact).scalar
     values = _report_rows(cfg, [(p.m, p.T, p.Q)], exact)
-    return tuple(FailureReport(cfg, kind, scalar(v[0]), p) for kind, v in values.items())
+    return tuple(FailureReport(cfg, kind, v.item(), p) for kind, v in values.items())
 
 
 def pf_no_faulty_exact(p: ProtocolParams, exact: bool = False) -> FailureReport:

@@ -1,10 +1,12 @@
 """Tests for the analytic failure probability formulas."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wbcsim.analytics as analytics
 from wbcsim.analytics import (
@@ -15,10 +17,12 @@ from wbcsim.analytics import (
     BoundKind,
     FailureReport,
     _certified,
+    _power,
     _r_rows,
     _report_rows,
     _row_width,
     _s_rows,
+    _Smooth,
     _tail,
     _window,
     failure_reports,
@@ -41,6 +45,12 @@ def params(mu, lam, m):
 
 def all_reports(p, exact):
     return [pf_no_faulty_exact(p, exact), *pf_S_bounds(p, exact), *pf_R_bounds(p, exact)]
+
+
+def fractions(values):
+    """An exact backend array as an object array of Fractions."""
+    denominator = _power(values.e)
+    return np.array([Fraction(v, denominator) for v in values.num.flat], dtype=object).reshape(values.num.shape)
 
 
 class TestNoFaulty:
@@ -196,7 +206,7 @@ class TestWindows:
         for mu, lam in (("0.272", "0.94"), ("0.1", "0.6")):
             rows = block(mu, lam, (150, 300))
             for formula in FORMULAS:
-                exact = [np.array([float(v) for v in values]) for values in formula(*rows.T, _EXACT)[:2]]
+                exact = [fractions(values).astype(float) for values in formula(*rows.T, _EXACT)[:2]]
                 tol = 1e-12 * np.maximum(exact[0], exact[1])  # float rounding at m <= 300
                 for z in (1.0, 3.0, 6.0):
                     lower, upper, lower_cert, upper_cert = formula(*rows.T, _FLOAT, np.full(len(rows), z))
@@ -214,17 +224,21 @@ class TestWindows:
                 assert np.all(np.abs(windowed - whole) <= 2e-15 * rows[:, 0] * whole)
 
     @pytest.mark.parametrize(
-        "m",
+        "mu,lam,m",
         [
-            2000,
-            pytest.param(4000, marks=pytest.mark.slow),
-            pytest.param(8000, marks=pytest.mark.slow),
-            pytest.param(12000, marks=pytest.mark.slow),
+            pytest.param("0.272", "0.94", 2000, id="2000"),
+            pytest.param("0.272", "0.94", 4000, id="4000"),
+            pytest.param("0.272", "0.94", 8000, id="8000", marks=pytest.mark.slow),
+            pytest.param("0.272", "0.94", 12000, id="12000", marks=pytest.mark.slow),
+            pytest.param("0.3", "0.8", 2000, id="0.3-0.8-2000"),
+            pytest.param("0.3", "0.8", 4000, id="0.3-0.8-4000"),
+            pytest.param("0.3", "0.8", 8000, id="0.3-0.8-8000", marks=pytest.mark.slow),
+            pytest.param("0.3", "0.8", 12000, id="0.3-0.8-12000", marks=pytest.mark.slow),
         ],
     )
-    def test_windowed_bounds_bracket_the_exact_backend(self, m):
+    def test_windowed_bounds_bracket_the_exact_backend(self, mu, lam, m):
         # UPPER never below, LOWER never above the exact rationals, beyond float rounding
-        p = params("0.272", "0.94", m)
+        p = params(mu, lam, m)
         tol = 2e-15 * m
         for cfg in (S_FAULTY, R0_FAULTY):
             lower, upper = (v[0] for v in _report_rows(cfg, [(p.m, p.T, p.Q)]).values())
@@ -234,10 +248,16 @@ class TestWindows:
 
 
 def element_wise_tail(k, n, q, valid, upper):
-    """The fixed-k tail with each element summed on its own by the exact
-    cdf/sf (n < 0 counts as 0): the reference for the recurrence."""
-    tail = _EXACT.sf if upper else _EXACT.cdf
-    return np.where(valid, tail(k[:, None], np.maximum(n, 0), q), 0)
+    """The fixed-k tail with each element summed on its own from math.comb
+    in Fractions (n < 0 counts as 0): the reference for the recurrence."""
+
+    def tail(k, n):
+        n = max(n, 0)
+        ks = range(max(k + 1, 0), n + 1) if upper else range(min(k, n) + 1)
+        return sum((math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in ks), Fraction(0))
+
+    rows = zip(k.tolist(), n.tolist(), valid.tolist())
+    return np.array([[tail(k_, n_) if v else Fraction(0) for n_, v in zip(ns, vs)] for k_, ns, vs in rows], dtype=object)
 
 
 # (k, first n, last valid n) per row, as the bound formulas build them
@@ -269,13 +289,74 @@ class TestTail:
         if upper:
             n = n - min(0, n.min())  # the upper tails' n runs over T..m
         want = element_wise_tail(k, n, q, valid, upper)
-        got = _tail(_EXACT, k, n, q, valid, upper)
+        got = fractions(_tail(_EXACT, k, n, q, valid, upper))
         assert got.shape == want.shape
         assert all(isinstance(g, Fraction) for g in got[valid])
         assert all(g == w for g, w in zip(got.flat, want.flat))
         approx = _tail(_FLOAT, k, n, q, valid, upper)
         assert approx.dtype == np.float64
         assert np.allclose(approx, want.astype(float), rtol=1e-14, atol=0)
+
+
+# sha256 of str() of every exact report, one per line, at m = 1..60 for four
+# (mu, lambda) pairs and at m = 280, 400 and 1000 for (0.272, 0.94): the
+# values the Fraction-per-element backend computed before integer numerators
+# over one denominator per array replaced it
+EXACT_REPORTS_SHA256 = "d32bc3eafdd9b37482686c7a67108ca46fb3a7517b691bd76ae708ffa9c48477"
+
+@st.composite
+def smooth_arrays(draw, shape):
+    """A _Smooth array of the shape, numerators over 2^a 3^b 5^c, and the
+    same values as Fractions."""
+    size = math.prod(shape)
+    num = np.array(draw(st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size)), dtype=object)
+    values = _Smooth(num.reshape(shape), draw(st.tuples(*[st.integers(0, 40)] * 3)))
+    return values, fractions(values)
+
+
+class TestExactBackend:
+    def test_exact_reports_are_pinned(self):
+        cases = [(mu, lam, m) for mu, lam in (("0.3", "0.8"), ("0.272", "0.94"), ("0.25", "0.9"), ("0.1", "0.6")) for m in range(1, 61)]
+        cases += [("0.272", "0.94", m) for m in (280, 400, 1000)]
+        digest, count = hashlib.sha256(), 0
+        for mu, lam, m in cases:
+            for cfg in AdversaryConfig:
+                for report in failure_reports(cfg, params(mu, lam, m), exact=True):
+                    assert isinstance(report.value, Fraction)
+                    digest.update(f"{report}\n".encode())
+                    count += 1
+        assert count == 1215 and digest.hexdigest() == EXACT_REPORTS_SHA256
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 5))
+    def test_operations_match_fraction_arrays(self, data, rows, cols):
+        # mixed shapes broadcast as the formulas' (N, 1) and (N, L) operands do
+        x, fx = data.draw(smooth_arrays((rows, cols)))
+        y, fy = data.draw(smooth_arrays(data.draw(st.sampled_from([(rows, cols), (rows, 1), (1, cols), ()]))))
+        condition = np.array(data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        for got, want in (
+            (x + y, fx + fy),
+            (x - y, fx - fy),
+            (x * y, fx * fy),
+            (1 - x, 1 - fx),
+            (np.minimum(x, 1), np.minimum(fx, 1)),
+            (np.where(condition, x, y), np.where(condition, fx, fy)),
+            (np.where(condition, x, 0), np.where(condition, fx, 0)),
+            (np.cumsum(x, axis=1), np.cumsum(fx, axis=1)),
+            (np.sum(x, axis=1), np.sum(fx, axis=1)),
+            (x[:, ::-1], fx[:, ::-1]),
+            (x[np.arange(rows), cols - 1], fx[np.arange(rows), cols - 1]),
+        ):
+            assert got.num.shape == np.shape(want) and all(g == w for g, w in zip(fractions(got).flat, np.ravel(want)))
+        # item assignment of values over other exponents, as `_tail` sets its anchors
+        column, z, fz = data.draw(st.integers(0, cols - 1)), *data.draw(smooth_arrays((rows,)))
+        x[:, column], fx[:, column] = z, fz
+        assert all(g == w for g, w in zip(fractions(x).flat, fx.flat))
+
+    @given(st.lists(st.integers(0, 200), min_size=1, max_size=6), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(2, 5)]))
+    def test_powers_match_fractions(self, q_exponents, q):
+        got = fractions(_EXACT.scalar(q) ** np.array(q_exponents))
+        assert list(got) == [q**p for p in q_exponents]
 
 
 class TestBruteForceOracle:
