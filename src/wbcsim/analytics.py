@@ -110,7 +110,7 @@ def _power(e: tuple[int, int, int], less=(0, 0, 0)) -> int:
 _EXPONENTS = {2: (1, 0, 0), 3: (0, 1, 0), 5: (0, 0, 1), 6: (1, 1, 0)}  # of the q denominators
 
 
-class _Smooth(np.lib.mixins.NDArrayOperatorsMixin):
+class _Smooth:
     """Exact rationals: Python-int numerators `num` over one 2^a 3^b 5^c per array, e = (a, b, c).
     Sums, differences and minima raise both operands to the larger exponents, products add them, and
     the rest acts on `num`, so no gcd runs. Assigning may rescale `num`, so it need not reach a view's base."""
@@ -135,12 +135,18 @@ class _Smooth(np.lib.mixins.NDArrayOperatorsMixin):
             x, p = inputs[0], np.asarray(inputs[1], dtype=object)
             return _Smooth(x.num**p * _power(x.e) ** (p.max() - p), tuple(p.max() * a for a in x.e))
         if ufunc is np.multiply:
-            x, y = map(_lift, inputs)
+            x, y = (v if isinstance(v, _Smooth) else _Smooth(v) for v in inputs)
             return _Smooth(x.num * y.num, tuple(a + b for a, b in zip(x.e, y.e)))
         if ufunc in (np.add, np.subtract, np.minimum):
             e, nums = _aligned(*inputs)
             return _Smooth(ufunc(*nums), e)
         return NotImplemented
+
+    __add__ = __radd__ = lambda x, y: x.__array_ufunc__(np.add, "__call__", x, y)  # skips numpy's dispatch
+    __sub__ = lambda x, y: x.__array_ufunc__(np.subtract, "__call__", x, y)
+    __rsub__ = lambda x, y: x.__array_ufunc__(np.subtract, "__call__", y, x)
+    __mul__ = __rmul__ = lambda x, y: x.__array_ufunc__(np.multiply, "__call__", x, y)
+    __pow__ = lambda x, y: x.__array_ufunc__(np.power, "__call__", x, y)
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.where:
@@ -151,35 +157,30 @@ class _Smooth(np.lib.mixins.NDArrayOperatorsMixin):
         return NotImplemented
 
 
-def _lift(x) -> _Smooth:
-    return x if isinstance(x, _Smooth) else _Smooth(x)
-
-
 def _aligned(*values):
-    """The larger exponents of the values, and their numerators over them."""
-    values = [_lift(x) for x in values]
-    e = tuple(map(max, *(x.e for x in values)))
-    return e, [x.num if x.e == e else x.num * _power(e, x.e) for x in values]
+    """The larger exponents of the values (ints have none), and their numerators over them."""
+    es = [v.e for v in values if isinstance(v, _Smooth)]
+    e = tuple(map(max, *es)) if len(es) > 1 else es[0]
+    nums = [v * _power(e) if isinstance(v, int) else v.num if v.e == e else v.num * _power(e, v.e) for v in values]
+    return e, nums
 
 
 def _walk(ks, ns, q: Fraction, top: int) -> list[int]:
     """Numerators of P(X = k), X ~ Binom(n, q) and q = a/d, over d^top along
     paired sequences of k and n: a step to n + 1 at one k multiplies by
-    (n+1)(d-a) / ((n+1-k) d), one to k - 1 at one n by k(d-a) / ((n-k+1) a)."""
-    a, d = q.numerator, q.denominator
+    (n+1)b / ((n+1-k) d), one to k - 1 at one n by kb / ((n-k+1) a), b = d - a."""
+    a, b, d = q.numerator, q.denominator - q.numerator, q.denominator
     num, last_k, last_n = [], -2, -2
     for k, n in zip(ks, ns):
         if not 0 <= k <= n:
-            num.append(0)
-            last_k = -2
-            continue
-        if k == last_k and n == last_n + 1:
-            c = c * (n * (d - a)) // ((n - k) * d)
+            c = 0
+        elif k == last_k and n == last_n + 1:
+            c = c * (n * b) // ((n - k) * d)
         elif k == last_k - 1 and n == last_n:
-            c = c * ((k + 1) * (d - a)) // ((n - k) * a)
+            c = c * ((k + 1) * b) // ((n - k) * a)
         else:
-            c = math.comb(n, k) * a**k * (d - a) ** (n - k) * d ** (top - n)
-        last_k, last_n = k, n
+            c = math.comb(n, k) * a**k * b ** (n - k) * d ** (top - n)
+        last_k, last_n = (k, n) if c else (-2, -2)  # c is 0 only outside 0 <= k <= n
         num.append(c)
     return num
 
@@ -188,13 +189,10 @@ def _exact(k, n, q: Fraction, tail=None) -> _Smooth:
     """P(X = k), one `_walk` over the broadcast k and n in row order (tails step n at one k, weights k
     at one n); or with tail "sf" or "cdf", P(X > k) or P(X <= k), each a walk down k from n or min(k, n)."""
     shape = np.broadcast(k, n).shape  # k and n differ at most in a last axis of length 1
-    ks, ns = (x.repeat(shape[-1] // x.shape[-1], axis=-1).ravel().tolist() for x in (k, n))
+    ks, ns = (x.ravel().tolist() if x.shape == shape else x.repeat(shape[-1], axis=-1).ravel().tolist() for x in (k, n))
     top = max(max(ns), 0)
-    if tail is None:
-        num = _walk(ks, ns, q, top)
-    else:
-        runs = (range(n_, max(k_, -1), -1) if tail == "sf" else range(min(k_, n_), -1, -1) for k_, n_ in zip(ks, ns))
-        num = [sum(_walk(run, [n_] * len(run), q, top)) for run, n_ in zip(runs, ns)]
+    runs = (range(n_, max(k_, -1), -1) if tail == "sf" else range(min(k_, n_), -1, -1) for k_, n_ in zip(ks, ns))
+    num = _walk(ks, ns, q, top) if tail is None else [sum(_walk(r, [n_] * len(r), q, top)) for r, n_ in zip(runs, ns)]
     return _Smooth(np.array(num, dtype=object).reshape(shape), tuple(top * a for a in _EXPONENTS[q.denominator]))
 
 
