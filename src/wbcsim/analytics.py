@@ -223,8 +223,8 @@ def _float_pmf(k, n, q: Fraction):
 
 
 class _Binomial(NamedTuple):
-    """X ~ Binom(n, q) primitives over integer arrays k and n, plus the
-    backend's value of a Fraction; `exact=` chooses only between two of these:
+    """X ~ Binom(n, q) primitives over integer arrays k and n, plus `scalar`,
+    the backend's value of a Fraction; `exact=` chooses only between two of these:
     - pmf(k, n, q): P(X = k), 0 outside 0 <= k <= n;
     - cdf/sf(k, n, q): P(X <= k) and P(X > k) for n >= 0 and any k.
     """
