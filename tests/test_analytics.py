@@ -304,6 +304,7 @@ class TestTail:
 # over one denominator per array replaced it
 EXACT_REPORTS_SHA256 = "d32bc3eafdd9b37482686c7a67108ca46fb3a7517b691bd76ae708ffa9c48477"
 
+
 @st.composite
 def smooth_arrays(draw, shape):
     """A _Smooth array of the shape, numerators over 2^a 3^b 5^c, and the
