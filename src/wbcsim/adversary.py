@@ -21,12 +21,13 @@ import numpy as np
 from .protocol import (
     AdversaryConfig,
     ProtocolParams,
+    _achieved,
     _block_rows,
-    _failed,
     _ks,
     _mask,
     _one_row,
     _reason,
+    _run_rows,
     _view,
     _zeta_R_rows,
     _zeta_S_rows,
@@ -74,8 +75,8 @@ class StrategyR:
 
 def _strategy_view(zeta_rows, l: LocalCountListS, p: ProtocolParams, kind: type):
     local = (l.l1, l.l2, l.l3)
-    ood, ks = zeta_rows(np.array([local]), p)
-    return DomainVerdict(False, _reason(ood[0], local, p)) if ood[0] else kind(*ks[0].tolist())
+    ood, ks = zeta_rows(np.array(local)[:, None], p)
+    return DomainVerdict(False, _reason(ood[0], local, p)) if ood[0] else kind(*ks[:, 0].tolist())
 
 
 def zeta_S(l: LocalCountListS, p: ProtocolParams) -> Union[StrategyS, DomainVerdict]:
@@ -99,7 +100,7 @@ def zeta_R(l: LocalCountListR, p: ProtocolParams) -> Union[StrategyR, DomainVerd
 def local_counts_R(event: Event, sigma0: frozenset[int], x_s: int = 0) -> LocalCountListR:
     """R0's local count list (0011, XX10, XX0X) after receiving sigma0."""
     view = _view(AdversaryConfig.R0_FAULTY, _one_row(event), x_s, _mask(sigma0, event.m))
-    return LocalCountListR(*view.sizes[0].tolist())
+    return LocalCountListR(*view.sizes[:, 0].tolist())
 
 
 # Event probabilities are integer numerators over _DENOMINATOR**m.
@@ -126,9 +127,9 @@ def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
 
 def _strategy_ks(cfg: AdversaryConfig, counts: np.ndarray) -> np.ndarray:
     """Every k-vector that draws at most the available indices per class,
-    one per row."""
+    class-major: one strategy per column."""
     check_sets = 2 if cfg is AdversaryConfig.S_FAULTY else 1
-    return np.array(list(itertools.product(*[range(b + 1) for b in counts] * check_sets)))
+    return np.array(list(itertools.product(*[range(b + 1) for b in counts] * check_sets))).T
 
 
 def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]:
@@ -136,7 +137,7 @@ def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, 
     group is its rows' codes, in itertools.product order, with their
     probability numerators over 12^m."""
     blocks = list(_event_blocks(m))
-    sizes = np.concatenate([_view(cfg, codes).sizes for codes, _ in blocks])
+    sizes = np.concatenate([_view(cfg, codes).sizes for codes, _ in blocks], axis=1).T
     codes, nums = (np.concatenate(parts) for parts in zip(*blocks))
     keys, group = np.unique(sizes, axis=0, return_inverse=True)
     group = group.reshape(-1)
@@ -144,23 +145,26 @@ def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, 
 
 
 def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray, ks: np.ndarray):
-    """Failed weight numerator of each strategy (a row of ks) on one group's
-    rows. Each strategy is paired with every row; the pairs run through the
-    engine a few strategies at a time, so no block exceeds its size."""
-    n = len(codes)
-    per = max(1, _block_rows(codes.shape[1]) // n)
-    weights = []
-    for lo in range(0, len(ks), per):
-        chunk = ks[lo : lo + per]
-        failed = _failed(cfg, p, np.tile(codes, (len(chunk), 1)), ks=np.repeat(chunk, n, axis=0))
-        weights.append(failed.reshape(len(chunk), n) @ nums)
-    return np.concatenate(weights)
+    """Failed weight numerator of each strategy (a column of the class-major
+    ks) on one group's rows. Each block of rows is ranked once; the
+    strategies then run on it through the engine a few at a time, so no
+    block exceeds its size."""
+    step = _block_rows(codes.shape[1])
+    weights = np.zeros(ks.shape[1], np.int64)
+    for lo in range(0, len(codes), step):
+        block = codes[lo : lo + step]
+        view = _view(cfg, block)
+        per = max(1, step // len(block))
+        for k in range(0, ks.shape[1], per):
+            rows = _run_rows(block, p, cfg, 0, ks[:, k : k + per, None], view)
+            weights[k : k + per] += ~_achieved(cfg, 0, rows.y0, rows.y1) @ nums[lo : lo + step]
+    return weights
 
 
 def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray) -> int:
     """The largest failed weight numerator any strategy reaches on one
     local count list group (exhaustive enumeration of k-vectors)."""
-    ks = _strategy_ks(cfg, _view(cfg, codes[:1]).sizes[0])
+    ks = _strategy_ks(cfg, _view(cfg, codes[:1]).sizes[:, 0])
     return int(_failed_weights(cfg, p, codes, nums, ks).max())
 
 

@@ -127,7 +127,15 @@ def _cmd_simulate(args) -> int:
         r = montecarlo.estimate_pf(cfg, _params_from(args, m), args.trials, args.seed, jobs=args.jobs)
         rows.append([m, cfg.value, r.n_trials, repr(r.estimate), repr(r.stderr), r.seed])
     _emit_table(["m", "config", "N", "estimate", "stderr", "seed"], rows, args)
-    _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "m": args.m, "trials": args.trials, "seed": args.seed})
+    manifest = {
+        "mu": args.mu,
+        "lambda": args.lam,
+        "m": args.m,
+        "config": args.config,
+        "trials": args.trials,
+        "seed": args.seed,
+    }
+    _write_manifest(args, manifest)
     return EXIT_OK
 
 

@@ -10,6 +10,16 @@ The phases are written once, in an array engine that runs them on every row
 of an (N, m) matrix of outcome codes, one Event per row. Monte-Carlo and the
 exhaustive oracles feed it blocks of rows; `run_protocol` and the public
 phase functions are views of it on a single row.
+
+The engine ranks and counts a block in one pass each. The faulty party's
+view packs its three classes into fields of w bits, one int64 running sum
+over the flattened block holding every class rank of every row, less each
+row's start (`_view`). The lowest k_c indices of each class come from one
+biased subtract-and-mask on that sum (`_lowest`). The per-Event counts of
+the check and cross-check phases are one matrix-vector product per mask
+(`_counts`). The width w is one more than m's bit length; past m = 2^20,
+where three fields no longer fit in int64, the same code runs on Python ints
+in object arrays.
 """
 
 from __future__ import annotations
@@ -161,8 +171,9 @@ class Transcript:
 # 1 for bits, _ABORT for ABORT.
 
 _ABORT = 2
-_R0_BITS = np.array(R0_BIT, np.int8)
-_R1_BITS = np.array(R1_BIT, np.int8)
+# Each receiver's bit of every outcome code as a bit table: bit `code` of
+# _R0_BITS is R0's bit at an index with that code.
+_R0_BITS, _R1_BITS = (np.int8(sum(bit << code for code, bit in enumerate(bits))) for bits in (R0_BIT, R1_BIT))
 _S_CLASSES = np.array(S_CLASS, np.int8)
 # R0's class of each index, for x_S = 0 and 1, at code + 6 * (index in
 # sigma0): XX0X (2) where R0 measured x_S, otherwise 0011 (0) if S vouched
@@ -183,24 +194,24 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_ELEMENTS // m)
 
 
-class _Ranked(NamedTuple):
-    """One party's view of each row, by its three classes c: member[c] marks
-    the indices of class c, rank[c] counts them up to and including each
-    index (the lowest member has rank 1), and sizes[:, c] is the class size.
-    The sizes are the party's local count lists."""
-
-    member: np.ndarray
-    rank: np.ndarray
-    sizes: np.ndarray
+def _bits(table: np.int8, codes: np.ndarray) -> np.ndarray:
+    """A receiver's bit at every index, read from its bit table."""
+    return (table >> codes) & 1
 
 
-def _lowest(view: _Ranked, ks: np.ndarray, names) -> np.ndarray:
-    """Mask of the lowest ks[r, c] indices of each class c in each row r."""
-    bad = (ks < 0) | (ks > view.sizes)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise ValueError(f"strategy requests {ks[r, c]} indices from class {names[c]} of size {view.sizes[r, c]}")
-    return (view.member & (view.rank <= ks.T[:, :, None])).any(axis=0)
+def _counts(mask: np.ndarray) -> np.ndarray:
+    """Members of each row of a (..., m) boolean mask, as one float64
+    matrix-vector product over the block (exact, since m < 2^53)."""
+    return mask.astype(np.float64) @ np.ones(mask.shape[-1])
+
+
+def _fields(m: int) -> tuple[int, np.ndarray]:
+    """The field width w for Events of length m, and each class c's packed
+    unit 1 << (w * c). With w one more than m's bit length, 2^(w - 1)
+    exceeds m; the units are int64 while three fields fit in its 63 value
+    bits (m < 2^20), Python ints in an object array past that."""
+    w = m.bit_length() + 1
+    return w, np.array([1 << (w * c) for c in range(3)], np.int64 if 3 * w <= 63 else object)
 
 
 def _honest_sigma(codes: np.ndarray, x_s: int) -> np.ndarray:
@@ -209,25 +220,79 @@ def _honest_sigma(codes: np.ndarray, x_s: int) -> np.ndarray:
     return codes == (0 if x_s == 0 else 5)
 
 
-def _r0_classes(codes: np.ndarray, sigma0: np.ndarray, x_s: int) -> np.ndarray:
-    """R0's classes after receiving sigma0: 0011 (class 0) where it measured
-    1 - x_s and S vouched for the index, XX10 (1) where it measured 1 - x_s
-    otherwise, XX0X (2) where it measured x_s."""
-    return np.take(_R0_CLASSES[x_s], codes + 6 * sigma0.view(np.int8))
+def _encode(cfg: AdversaryConfig, codes: np.ndarray, units: np.ndarray, x_s: int = 0, sigma0=None) -> np.ndarray:
+    """The faulty party's class c of each index, as its packed unit
+    units[c]: S's class by its pair; R0's after receiving sigma0 (by default
+    the correct sender's check set), 0011 where it measured 1 - x_s and S
+    vouched for the index, XX10 where it measured 1 - x_s otherwise, XX0X
+    where it measured x_s."""
+    if cfg is AdversaryConfig.S_FAULTY:
+        return np.take(units[_S_CLASSES], codes)
+    if cfg is AdversaryConfig.R0_FAULTY:
+        sigma0 = _honest_sigma(codes, x_s) if sigma0 is None else sigma0
+        return np.take(units[_R0_CLASSES[x_s]], codes + 6 * sigma0.view(np.int8))
+    raise ValueError(f"only a faulty party has a strategy view, not {cfg!r}")
+
+
+class _Ranked(NamedTuple):
+    """One party's view of a block of rows, packed in fields of w bits:
+    field c of cum[r, i] - start[r] counts the indices of class c in row r
+    up to and including index i, so at a class-c index it is the index's
+    rank in its class (the lowest member has rank 1). top[r, i] is the top
+    bit of the index's own field, and sizes[c] the class sizes of every
+    row: the party's local count lists, class-major."""
+
+    cum: np.ndarray
+    start: np.ndarray
+    top: np.ndarray
+    sizes: np.ndarray
+    w: int
 
 
 def _view(cfg: AdversaryConfig, codes: np.ndarray, x_s: int = 0, sigma0: Optional[np.ndarray] = None) -> _Ranked:
-    """The faulty party's ranked classes of each row: S's by its pair, R0's
-    after receiving sigma0 (by default the correct sender's check set)."""
-    if cfg is AdversaryConfig.S_FAULTY:
-        cls = np.take(_S_CLASSES, codes)
-    elif cfg is AdversaryConfig.R0_FAULTY:
-        cls = _r0_classes(codes, _honest_sigma(codes, x_s) if sigma0 is None else sigma0, x_s)
-    else:
-        raise ValueError(f"only a faulty party has a strategy view, not {cfg!r}")
-    member = cls == np.arange(3, dtype=cls.dtype)[:, None, None]
-    rank = np.cumsum(member, axis=2, dtype=np.int32)
-    return _Ranked(member, rank, rank[:, :, -1].T)
+    """The faulty party's ranked classes of each row of a block: one
+    running sum of the packed units over the flattened block, and each
+    row's start in it. An int64 sum may wrap around over a block; a row's
+    own sum stays below 2^63, and the wrap cancels in the difference."""
+    n, m = codes.shape
+    w, units = _fields(m)
+    enc = _encode(cfg, codes, units, x_s, sigma0)
+    cum = np.cumsum(enc.reshape(-1)).reshape(n, m)
+    start = np.zeros(n, cum.dtype)
+    start[1:] = cum[:-1, -1]
+    shifts = np.array([0, w, 2 * w], cum.dtype)[:, None]
+    sizes = (((cum[:, -1] - start) >> shifts) & ((1 << w) - 1)).astype(np.int64)
+    return _Ranked(cum, start, enc << (w - 1), sizes, w)
+
+
+def _lowest(view: _Ranked, ks) -> np.ndarray:
+    """Mask of the lowest ks[c] indices of each class c in each row, for
+    0 <= ks[c] <= m. ks is class-major and each ks[c] broadcasts against
+    the rows: (3, N) holds one strategy per row, (3, K, 1) K strategies for
+    every row, and the mask is then (K, N, m).
+
+    The row start folds into packed(k + bias) = start + sum of
+    (k_c + bias) << (w * c) with bias = 2^(w - 1) > m. Field c of
+    packed - cum is then k_c + bias - rank_c, between 1 and 2^w - 1, so no
+    field borrows from the next, and its top bit is set iff rank_c <= k_c.
+    Each index reads only its own class's top bit."""
+    w = view.w
+    k0, k1, k2 = (np.asarray(k).astype(view.cum.dtype, copy=False) for k in ks)
+    bias = sum(1 << (w * c + w - 1) for c in range(3))
+    packed = view.start + bias + k0 + (k1 << w) + (k2 << (2 * w))
+    return ((packed[..., None] - view.cum) & view.top) != 0
+
+
+def _reject_overdraw(ks: np.ndarray, sizes: np.ndarray, names) -> None:
+    """Raise ValueError if an explicit strategy (class-major counts, one
+    group of three per check set) asks a class for a negative count or for
+    more indices than it holds."""
+    for i, k in enumerate(ks):
+        size = sizes[i % 3]
+        if (k < 0).any() or (k > size).any():
+            bad = (k < 0) | (k > size)
+            k, size = (np.broadcast_to(x, bad.shape)[bad][0] for x in (k, size))
+            raise ValueError(f"strategy requests {k} indices from class {names[i % 3]} of size {size}")
 
 
 # Out-of-domain reasons by the engine's code: zeta_S's first failing
@@ -246,36 +311,38 @@ def _reason(code: int, local, p: ProtocolParams) -> str:
 
 
 def _zeta_S_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """zeta_S on each row's local count list (l1, l2, l3): the reason code
-    and the strategy counts (T-Q, Q, 0; 0, 0, l3), zero outside the domain."""
-    l1, l2, l3 = local.T
-    ood = np.select([p.T - p.Q > l1, p.Q > l2, p.T > l3], [1, 2, 3], 0).astype(np.int8)
-    ks = np.zeros((len(local), 6), np.intp)
-    ks[:, 0], ks[:, 1], ks[:, 5] = p.T - p.Q, p.Q, l3
-    ks[ood != 0] = 0
-    return ood, ks
+    """zeta_S on each row's local count list (l1, l2, l3), class-major: the
+    reason code and the class-major strategy counts (T-Q, Q, 0; 0, 0, l3),
+    zero outside the domain."""
+    l1, l2, l3 = local
+    ood = np.zeros(len(l1), np.int8)
+    for code, fails in ((3, p.T > l3), (2, p.Q > l2), (1, p.T - p.Q > l1)):
+        ood[fails] = code  # the first failing condition is written last
+    ok = (ood == 0).astype(np.int64)
+    zero = np.zeros_like(ok)
+    return ood, np.stack([(p.T - p.Q) * ok, p.Q * ok, zero, zero, zero, l3 * ok])
 
 
 def _zeta_R_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """zeta_R on each row's local count list: the reason code and the
-    strategy counts (0, l2, max(0, T - l2)), zero outside the domain."""
-    l1, l2, _ = local.T
+    """zeta_R on each row's local count list, class-major: the reason code
+    and the class-major strategy counts (0, l2, max(0, T - l2)), zero
+    outside the domain."""
+    l1, l2, _ = local
     ood = np.where(l1 > p.m - p.T, 4, 0).astype(np.int8)
-    ks = np.stack([np.zeros_like(l2), l2, np.maximum(p.T - l2, 0)], axis=1)
-    ks[ood != 0] = 0
-    return ood, ks
+    ok = (ood == 0).astype(np.int64)
+    return ood, np.stack([np.zeros_like(ok), l2 * ok, np.maximum(p.T - l2, 0) * ok])
 
 
 def _ks(strategy) -> np.ndarray:
     """A strategy's counts (an `adversary.StrategyS` or `StrategyR`) as the
-    one-row k array the engine takes."""
-    return np.array([dataclasses.astuple(strategy)])
+    class-major one-row k array the engine takes."""
+    return np.array(dataclasses.astuple(strategy))[:, None]
 
 
 def _check(bits: np.ndarray, x: int, sigma: np.ndarray, T: int) -> np.ndarray:
     """Check phase: accept x iff the check set has at least T indices and
-    the receiver measured the opposite bit at every one of them."""
-    ok = (np.count_nonzero(sigma, axis=1) >= T) & ~(sigma & (bits == x)).any(axis=1)
+    the receiver measured the opposite bit at none of them."""
+    ok = (_counts(sigma) >= T) & (_counts(sigma & (bits == x)) == 0)
     return np.where(ok, x, _ABORT).astype(np.int8)
 
 
@@ -289,15 +356,17 @@ def _cross_check(y_tilde1, y01, rho01, r1_bits, p: ProtocolParams) -> np.ndarray
     integer and T - ceil(lam*T) = Q - 1.
     """
     confused = (y_tilde1 != _ABORT) & (y01 != _ABORT) & (y_tilde1 != y01)
-    inconsistent = np.count_nonzero(rho01 & (r1_bits == y01[:, None]), axis=1)
-    adopt = confused & (np.count_nonzero(rho01, axis=1) >= p.T) & (inconsistent < p.Q)
+    length, ones = _counts(rho01), _counts(rho01 & r1_bits.view(bool))
+    inconsistent = np.where(y01 == 1, ones, length - ones)
+    adopt = confused & (length >= p.T) & (inconsistent < p.Q)
     return np.where(adopt, y01, y_tilde1)
 
 
 class _Rows(NamedTuple):
     """The engine's per-row results. `ood` is 0 in the strategy domain and
     otherwise a `_REASONS` code; the outputs of such a row are
-    meaningless. `local` holds the faulty party's local count lists."""
+    meaningless. `local` holds the faulty party's local count lists,
+    class-major."""
 
     x0: int
     x1: int
@@ -312,26 +381,31 @@ class _Rows(NamedTuple):
     local: Optional[np.ndarray]
 
 
-def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: int, ks=None) -> _Rows:
+def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: int, ks=None, view=None) -> _Rows:
     """Run the four phases on every row of an (N, m) outcome-code matrix.
 
     A faulty party replaces only the messages it controls: a faulty S its
-    invocation, a faulty R0 its check and cross-calling. `ks` holds one
-    explicit strategy per row ((N, 6) counts for a faulty S, (N, 3) for a
-    faulty R0); when None, the faulty party plays its optimal incomplete
-    strategy on each row's local count list.
+    invocation, a faulty R0 its check and cross-calling. `ks` holds explicit
+    strategies, class-major (6 counts for a faulty S, 3 for a faulty R0),
+    each count broadcast against the rows: (k, N) plays one strategy per
+    row, (k, K, 1) each of K strategies on every row, and the outputs are
+    then (K, N). When None, the faulty party plays its optimal incomplete
+    strategy on each row's local count list. `view` is the faulty party's
+    `_view` of codes for x_s, if the caller has it.
     """
     n = len(codes)
     ood, local = np.zeros(n, np.int8), None
 
     # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
     if cfg is AdversaryConfig.S_FAULTY:
-        view = _view(cfg, codes)
+        view = _view(cfg, codes) if view is None else view
         local = view.sizes
         if ks is None:
             ood, ks = _zeta_S_rows(local, p)
+        else:
+            _reject_overdraw(ks, local, _S_NAMES)
         x0, x1 = 0, 1
-        sigma0, sigma1 = _lowest(view, ks[:, :3], _S_NAMES), _lowest(view, ks[:, 3:], _S_NAMES)
+        sigma0, sigma1 = _lowest(view, ks[:3]), _lowest(view, ks[3:])
     else:
         x0 = x1 = x_s
         sigma0 = sigma1 = _honest_sigma(codes, x_s)
@@ -339,17 +413,19 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
     # Check, then cross-calling. R1 always checks; a faulty R0 skips its check,
     # forwards a forgery instead of (y0, sigma0), and reports that forgery's
     # bit to the outside.
-    r1_bits = np.take(_R1_BITS, codes)
+    r1_bits = _bits(_R1_BITS, codes)
     y_tilde1 = _check(r1_bits, x1, sigma1, p.T)
     if cfg is AdversaryConfig.R0_FAULTY:
-        view = _view(cfg, codes, x_s, sigma0)
+        view = _view(cfg, codes, x_s, sigma0) if view is None else view
         local = view.sizes
         if ks is None:
             ood, ks = _zeta_R_rows(local, p)
+        else:
+            _reject_overdraw(ks, local, _R_NAMES)
         y0 = y01 = np.full(n, 1 - x_s, np.int8)
-        rho01 = _lowest(view, ks, _R_NAMES)
+        rho01 = _lowest(view, ks)
     else:
-        y0 = _check(np.take(_R0_BITS, codes), x0, sigma0, p.T)
+        y0 = _check(_bits(_R0_BITS, codes), x0, sigma0, p.T)
         y01, rho01 = y0, sigma0
 
     y1 = _cross_check(y_tilde1, y01, rho01, r1_bits, p)
@@ -371,14 +447,14 @@ def _achieved(cfg: AdversaryConfig, y_s: int, y0: np.ndarray, y1: np.ndarray) ->
     raise ValueError(f"unknown adversary configuration {cfg!r}")
 
 
-def _failed(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, ks=None, ood_fails: bool = True) -> np.ndarray:
+def _failed(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, ood_fails: bool = True) -> np.ndarray:
     """Which rows fail the weak broadcast conditions for x_S = 0, running the
     engine on one block of rows at a time. A row outside the strategy domain
     fails iff `ood_fails` (worst-case scoring, as for the upper bounds)."""
     step = _block_rows(codes.shape[1])
     failed = []
     for lo in range(0, len(codes), step):
-        rows = _run_rows(codes[lo : lo + step], p, cfg, 0, None if ks is None else ks[lo : lo + step])
+        rows = _run_rows(codes[lo : lo + step], p, cfg, 0)
         failed.append(np.where(rows.ood != 0, ood_fails, ~_achieved(cfg, 0, rows.y0, rows.y1)))
     return np.concatenate(failed)
 
@@ -418,7 +494,7 @@ def invocation_honest(event: Event, x_s: int):
 def check_phase(event: Event, receiver: str, x_j: int, sigma_j: frozenset[int], p: ProtocolParams) -> OutputValue:
     """Check phase of receiver 'R0' or 'R1': accept x_j iff the check set is
     long enough and the receiver measured the opposite bit at every index."""
-    bits = np.take(_R0_BITS if receiver == "R0" else _R1_BITS, _one_row(event))
+    bits = _bits(_R0_BITS if receiver == "R0" else _R1_BITS, _one_row(event))
     return _value(_check(bits, x_j, _mask(sigma_j, event.m), p.T)[0])
 
 
@@ -430,7 +506,7 @@ def cross_check(
     p: ProtocolParams,
 ) -> OutputValue:
     """Cross-check phase of R1 (see `_cross_check`)."""
-    r1_bits = np.take(_R1_BITS, _one_row(event))
+    r1_bits = _bits(_R1_BITS, _one_row(event))
     return _value(_cross_check(_code(y_tilde1), _code(y01), _mask(rho01, event.m), r1_bits, p)[0])
 
 
@@ -459,7 +535,7 @@ def run_protocol(
     ks = None if strategy is None else _ks(strategy)
     r = _run_rows(_one_row(event), p, cfg, x_s, ks)
     if r.ood[0]:
-        raise OutOfDomainError(_reason(r.ood[0], r.local[0], p))
+        raise OutOfDomainError(_reason(r.ood[0], r.local[:, 0], p))
     return Transcript(
         x_s,
         r.x0,

@@ -397,6 +397,20 @@ class TestOutputFiles:
         assert fields[:3] == ["8", "s-faulty", "150"] and fields[5] == "2"
         assert float(fields[4]) == pytest.approx((float(fields[3]) * (1 - float(fields[3])) / 150) ** 0.5)
 
+    def test_simulate_manifest_records_the_configuration(self, capsys, tmp_path, monkeypatch):
+        # the estimate depends on the configuration, so its manifest names it
+        # as exact's does; the CSV is the same bytes with or without it
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        argv = ("simulate", "--config", "r0-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "8")
+        argv += ("--trials", "150", "--seed", "2")
+        run(capsys, *argv, "--output", "mc")
+        manifest = json.loads((tmp_path / "mc.manifest.json").read_text())
+        assert list(manifest) == ["mu", "lambda", "m", "config", "trials", "seed", "command", "timestamp"]
+        assert manifest["config"] == "r0-faulty" and manifest["command"] == "simulate"
+        assert [manifest[key] for key in ("mu", "lambda", "m", "trials", "seed")] == ["0.3", "0.8", "8", 150, 2]
+        _, out, _ = run(capsys, *argv)
+        assert (tmp_path / "mc.csv").read_text() == out
+
 
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.stats costs about a second of start-up on every command

@@ -50,6 +50,20 @@ class TestPinnedCounts:
         got = tuple(estimate_pf(cfg, p, 3000, seed, jobs=jobs).n_failures for cfg in (NO_FAULTY, S_FAULTY, R0_FAULTY))
         assert got == counts
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "mu,lam,m,trials,seed,counts",
+        [("0.3", "0.8", 5, 10_000, 11, (4678, 8324, 8116)), ("0.32", "0.85", 2000, 400, 11, (32, 45, 138))],
+        ids=["m5", "m2000"],
+    )
+    def test_failure_counts_at_the_block_extremes(self, mu, lam, m, trials, seed, counts, jobs):
+        # no-faulty/S/R0 failures with 3276 rows per engine block (m = 5)
+        # and 8 (m = 2000), as the per-row class cumsums counted them
+        assert _block_rows(m) == {5: 3276, 2000: 8}[m]
+        p = params(m, mu, lam)
+        got = tuple(estimate_pf(cfg, p, trials, seed, jobs=jobs).n_failures for cfg in (NO_FAULTY, S_FAULTY, R0_FAULTY))
+        assert got == counts
+
 
 class TestStatistics:
     def test_stderr_formula(self):

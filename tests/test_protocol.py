@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wbcsim.adversary as adversary
 import wbcsim.protocol as protocol
 from wbcsim.analytics import pf_bruteforce
 from wbcsim.montecarlo import estimate_pf
@@ -31,7 +32,7 @@ from wbcsim.protocol import (
     run_protocol,
     _reason,
 )
-from wbcsim.source import Event, global_counts
+from wbcsim.source import R0_BIT, S_CLASS, Event, global_counts
 
 A = ABORT
 ACH = Outcome.ACHIEVED
@@ -307,35 +308,128 @@ class TestEngine:
             try:
                 t = run_protocol(Event(tuple(row)), p, cfg, x_s=x_s)
             except OutOfDomainError as exc:
-                assert rows.ood[r] != 0 and _reason(rows.ood[r], rows.local[r], p) == exc.reason
+                assert rows.ood[r] != 0 and _reason(rows.ood[r], rows.local[:, r], p) == exc.reason
                 continue
             assert rows.ood[r] == 0
             assert achieved[r] == (classify_transcript(cfg, t) is ACH)
 
-    def test_r0_class_table_is_the_where_formula(self):
-        # every (code, sigma0) pair in one row, for both sender bits
+    @pytest.mark.parametrize("m", [12, 2**20 + 3], ids=["int64", "object"])
+    def test_r0_encoding_is_the_where_formula(self, m):
+        # every (code, sigma0) pair in one row, for both sender bits, as the
+        # packed units of Events of length m
         codes = np.array([list(range(6)) * 2], np.int8)
         sigma0 = np.array([[False] * 6 + [True] * 6])
+        _, units = protocol._fields(m)
+        r0 = AdversaryConfig.R0_FAULTY
         for x_s in (0, 1):
-            want = np.where(protocol._R0_BITS[codes] == x_s, 2, np.where(sigma0, 0, 1))
-            got = protocol._r0_classes(codes, sigma0, x_s)
-            assert got.dtype == np.int8 and got.tolist() == want.tolist()
+            want = units[np.where(np.array(R0_BIT)[codes] == x_s, 2, np.where(sigma0, 0, 1))]
+            got = protocol._encode(r0, codes, units, x_s, sigma0)
+            assert got.dtype == units.dtype and got.tolist() == want.tolist()
+            # by default sigma0 is the correct sender's check set
+            honest = protocol._encode(r0, codes, units, x_s, codes == 5 * x_s)
+            assert protocol._encode(r0, codes, units, x_s).tolist() == honest.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        m=st.integers(1, 300),
+        present=st.sets(st.integers(0, 5), min_size=1),
+        cfg=st.sampled_from([AdversaryConfig.S_FAULTY, AdversaryConfig.R0_FAULTY]),
+        x_s=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lowest_is_one_cumsum_per_class(self, n, m, present, cfg, x_s, seed):
+        # Events drawn from a subset of the six codes, so classes can be
+        # empty; every k from 0 to each row's class size
+        codes = np.random.default_rng(seed).choice(sorted(present), size=(n, m)).astype(np.int8)
+        view = protocol._view(cfg, codes, x_s)
+        members = _direct_members(cfg, codes, x_s)
+        ranks = [np.cumsum(member, axis=1) for member in members]
+        sizes = np.array([member.sum(axis=1) for member in members])
+        assert view.sizes.tolist() == sizes.tolist()
+        for k in range(int(sizes.max()) + 1):
+            ks = np.minimum(k, sizes)
+            want = [member & (rank <= kc[:, None]) for member, rank, kc in zip(members, ranks, ks)]
+            assert np.array_equal(protocol._lowest(view, ks), np.logical_or.reduce(want))
+        # two strategies on every row at once, (3, K, 1) against N rows
+        ks = np.stack([np.zeros(3, int), sizes.min(axis=1)], axis=1)[:, :, None]
+        both = protocol._lowest(view, ks)
+        assert both.shape == (2, n, m)
+        for j in range(2):
+            assert np.array_equal(both[j], protocol._lowest(view, np.broadcast_to(ks[:, j], (3, n))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stack=st.integers(1, 3),
+        n=st.integers(1, 64),
+        m=st.integers(1, 300),
+        density=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_counts_are_count_nonzero_per_row(self, stack, n, m, density, seed):
+        mask = np.random.default_rng(seed).random((stack, n, m)) < density
+        got = protocol._counts(mask)
+        assert got.shape == (stack, n) and got.tolist() == np.count_nonzero(mask, axis=2).tolist()
+        assert protocol._counts(mask[0]).tolist() == np.count_nonzero(mask[0], axis=1).tolist()
+
+    def test_one_event_past_the_int64_width(self):
+        # three 22-bit fields need 66 bits: the view runs on Python ints
+        m = 2**20 + 3
+        codes = np.random.default_rng(7).integers(0, 6, (1, m)).astype(np.int8)
+        view = protocol._view(AdversaryConfig.S_FAULTY, codes)
+        members = _direct_members(AdversaryConfig.S_FAULTY, codes, 0)
+        sizes = np.array([member.sum(axis=1) for member in members])
+        assert view.cum.dtype == object and view.sizes.tolist() == sizes.tolist()
+        ks = np.array([sizes[0] // 3, 0 * sizes[1], sizes[2]])
+        want = [member & (np.cumsum(member, axis=1) <= kc[:, None]) for member, kc in zip(members, ks)]
+        want = np.logical_or.reduce(want)
+        got = protocol._lowest(view, ks)
+        assert np.array_equal(got, want)
+        assert protocol._counts(got).tolist() == [np.count_nonzero(want)]
 
     def test_blocks_stay_within_the_element_budget(self, monkeypatch):
-        shapes = []
-        run_rows = protocol._run_rows
+        # every engine call, counted in (strategy, row) pairs, and every
+        # row the faulty party's view ranks
+        pairs, ranked = [], []
+        run_rows, view = protocol._run_rows, protocol._view
 
-        def spy(codes, *args):
-            shapes.append(codes.shape)
-            return run_rows(codes, *args)
+        def spy_rows(codes, *args):
+            rows = run_rows(codes, *args)
+            pairs.append((rows.y1.size, codes.shape[1]))
+            return rows
 
-        monkeypatch.setattr(protocol, "_run_rows", spy)
+        def spy_view(cfg, codes, *args):
+            ranked.append(len(codes))
+            return view(cfg, codes, *args)
+
+        for module in (protocol, adversary):
+            monkeypatch.setattr(module, "_run_rows", spy_rows)
+            monkeypatch.setattr(module, "_view", spy_view)
         estimate_pf(AdversaryConfig.R0_FAULTY, ProtocolParams.create("0.272", "0.94", 280), 10_000, seed=1)
-        monte_carlo, shapes[:] = shapes[:], []
+        monte_carlo, pairs[:] = pairs[:], []
         pf_bruteforce(AdversaryConfig.S_FAULTY, ProtocolParams.create("0.3", "0.8", 6))
-        for blocks, total, m in ((monte_carlo, 10_000, 280), (shapes, 6**6, 6)):
+        s_faulty = AdversaryConfig.S_FAULTY
+        groups = adversary._events_by_local_list(4, s_faulty)
+        oracle, pairs[:], ranked[:] = pairs[:], [], []
+        adversary.best_failure_probability_bruteforce(s_faulty, ProtocolParams.create("0.272", "0.94", 4))
+        searched = sum(len(codes) * adversary._strategy_ks(s_faulty, key).shape[1] for key, (codes, _) in groups.items())
+        for blocks, total, m in ((monte_carlo, 10_000, 280), (oracle, 6**6, 6), (pairs, searched, 4)):
             assert len(blocks) > 1 and sum(n for n, _ in blocks) == total
             assert all(width == m and n * width <= protocol._BLOCK_ELEMENTS for n, width in blocks)
+        # the search ranks each group once, not once per strategy: the
+        # grouping and the engine rank every Event once, and each group's
+        # first row once more for its strategies
+        assert sum(ranked) == 2 * 6**4 + len(groups)
+
+
+def _direct_members(cfg, codes, x_s):
+    """The faulty party's class masks of each row, from the class
+    definitions: S's by its pair, R0's after the correct sender's check set."""
+    if cfg is AdversaryConfig.S_FAULTY:
+        cls = np.array(S_CLASS)[codes]
+    else:
+        cls = np.where(np.array(R0_BIT)[codes] == x_s, 2, np.where(codes == 5 * x_s, 0, 1))
+    return [cls == c for c in range(3)]
 
 
 def test_protocol_imports_no_module_built_on_it():
