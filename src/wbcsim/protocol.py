@@ -277,7 +277,7 @@ def _lowest(view: _Ranked, ks) -> np.ndarray:
     field borrows from the next, and its top bit is set iff rank_c <= k_c.
     Each index reads only its own class's top bit."""
     w = view.w
-    k0, k1, k2 = (np.asarray(k).astype(view.cum.dtype, copy=False) for k in ks)
+    k0, k1, k2 = (k.astype(view.cum.dtype, copy=False) for k in ks)
     bias = sum(1 << (w * c + w - 1) for c in range(3))
     packed = view.start + bias + k0 + (k1 << w) + (k2 << (2 * w))
     return ((packed[..., None] - view.cum) & view.top) != 0
@@ -341,7 +341,7 @@ def _ks(strategy) -> np.ndarray:
 
 def _check(bits: np.ndarray, x: int, sigma: np.ndarray, T: int) -> np.ndarray:
     """Check phase: accept x iff the check set has at least T indices and
-    the receiver measured the opposite bit at none of them."""
+    the receiver measured the opposite bit at every one of them."""
     ok = (_counts(sigma) >= T) & (_counts(sigma & (bits == x)) == 0)
     return np.where(ok, x, _ABORT).astype(np.int8)
 
