@@ -21,13 +21,14 @@ import numpy as np
 from .protocol import (
     AdversaryConfig,
     ProtocolParams,
-    _achieved,
+    StrategyR,
+    StrategyS,
     _block_rows,
-    _ks,
+    _checked_ks,
+    _failed_weights,
     _mask,
     _one_row,
     _reason,
-    _run_rows,
     _view,
     _zeta_R_rows,
     _zeta_S_rows,
@@ -45,32 +46,6 @@ class DomainVerdict:
     def __post_init__(self):
         if not self.in_domain and not self.reason:
             raise ValueError("an out-of-domain verdict needs a reason")
-
-
-@dataclass(frozen=True)
-class StrategyS:
-    """Check-set composition of a faulty sender.
-
-    k0_* counts go into sigma0 (sent to R0), k1_* into sigma1 (sent to R1),
-    drawn from S's local classes 0011 / mixed / 1100.
-    """
-
-    k0_0011: int
-    k0_mixed: int
-    k0_1100: int
-    k1_0011: int
-    k1_mixed: int
-    k1_1100: int
-
-
-@dataclass(frozen=True)
-class StrategyR:
-    """Check-set composition of a faulty R0, drawn from its local classes
-    0011 / XX10 / XX0X."""
-
-    k_0011: int
-    k_xx10: int
-    k_xx0x: int
 
 
 def _strategy_view(zeta_rows, l: LocalCountListS, p: ProtocolParams, kind: type):
@@ -144,23 +119,6 @@ def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, 
     return {tuple(key): (codes[group == g], nums[group == g]) for g, key in enumerate(keys.tolist())}
 
 
-def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray, ks: np.ndarray):
-    """Failed weight numerator of each strategy (a column of the class-major
-    ks) on one group's rows. Each block of rows is ranked once; the
-    strategies then run on it through the engine a few at a time, so no
-    block exceeds its size."""
-    step = _block_rows(codes.shape[1])
-    weights = np.zeros(ks.shape[1], np.int64)
-    for lo in range(0, len(codes), step):
-        block = codes[lo : lo + step]
-        view = _view(cfg, block)
-        per = max(1, step // len(block))
-        for k in range(0, ks.shape[1], per):
-            rows = _run_rows(block, p, cfg, 0, ks[:, k : k + per, None], view)
-            weights[k : k + per] += ~_achieved(cfg, 0, rows.y0, rows.y1) @ nums[lo : lo + step]
-    return weights
-
-
 def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray) -> int:
     """The largest failed weight numerator any strategy reaches on one
     local count list group (exhaustive enumeration of k-vectors)."""
@@ -177,7 +135,8 @@ def conditional_failure_probability(
     """Exact failure probability of one strategy, conditioned on one
     `_events_by_local_list` group (codes, numerators) of Events."""
     codes, nums = events
-    return Fraction(int(_failed_weights(cfg, p, codes, nums, _ks(strategy))[0]), int(nums.sum()))
+    ks = _checked_ks(cfg, strategy, _view(cfg, codes[:1]))
+    return Fraction(int(_failed_weights(cfg, p, codes, nums, ks)[0]), int(nums.sum()))
 
 
 def max_conditional_failure(

@@ -65,7 +65,7 @@ import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln
 
 from .adversary import _DENOMINATOR, _event_blocks
-from .protocol import AdversaryConfig, ProtocolParams, _failed
+from .protocol import AdversaryConfig, ProtocolParams, _failed_weights
 
 Probability = Union[float, Fraction]
 
@@ -431,6 +431,6 @@ def pf_bruteforce(
     elif kind is BoundKind.EXACT:
         raise ValueError("faulty configurations only admit LOWER/UPPER brute-force scoring")
     ood_fails = kind is BoundKind.UPPER
-    failed = sum(int(nums[_failed(cfg, p, codes, ood_fails=ood_fails)].sum()) for codes, nums in _event_blocks(p.m))
-    total = Fraction(failed, _DENOMINATOR**p.m)
+    failed = sum(_failed_weights(cfg, p, codes, nums, ood_fails=ood_fails)[0] for codes, nums in _event_blocks(p.m))
+    total = Fraction(int(failed), _DENOMINATOR**p.m)
     return FailureReport(cfg, kind, total, p)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import AdversaryConfig, ProtocolParams, _block_rows, _failed, _is_count
-from .source import _check_seed, _codes_of, _trial_draws
+from .protocol import AdversaryConfig, ProtocolParams, _block_rows, _failed_weights
+from .source import _check_seed, _codes_of, _is_count, _trial_draws
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def _count_failures(cfg: AdversaryConfig, p: ProtocolParams, seed: int, lo: int,
     draws per trial, as sample_event draws from the trial's substream; then
     a whole block of rows goes through the protocol engine at once."""
     draws = np.empty((_block_rows(p.m), p.m))
-    return sum(int(np.count_nonzero(_failed(cfg, p, _codes_of(block)))) for block in _trial_draws(seed, lo, hi, draws))
+    ones = np.ones(len(draws), np.int64)
+    return sum(int(_failed_weights(cfg, p, _codes_of(b), ones[: len(b)])[0]) for b in _trial_draws(seed, lo, hi, draws))
 
 
 def estimate_pf(

@@ -15,8 +15,9 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import analytics
-from .protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams, _is_count, _thresholds
+from .protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams, _thresholds
 from .security import in_guaranteed_region
+from .source import _is_count
 
 NOT_FOUND = "NOT_FOUND"
 OUTSIDE_REGION = "OUTSIDE_REGION"

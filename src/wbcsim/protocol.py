@@ -7,9 +7,11 @@ parameters mu and lambda with exact rational ceilings, so boundary cases
 like mu*m integral never misclassify.
 
 The phases are written once, in an array engine that runs them on every row
-of an (N, m) matrix of outcome codes, one Event per row. Monte-Carlo and the
-exhaustive oracles feed it blocks of rows; `run_protocol` and the public
-phase functions are views of it on a single row.
+of an (N, m) matrix of outcome codes, one Event per row. One failure kernel,
+`_failed_weights`, runs it block by block for Monte-Carlo, the 6^m sums and
+the strategy search; `run_protocol` and the public phase functions are views
+of it on a single row. Explicit strategies are checked once, where they
+enter (`_checked_ks`); the engine trusts their counts.
 
 The engine ranks and counts a block in one pass each. The faulty party's
 view packs its three classes into fields of w bits, one int64 running sum
@@ -34,7 +36,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .source import R0_BIT, R1_BIT, S_CLASS, Event
+from .source import R0_BIT, R1_BIT, S_CLASS, Event, _is_count
 
 
 class ParameterError(ValueError):
@@ -79,13 +81,30 @@ class Outcome(enum.Enum):
     FAILURE = "failure"
 
 
-def _is_count(value) -> bool:
-    """Whether value is a positive integer of a Python or numpy integer type
-    (one that operator.index accepts), a bool excluded."""
-    try:
-        return not isinstance(value, bool) and operator.index(value) >= 1
-    except TypeError:
-        return False
+@dataclass(frozen=True)
+class StrategyS:
+    """Check-set composition of a faulty sender.
+
+    k0_* counts go into sigma0 (sent to R0), k1_* into sigma1 (sent to R1),
+    drawn from S's local classes 0011 / mixed / 1100.
+    """
+
+    k0_0011: int
+    k0_mixed: int
+    k0_1100: int
+    k1_0011: int
+    k1_mixed: int
+    k1_1100: int
+
+
+@dataclass(frozen=True)
+class StrategyR:
+    """Check-set composition of a faulty R0, drawn from its local classes
+    0011 / XX10 / XX0X."""
+
+    k_0011: int
+    k_xx10: int
+    k_xx0x: int
 
 
 def _thresholds(mu: Fraction, lam: Fraction, m):
@@ -181,8 +200,6 @@ _S_CLASSES = np.array(S_CLASS, np.int8)
 _R0_CLASSES = np.array(
     [[2 if R0_BIT[code] == x_s else 1 - vouched for vouched in (0, 1) for code in range(6)] for x_s in (0, 1)], np.int8
 )
-_S_NAMES = ("0011", "mixed", "1100")
-_R_NAMES = ("0011", "XX10", "XX0X")
 
 # Callers pass rows to the engine in blocks of at most this many outcome
 # codes (rows times m), so memory stays flat however many rows there are.
@@ -283,18 +300,6 @@ def _lowest(view: _Ranked, ks) -> np.ndarray:
     return ((packed[..., None] - view.cum) & view.top) != 0
 
 
-def _reject_overdraw(ks: np.ndarray, sizes: np.ndarray, names) -> None:
-    """Raise ValueError if an explicit strategy (class-major counts, one
-    group of three per check set) asks a class for a negative count or for
-    more indices than it holds."""
-    for i, k in enumerate(ks):
-        size = sizes[i % 3]
-        if (k < 0).any() or (k > size).any():
-            bad = (k < 0) | (k > size)
-            k, size = (np.broadcast_to(x, bad.shape)[bad][0] for x in (k, size))
-            raise ValueError(f"strategy requests {k} indices from class {names[i % 3]} of size {size}")
-
-
 # Out-of-domain reasons by the engine's code: zeta_S's first failing
 # condition (1-3) and zeta_R's (4). Code 0 means in domain.
 _REASONS = {
@@ -333,10 +338,28 @@ def _zeta_R_rows(local: np.ndarray, p: ProtocolParams) -> tuple[np.ndarray, np.n
     return ood, np.stack([np.zeros_like(ok), l2 * ok, np.maximum(p.T - l2, 0) * ok])
 
 
-def _ks(strategy) -> np.ndarray:
-    """A strategy's counts (an `adversary.StrategyS` or `StrategyR`) as the
-    class-major one-row k array the engine takes."""
-    return np.array(dataclasses.astuple(strategy))[:, None]
+_STRATEGIES = {
+    AdversaryConfig.S_FAULTY: (StrategyS, ("0011", "mixed", "1100")),
+    AdversaryConfig.R0_FAULTY: (StrategyR, ("0011", "XX10", "XX0X")),
+}
+
+
+def _checked_ks(cfg: AdversaryConfig, strategy, view) -> np.ndarray:
+    """An explicit strategy as the class-major one-row k array the engine
+    takes, after checking that it is cfg's strategy class and asks each
+    class of the local count list in the view's first row for between 0
+    and as many indices as it holds."""
+    if cfg not in _STRATEGIES:
+        raise ValueError(f"no strategy allowed in the {cfg.value} configuration")
+    kind, names = _STRATEGIES[cfg]
+    if not isinstance(strategy, kind):
+        raise ValueError(f"a {cfg.value} strategy must be a {kind.__name__}, not {type(strategy).__name__}")
+    ks = dataclasses.astuple(strategy)
+    for i, k in enumerate(ks):
+        size = view.sizes[i % 3, 0]
+        if not 0 <= k <= size:
+            raise ValueError(f"strategy requests {k} indices from class {names[i % 3]} of size {size}")
+    return np.array(ks)[:, None]
 
 
 def _check(bits: np.ndarray, x: int, sigma: np.ndarray, T: int) -> np.ndarray:
@@ -365,8 +388,7 @@ def _cross_check(y_tilde1, y01, rho01, r1_bits, p: ProtocolParams) -> np.ndarray
 class _Rows(NamedTuple):
     """The engine's per-row results. `ood` is 0 in the strategy domain and
     otherwise a `_REASONS` code; the outputs of such a row are
-    meaningless. `local` holds the faulty party's local count lists,
-    class-major."""
+    meaningless."""
 
     x0: int
     x1: int
@@ -378,32 +400,28 @@ class _Rows(NamedTuple):
     sigma1: np.ndarray
     rho01: np.ndarray
     ood: np.ndarray
-    local: Optional[np.ndarray]
 
 
-def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: int, ks=None, view=None) -> _Rows:
+def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: int, view, ks=None) -> _Rows:
     """Run the four phases on every row of an (N, m) outcome-code matrix.
 
     A faulty party replaces only the messages it controls: a faulty S its
-    invocation, a faulty R0 its check and cross-calling. `ks` holds explicit
-    strategies, class-major (6 counts for a faulty S, 3 for a faulty R0),
-    each count broadcast against the rows: (k, N) plays one strategy per
-    row, (k, K, 1) each of K strategies on every row, and the outputs are
-    then (K, N). When None, the faulty party plays its optimal incomplete
-    strategy on each row's local count list. `view` is the faulty party's
-    `_view` of codes for x_s, if the caller has it.
+    invocation, a faulty R0 its check and cross-calling. `view` is the
+    faulty party's `_view` of codes for x_s (None without one). `ks` holds
+    explicit strategies, class-major (6 counts for a faulty S, 3 for a
+    faulty R0), each count within its class and broadcast against the
+    rows: (k, N) plays one strategy per row, (k, K, 1) each of K strategies
+    on every row, and the outputs are then (K, N). When None, the faulty
+    party plays its optimal incomplete strategy on each row's local count
+    list.
     """
     n = len(codes)
-    ood, local = np.zeros(n, np.int8), None
+    ood = np.zeros(n, np.int8)
 
     # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
     if cfg is AdversaryConfig.S_FAULTY:
-        view = _view(cfg, codes) if view is None else view
-        local = view.sizes
         if ks is None:
-            ood, ks = _zeta_S_rows(local, p)
-        else:
-            _reject_overdraw(ks, local, _S_NAMES)
+            ood, ks = _zeta_S_rows(view.sizes, p)
         x0, x1 = 0, 1
         sigma0, sigma1 = _lowest(view, ks[:3]), _lowest(view, ks[3:])
     else:
@@ -416,12 +434,8 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
     r1_bits = _bits(_R1_BITS, codes)
     y_tilde1 = _check(r1_bits, x1, sigma1, p.T)
     if cfg is AdversaryConfig.R0_FAULTY:
-        view = _view(cfg, codes, x_s, sigma0) if view is None else view
-        local = view.sizes
         if ks is None:
-            ood, ks = _zeta_R_rows(local, p)
-        else:
-            _reject_overdraw(ks, local, _R_NAMES)
+            ood, ks = _zeta_R_rows(view.sizes, p)
         y0 = y01 = np.full(n, 1 - x_s, np.int8)
         rho01 = _lowest(view, ks)
     else:
@@ -429,7 +443,7 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
         y01, rho01 = y0, sigma0
 
     y1 = _cross_check(y_tilde1, y01, rho01, r1_bits, p)
-    return _Rows(x0, x1, y0, y_tilde1, y01, y1, sigma0, sigma1, rho01, ood, local)
+    return _Rows(x0, x1, y0, y_tilde1, y01, y1, sigma0, sigma1, rho01, ood)
 
 
 def _achieved(cfg: AdversaryConfig, y_s: int, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
@@ -447,16 +461,23 @@ def _achieved(cfg: AdversaryConfig, y_s: int, y0: np.ndarray, y1: np.ndarray) ->
     raise ValueError(f"unknown adversary configuration {cfg!r}")
 
 
-def _failed(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, ood_fails: bool = True) -> np.ndarray:
-    """Which rows fail the weak broadcast conditions for x_S = 0, running the
-    engine on one block of rows at a time. A row outside the strategy domain
-    fails iff `ood_fails` (worst-case scoring, as for the upper bounds)."""
+def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes, nums, ks=None, ood_fails=True) -> np.ndarray:
+    """The failed weight (the sum of `nums` over the rows that fail for
+    x_S = 0) of each column of `ks` (explicit strategies, class-major) or,
+    when None, of the optimal strategy, under which a row outside its domain
+    fails iff `ood_fails`. Each block is ranked once and runs its strategies
+    a few at a time, so no engine call exceeds the block budget."""
     step = _block_rows(codes.shape[1])
-    failed = []
+    weights = np.zeros(1 if ks is None else ks.shape[1], np.int64)
     for lo in range(0, len(codes), step):
-        rows = _run_rows(codes[lo : lo + step], p, cfg, 0)
-        failed.append(np.where(rows.ood != 0, ood_fails, ~_achieved(cfg, 0, rows.y0, rows.y1)))
-    return np.concatenate(failed)
+        block = codes[lo : lo + step]
+        view = None if cfg is AdversaryConfig.NO_FAULTY else _view(cfg, block)
+        per = max(1, step // len(block))
+        for k in range(0, len(weights), per):
+            rows = _run_rows(block, p, cfg, 0, view, None if ks is None else ks[:, k : k + per, None])
+            failed = np.where(rows.ood != 0, ood_fails, ~_achieved(cfg, 0, rows.y0, rows.y1))
+            weights[k : k + per] += failed @ nums[lo : lo + step]
+    return weights
 
 
 # -- one-row views ------------------------------------------------------------
@@ -484,9 +505,16 @@ def _value(code) -> OutputValue:
     return ABORT if code == _ABORT else int(code)
 
 
+def _sender_bit(x_s) -> int:
+    if x_s not in (0, 1):
+        raise ValueError(f"the sender's value is a bit, not {x_s!r}")
+    return int(x_s)
+
+
 def invocation_honest(event: Event, x_s: int):
     """Invocation phase for a correct sender: the bit x_S to both receivers,
     with the check set of every index where S measured x_S x_S."""
+    x_s = _sender_bit(x_s)
     sigma = _indices(_honest_sigma(_one_row(event), x_s)[0])
     return x_s, sigma, x_s, sigma, x_s
 
@@ -521,21 +549,22 @@ def run_protocol(
 
     A faulty party replaces only the messages it controls: a faulty S its
     invocation, a faulty R0 its check and cross-calling. The strategy may be
-    given explicitly (any legal check-set composition, an
-    `adversary.StrategyS` or `StrategyR`); when None, the
-    optimal incomplete strategy is derived from the adversary's local count
-    list, raising OutOfDomainError when the Event falls outside its domain.
+    given explicitly (any legal check-set composition, a `StrategyS` or
+    `StrategyR`); when None, the optimal incomplete strategy is derived from
+    the adversary's local count list, raising OutOfDomainError when the
+    Event falls outside its domain.
     """
     if event.m != p.m:
         raise ValueError(f"event length {event.m} != params m {p.m}")
     if not isinstance(cfg, AdversaryConfig):
         raise ValueError(f"unknown adversary configuration {cfg!r}")
-    if strategy is not None and cfg is AdversaryConfig.NO_FAULTY:
-        raise ValueError("no strategy allowed in the no-faulty configuration")
-    ks = None if strategy is None else _ks(strategy)
-    r = _run_rows(_one_row(event), p, cfg, x_s, ks)
+    x_s = _sender_bit(x_s)
+    codes = _one_row(event)
+    view = None if cfg is AdversaryConfig.NO_FAULTY else _view(cfg, codes, x_s)
+    ks = None if strategy is None else _checked_ks(cfg, strategy, view)
+    r = _run_rows(codes, p, cfg, x_s, view, ks)
     if r.ood[0]:
-        raise OutOfDomainError(_reason(r.ood[0], r.local[:, 0], p))
+        raise OutOfDomainError(_reason(r.ood[0], view.sizes[:, 0], p))
     return Transcript(
         x_s,
         r.x0,
@@ -554,8 +583,7 @@ def run_protocol(
 def classify_weak_broadcast(cfg: AdversaryConfig, y_s: int, y0: OutputValue, y1: OutputValue) -> Outcome:
     """Score output values against the weak broadcast conditions (see
     `_achieved`)."""
-    if y_s not in (0, 1):
-        raise ValueError("the sender's value is a bit")
+    y_s = _sender_bit(y_s)
     for v in (y0, y1):
         if v is not ABORT and v not in (0, 1):
             raise ValueError("receiver outputs must be 0, 1, or ABORT")

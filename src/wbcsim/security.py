@@ -35,21 +35,21 @@ def in_guaranteed_region(mu, lam) -> bool:
 
 def chernoff_no_faulty(mu, m: int) -> float:
     """exp(-(m/6)(1-3*mu)^2), bounding the no-faulty failure probability."""
-    mu = float(Fraction(mu))
-    if mu >= 1 / 3:
-        raise ParameterError(f"mu={mu} must satisfy mu < 1/3")
-    return math.exp(-(m / 6) * (1 - 3 * mu) ** 2)
+    mu = Fraction(mu)
+    if not 0 < mu < Fraction(1, 3):
+        raise ParameterError(f"mu={mu} must satisfy 0 < mu < 1/3")
+    return math.exp(-(m / 6) * (1 - 3 * float(mu)) ** 2)
 
 
 def chernoff_S(mu, lam, m: int) -> float:
     """2^(-(1-lambda)*mu*m) + 4*exp(-(m/9)(1-3*mu)^2), bounding the
     faulty-sender failure probability."""
-    mu_f = float(Fraction(mu))
-    lam_f = float(Fraction(lam))
-    if lam_f < 1 / 2:
-        raise ParameterError(f"lambda={lam_f} must satisfy lambda >= 1/2")
-    if mu_f >= 1 / 3:
-        raise ParameterError(f"mu={mu_f} must satisfy mu < 1/3")
+    mu_q, lam_q = Fraction(mu), Fraction(lam)
+    if not Fraction(1, 2) <= lam_q < 1:
+        raise ParameterError(f"lambda={lam_q} must satisfy 1/2 <= lambda < 1")
+    if not 0 < mu_q < Fraction(1, 3):
+        raise ParameterError(f"mu={mu_q} must satisfy 0 < mu < 1/3")
+    mu_f, lam_f = float(mu_q), float(lam_q)
     return 2.0 ** (-(1 - lam_f) * mu_f * m) + 4 * math.exp(-(m / 9) * (1 - 3 * mu_f) ** 2)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
@@ -157,6 +158,15 @@ _MASK128 = (1 << 128) - 1
 _HASH_TRIALS = 1 << 10
 
 
+def _is_count(value) -> bool:
+    """Whether value is a positive integer of a Python or numpy integer type
+    (one that operator.index accepts), a bool excluded."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= 1
+    except TypeError:
+        return False
+
+
 def _check_seed(value, name: str = "seed") -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{name} must be a non-negative int, got {value!r}")
@@ -285,8 +295,8 @@ def sample_event(m: int, rng: int | np.random.Generator) -> Event:
     `rng` is either a root seed (int) or an already-positioned Generator
     (e.g. from substream()).
     """
-    if m < 1:
-        raise ValueError("m must be a positive count")
+    if not _is_count(m):
+        raise ValueError(f"m={m!r} must be a positive count")
     if not isinstance(rng, np.random.Generator):
         _check_seed(rng)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng))

@@ -98,6 +98,31 @@ class TestAssembly:
         with pytest.raises(ValueError, match="requests 5 indices from class 0011 of size 4"):
             run_protocol(EXAMPLE_EVENT, params12, R0_FAULTY, strategy=StrategyR(5, 0, 0))
 
+    @pytest.mark.parametrize(
+        "cfg,strategy,kind",
+        [(S_FAULTY, StrategyR(0, 0, 0), "StrategyS"), (R0_FAULTY, StrategyS(0, 0, 0, 0, 0, 0), "StrategyR")],
+        ids=["s-faulty", "r0-faulty"],
+    )
+    def test_strategy_of_the_wrong_class_is_named(self, params12, cfg, strategy, kind):
+        # these used to fail unpacking the counts: "not enough values to
+        # unpack" for a faulty S, "too many values to unpack" for a faulty R0
+        with pytest.raises(ValueError, match=f"strategy must be a {kind}, not {type(strategy).__name__}"):
+            run_protocol(EXAMPLE_EVENT, params12, cfg, strategy=strategy)
+        events = next(iter(_events_by_local_list(3, cfg).values()))
+        with pytest.raises(ValueError, match=f"strategy must be a {kind}"):
+            conditional_failure_probability(cfg, _small_params(3), events, strategy)
+
+    @pytest.mark.parametrize("cfg", [S_FAULTY, R0_FAULTY], ids=lambda c: c.value)
+    def test_conditional_probability_rejects_overdraw(self, cfg):
+        # the group's one local count list bounds every strategy count
+        for (l1, l2, l3), events in _events_by_local_list(3, cfg).items():
+            kind, zeros = (StrategyS, [0] * 5) if cfg is S_FAULTY else (StrategyR, [0] * 2)
+            with pytest.raises(ValueError, match=f"requests {l1 + 1} indices from class 0011 of size {l1}"):
+                conditional_failure_probability(cfg, _small_params(3), events, kind(l1 + 1, *zeros))
+            name = "1100" if cfg is S_FAULTY else "XX0X"
+            with pytest.raises(ValueError, match=f"requests -1 indices from class {name} of size {l3}"):
+                conditional_failure_probability(cfg, _small_params(3), events, kind(*zeros, -1))
+
 
 class TestWorkedExamples:
     def test_s_faulty_example_compromises_both_receivers(self, params12):

@@ -281,6 +281,12 @@ class TestCommands:
         code, out, _ = run(capsys, "bounds", "--mu", "0.272", "--lambda", "0.94", "--m", "100,200")
         assert code == EXIT_OK and len(out.strip().splitlines()) == 7
 
+    def test_bounds_just_below_a_third(self, capsys):
+        # in the region, so accepted; its float rounds to 1/3, which the
+        # float range check used to reject with exit 3
+        code, out, _ = run(capsys, "bounds", "--mu", "0.33333333333333333", "--lambda", "0.99", "--m", "10")
+        assert code == EXIT_OK and len(out.strip().splitlines()) == 4
+
     def test_oracle_reports_exact_rational(self, capsys):
         code, out, _ = run(capsys, "oracle", "--config", "no-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "2")
         assert code == EXIT_OK

@@ -247,6 +247,17 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(e, params12, AdversaryConfig.NO_FAULTY, strategy=object())
 
+    @pytest.mark.parametrize("x_s", [2, -1])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.value)
+    def test_sender_value_must_be_a_bit(self, params12, cfg, x_s):
+        # x_S = 2 used to run to all-ABORT outputs, -1 to outputs of -1, and
+        # a faulty R0 with x_S = 2 to an IndexError
+        e = Event.from_outcomes(["0011", "0110", "1100"] * 4)
+        with pytest.raises(ValueError, match="the sender's value is a bit"):
+            run_protocol(e, params12, cfg, x_s=x_s)
+        with pytest.raises(ValueError, match="the sender's value is a bit"):
+            invocation_honest(e, x_s)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_no_faulty_fails_iff_support_below_threshold(self, m):
         p = ProtocolParams.create("0.3", "0.8", m)
@@ -302,13 +313,14 @@ class TestEngine:
         # out-of-domain reason that row gets alone
         p = ProtocolParams.create("0.3", "0.8", m)
         codes = np.array(list(itertools.product(range(6), repeat=m)), np.int8)
-        rows = protocol._run_rows(codes, p, cfg, x_s)
+        view = None if cfg is AdversaryConfig.NO_FAULTY else protocol._view(cfg, codes, x_s)
+        rows = protocol._run_rows(codes, p, cfg, x_s, view)
         achieved = protocol._achieved(cfg, x_s, rows.y0, rows.y1)
         for r, row in enumerate(codes.tolist()):
             try:
                 t = run_protocol(Event(tuple(row)), p, cfg, x_s=x_s)
             except OutOfDomainError as exc:
-                assert rows.ood[r] != 0 and _reason(rows.ood[r], rows.local[:, r], p) == exc.reason
+                assert rows.ood[r] != 0 and _reason(rows.ood[r], view.sizes[:, r], p) == exc.reason
                 continue
             assert rows.ood[r] == 0
             assert achieved[r] == (classify_transcript(cfg, t) is ACH)
@@ -402,8 +414,8 @@ class TestEngine:
             ranked.append(len(codes))
             return view(cfg, codes, *args)
 
+        monkeypatch.setattr(protocol, "_run_rows", spy_rows)
         for module in (protocol, adversary):
-            monkeypatch.setattr(module, "_run_rows", spy_rows)
             monkeypatch.setattr(module, "_view", spy_view)
         estimate_pf(AdversaryConfig.R0_FAULTY, ProtocolParams.create("0.272", "0.94", 280), 10_000, seed=1)
         monte_carlo, pairs[:] = pairs[:], []
@@ -430,6 +442,22 @@ def _direct_members(cfg, codes, x_s):
     else:
         cls = np.where(np.array(R0_BIT)[codes] == x_s, 2, np.where(codes == 5 * x_s, 0, 1))
     return [cls == c for c in range(3)]
+
+
+def test_only_protocol_runs_the_engine():
+    # every failure probability goes through protocol._failed_weights, so
+    # no second loop over engine blocks grows elsewhere
+    for path in Path(protocol.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+        assert ("_run_rows" in names) == (path.name == "protocol.py"), path.name
 
 
 def test_protocol_imports_no_module_built_on_it():

@@ -70,6 +70,28 @@ class TestChernoffFormulas:
         with pytest.raises(ParameterError):
             chernoff_S(MU, "0.4", 100)
 
+    @pytest.mark.parametrize(
+        "bound,args",
+        [
+            (chernoff_S, (-1, "0.9", 10)),  # used to return 2.0
+            (chernoff_S, (0, "0.9", 10)),
+            (chernoff_S, ("0.3", "1.5", 10)),  # used to return 6.78
+            (chernoff_S, ("0.3", 1, 10)),
+            (chernoff_no_faulty, (-1, 10)),
+            (chernoff_no_faulty, (0, 10)),
+        ],
+    )
+    def test_rejects_out_of_range_parameters(self, bound, args):
+        with pytest.raises(ParameterError):
+            bound(*args)
+
+    def test_ranges_are_exact_rationals(self):
+        # a mu just below 1/3 is inside the region, though its float is 1/3's
+        mu = "0.33333333333333333"
+        assert in_guaranteed_region(mu, "0.99") and float(Fraction(mu)) == 1 / 3
+        for value in (chernoff_no_faulty(mu, 10), chernoff_S(mu, "0.99", 10), chernoff_R(mu, "0.99", 10)):
+            assert math.isfinite(value)
+
     def test_s_decreasing_in_m(self):
         values = [chernoff_S(MU, LAM, m) for m in range(10, 400, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))

@@ -128,6 +128,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_event(0, 1)
 
+    @pytest.mark.parametrize("m", [True, 2.5, "3"])
+    def test_rejects_m_that_is_not_a_count(self, m):
+        # the count rule of ProtocolParams.create; these reached numpy's TypeError
+        with pytest.raises(ValueError, match="must be a positive count"):
+            sample_event(m, 1)
+
     @pytest.mark.parametrize("seed", [-1, True, 2.0])
     def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
         # True used to seed as 1, and -1 and 2.0 reached numpy's own errors
