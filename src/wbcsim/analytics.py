@@ -12,7 +12,8 @@ Out-of-domain masses are summed from their own tails, never taken as
 1 - (in-domain mass), so small values keep their relative precision.
 
 Each formula evaluates a block of integer (m, T, Q) rows, the whole state
-a bound reads, and sums each row along the conditioned count;
+a bound reads, and sums each row along the conditioned count in index
+order, so a value depends on its row alone and never on its block;
 `failure_reports` and the `pf_*` functions are one-row views of it.
 
 Every tail inside a sum is a binomial tail at a fixed k whose trial count
@@ -65,7 +66,7 @@ import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln
 
 from .adversary import _DENOMINATOR, _event_blocks
-from .protocol import AdversaryConfig, ProtocolParams, _failed_weights
+from .protocol import _BLOCK_ELEMENTS, AdversaryConfig, ProtocolParams, _checked_config, _failed_weights
 
 Probability = Union[float, Fraction]
 
@@ -288,17 +289,34 @@ def _window(b: _Binomial, m, lo, hi, q: Fraction, z):
     it is the whole [lo, hi] and leaves nothing out."""
     if z is None:
         return lo, hi, 0
-    mode = m - (m + 1) * q.numerator // q.denominator
-    h = np.ceil(np.clip(z * np.sqrt(m * (float(q) * float(1 - q))), _MIN_HALF_WIDTH, m)).astype(np.int64)
+    mode, h = m - (m + 1) * q.numerator // q.denominator, _half_width(m, q, z)
     n_lo, n_hi = np.maximum(lo, mode - h), np.minimum(hi, mode + h)
     left_out = np.where(n_lo > lo, b.sf(m - n_lo, m, q), 0.0) + np.where(n_hi < hi, b.cdf(m - n_hi - 1, m, q), 0.0)
     return n_lo, n_hi, left_out
 
 
-def _row_width(m: int) -> int:
-    """The most entries a float S or R0 row at m spans on its first window
-    (S's weight has the larger standard deviation), for sizing blocks."""
-    return min(m, 2 * max(math.ceil(_Z0 * math.sqrt(2 * m / 9)), _MIN_HALF_WIDTH) + 1)
+def _half_width(m, q: Fraction, z):
+    """Entries a window keeps on each side of the mode: z standard
+    deviations of Binom(m, q), and at least _MIN_HALF_WIDTH."""
+    a, d = q.numerator, q.denominator  # a / d * ((d - a) / d) is float(q) * float(1 - q), with no Fraction arithmetic
+    sd = np.sqrt(m * (a / d * ((d - a) / d)))
+    return np.ceil(np.minimum(np.maximum(z * sd, _MIN_HALF_WIDTH), m)).astype(np.int64)
+
+
+def _row_width(m):
+    """The most entries a float S or R0 row at each m spans on its first
+    window (S's weight has the larger standard deviation)."""
+    return np.minimum(m, 2 * _half_width(m, _THIRD, _Z0) + 1)
+
+
+def _rows_per_block(m):
+    """Float S or R0 rows per block at each m: first windows within _BLOCK_ELEMENTS entries, or one row."""
+    return np.maximum(1, _BLOCK_ELEMENTS // _row_width(m))
+
+
+def _row_sum(x):
+    """Each row's sum in index order, so the zeros padding it to its block's width add exactly nothing."""
+    return np.cumsum(x, axis=1)[:, -1]
 
 
 def _s_rows(m, T, Q, b: _Binomial, z=None):
@@ -316,8 +334,8 @@ def _s_rows(m, T, Q, b: _Binomial, z=None):
     valid = n <= hi[:, None]
     w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _THIRD), 0)  # P(l3 = m - n)
     l1_tails = _tail(b, T - Q - 1, n, _HALF, valid, upper=False) + _tail(b, Q - 1, n, _HALF, valid, upper=False)
-    dom = np.sum(w * (1 - l1_tails), axis=1)
-    out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + np.sum(w * l1_tails, axis=1)
+    dom = _row_sum(w * (1 - l1_tails))
+    out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + _row_sum(w * l1_tails)
     two_to_minus_q = b.scalar(_HALF) ** Q
     lower = dom * two_to_minus_q
     # a left-out entry adds at most its weight to UPPER and 2^-Q times it to LOWER
@@ -345,22 +363,27 @@ def _r_rows(m, T, Q, b: _Binomial, z=None):
     window = _tail(b, T - 1, n, _TWO_FIFTHS, valid, upper=True) - _tail(b, m - T, n, _TWO_FIFTHS, valid, upper=True)
     lucky = _tail(b, Q - 1, n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
     pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
-    lower = pink + np.sum(w * window * lucky, axis=1)
+    lower = pink + _row_sum(w * window * lucky)
     # a left-out entry adds at most its weight to either bound
     return _at_most_one(lower), _at_most_one(lower + green + left_out), left_out, left_out
 
 
 def _certified(formula, m, T, Q):
     """Float LOWER and UPPER of a faulty formula, each row on a window that
-    moves both by at most _CERTIFIED of their values. Every row starts at
+    moves both by at most _CERTIFIED of their values, in blocks of as many
+    rows as `_rows_per_block` allows at the largest m. Every row starts at
     _Z0 standard deviations of its weight; a row whose left-out mass is
     too large for that is evaluated again on twice the width, and so on up
     to the whole row, where nothing is left out. UPPER adds what a window
     leaves out and LOWER does not, so both stay bounds in their direction."""
-    if m.max() <= _MIN_HALF_WIDTH:  # every window is the whole row
-        return formula(m, T, Q, _FLOAT)[:2]
-    z = np.full(len(m), _Z0)
-    values = np.array(formula(m, T, Q, _FLOAT, z))  # lower, upper and the most each moved
+    z, values = np.full(len(m), _Z0), np.zeros((4, len(m)))  # lower, upper and the most each moved
+    step = _rows_per_block(m.max())
+    for lo in range(0, len(m), step):
+        rows = slice(lo, lo + step)
+        if m[rows].max() <= _MIN_HALF_WIDTH:  # every window is the whole row
+            values[:2, rows] = formula(m[rows], T[rows], Q[rows], _FLOAT)[:2]
+        else:
+            values[:, rows] = formula(m[rows], T[rows], Q[rows], _FLOAT, z[rows])
     while (short := np.flatnonzero((values[2:] > _CERTIFIED * values[:2]).any(axis=0))).size:
         z[short] *= 2
         values[:, short] = formula(m[short], T[short], Q[short], _FLOAT, z[short])
@@ -368,16 +391,17 @@ def _certified(formula, m, T, Q):
 
 
 def _report_rows(cfg: AdversaryConfig, rows, exact: bool = False) -> dict[BoundKind, np.ndarray]:
-    """A configuration's report values over an (N, 3) block of integer
-    (m, T, Q) rows, from one call of its formula: {EXACT} with no faulty
-    component, {LOWER, UPPER} otherwise, in that order. The last kind is
-    the one resource minimisation reads.
+    """A configuration's report values over any number of integer
+    (m, T, Q) rows, an (N, 3) array, from its formula (float S and R0 rows
+    in the blocks `_certified` cuts): {EXACT} with no faulty component,
+    {LOWER, UPPER} otherwise, in that order. The last kind is the one
+    resource minimisation reads.
 
     The formulas are looked up as module globals on each call, so a wrapper
     set on this module's attribute (a tracer, a test spy) sees every call.
     """
     b, columns = _EXACT if exact else _FLOAT, np.asarray(rows).T
-    if cfg is AdversaryConfig.NO_FAULTY:
+    if _checked_config(cfg) is AdversaryConfig.NO_FAULTY:
         return {BoundKind.EXACT: _no_faulty_rows(*columns, b)}
     formula = _s_rows if cfg is AdversaryConfig.S_FAULTY else _r_rows
     lower, upper = formula(*columns, b)[:2] if exact else _certified(formula, *columns)
@@ -426,7 +450,7 @@ def pf_bruteforce(
     kind = BoundKind(kind)
     if p.m > max_m:
         raise ValueError(f"exhaustive enumeration limited to m <= {max_m}")
-    if cfg is AdversaryConfig.NO_FAULTY:
+    if _checked_config(cfg) is AdversaryConfig.NO_FAULTY:
         kind = BoundKind.EXACT
     elif kind is BoundKind.EXACT:
         raise ValueError("faulty configurations only admit LOWER/UPPER brute-force scoring")

@@ -49,7 +49,7 @@ def _parse_real(text: str, inexact: bool) -> Fraction | float:
             raise ParameterError(f"{text!r} is not a finite number")
         return value
     if not _DECIMAL_RE.fullmatch(text):
-        raise ParameterError(f"{text!r} is not a plain decimal; pass --inexact to allow float parsing")
+        raise ParameterError(f"{text!r} is not a plain decimal; --inexact allows floats for --mu and --lambda")
     return Fraction(text)
 
 
@@ -166,9 +166,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    plain = functools.partial(_parse_real, inexact=False)
     spec = optimizer.GridSpec(
-        mu_range=(Fraction(args.mu_lo), Fraction(args.mu_hi), args.mu_steps),
-        lambda_range=(Fraction(args.lambda_lo), Fraction(args.lambda_hi), args.lambda_steps),
+        mu_range=(plain(args.mu_lo), plain(args.mu_hi), args.mu_steps),
+        lambda_range=(plain(args.lambda_lo), plain(args.lambda_hi), args.lambda_steps),
         m_candidates=_parse_m_list(args.m),
         p_target=args.pft,
     )

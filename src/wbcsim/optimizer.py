@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from . import analytics
-from .protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams, _thresholds
+from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _thresholds
 from .security import in_guaranteed_region
 from .source import _is_count
 
@@ -33,13 +33,12 @@ def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
 
 
-def _blocks(ms: Iterable[int]) -> Iterator[list[int]]:
-    """Consecutive runs of the ascending ms, each of at most
-    protocol._BLOCK_ELEMENTS float row entries: rows x the largest m's
-    `analytics._row_width` (one row if that is larger)."""
+def _blocks(ms: Sequence[int]) -> Iterator[list[int]]:
+    """Consecutive runs of the ascending ms, each of at most as many rows
+    as `analytics._rows_per_block` allows at its largest m."""
     block: list[int] = []
-    for m in ms:
-        if len(block) >= max(1, _BLOCK_ELEMENTS // analytics._row_width(m)):
+    for m, rows in zip(ms, analytics._rows_per_block(np.array(ms, np.int64)).tolist()):
+        if len(block) >= rows:
             yield block
             block = []
         block.append(m)
@@ -47,19 +46,18 @@ def _blocks(ms: Iterable[int]) -> Iterator[list[int]]:
         yield block
 
 
-def _scan(cells: Sequence[tuple], p_target: float, ms: Iterable[int]) -> list[dict[str, Verdict]]:
+def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[dict[str, Verdict]]:
     """For each (mu, lambda) cell, the first m of the ascending ms where each
     configuration's bound, and all three at once ("overall"), drop below
     p_target; NOT_FOUND where none does.
 
-    One scan over m serves every cell. The formulas read only (m, T, Q), so
-    each block of m evaluates the distinct (m, T, Q) rows of the open cells
-    (`np.unique`, in ascending m) once per configuration, in chunks as
-    `_blocks` cuts them, and every cell reads its crossings from those
-    rows. A cell leaves the scan after the block that holds its overall
-    crossing: there every bound is below the target, so each
-    per-configuration crossing is already recorded. Bound monotonicity in m
-    is not assumed.
+    One scan over m serves every cell. A bound is a function of its
+    (m, T, Q) row alone, so each block of m hands the distinct rows of the
+    open cells (`np.unique`, in ascending m) to each configuration's
+    formulas once, and every cell reads its crossings from those rows. A
+    cell leaves the scan after the block that holds its overall crossing:
+    there every bound is below the target, so each per-configuration
+    crossing is already recorded. Bound monotonicity in m is not assumed.
     """
     cells = [(p.mu, p.lam) for p in (ProtocolParams.create(mu, lam, 1) for mu, lam in cells)]  # range checks
     names = [cfg.value for cfg in AdversaryConfig] + ["overall"]
@@ -73,13 +71,8 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Iterable[int]) -> list[di
             [np.stack([m_column, *_thresholds(*cells[i], m_column)], axis=1) for i in open_cells]
         ).astype(np.int64)  # T and Q are at most m
         rows, index = np.unique(keys, axis=0, return_inverse=True)
-        chunks = np.split(rows, np.cumsum([len(chunk) for chunk in _blocks(rows[:, 0])])[:-1])
-        below = np.array(
-            [
-                np.concatenate([[*analytics._report_rows(cfg, chunk).values()][-1] for chunk in chunks])
-                for cfg in AdversaryConfig
-            ]
-        )[:, index.reshape(len(open_cells), len(block))] < p_target
+        below = np.array([[*analytics._report_rows(cfg, rows).values()][-1] for cfg in AdversaryConfig])
+        below = below[:, index.reshape(len(open_cells), len(block))] < p_target
         below = np.concatenate([below, below.all(axis=0, keepdims=True)])
         crossed, at = below.any(axis=2), below.argmax(axis=2)
         for j, i in enumerate(open_cells):

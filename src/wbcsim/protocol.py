@@ -237,13 +237,20 @@ def _honest_sigma(codes: np.ndarray, x_s: int) -> np.ndarray:
     return codes == (0 if x_s == 0 else 5)
 
 
+def _checked_config(cfg) -> AdversaryConfig:
+    """cfg, after checking that it is an AdversaryConfig (its value string is not)."""
+    if not isinstance(cfg, AdversaryConfig):
+        raise ValueError(f"unknown adversary configuration {cfg!r}")
+    return cfg
+
+
 def _encode(cfg: AdversaryConfig, codes: np.ndarray, units: np.ndarray, x_s: int = 0, sigma0=None) -> np.ndarray:
     """The faulty party's class c of each index, as its packed unit
     units[c]: S's class by its pair; R0's after receiving sigma0 (by default
     the correct sender's check set), 0011 where it measured 1 - x_s and S
     vouched for the index, XX10 where it measured 1 - x_s otherwise, XX0X
     where it measured x_s."""
-    if cfg is AdversaryConfig.S_FAULTY:
+    if _checked_config(cfg) is AdversaryConfig.S_FAULTY:
         return np.take(units[_S_CLASSES], codes)
     if cfg is AdversaryConfig.R0_FAULTY:
         sigma0 = _honest_sigma(codes, x_s) if sigma0 is None else sigma0
@@ -347,8 +354,8 @@ _STRATEGIES = {
 def _checked_ks(cfg: AdversaryConfig, strategy, view) -> np.ndarray:
     """An explicit strategy as the class-major one-row k array the engine
     takes, after checking that it is cfg's strategy class and asks each
-    class of the local count list in the view's first row for between 0
-    and as many indices as it holds."""
+    class of the local count list in the view's first row for a whole
+    number of indices between 0 and as many as it holds."""
     if cfg not in _STRATEGIES:
         raise ValueError(f"no strategy allowed in the {cfg.value} configuration")
     kind, names = _STRATEGIES[cfg]
@@ -357,6 +364,8 @@ def _checked_ks(cfg: AdversaryConfig, strategy, view) -> np.ndarray:
     ks = dataclasses.astuple(strategy)
     for i, k in enumerate(ks):
         size = view.sizes[i % 3, 0]
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"{kind.__name__} requests {k!r} indices from class {names[i % 3]}, not a whole number")
         if not 0 <= k <= size:
             raise ValueError(f"strategy requests {k} indices from class {names[i % 3]} of size {size}")
     return np.array(ks)[:, None]
@@ -556,8 +565,6 @@ def run_protocol(
     """
     if event.m != p.m:
         raise ValueError(f"event length {event.m} != params m {p.m}")
-    if not isinstance(cfg, AdversaryConfig):
-        raise ValueError(f"unknown adversary configuration {cfg!r}")
     x_s = _sender_bit(x_s)
     codes = _one_row(event)
     view = None if cfg is AdversaryConfig.NO_FAULTY else _view(cfg, codes, x_s)

@@ -1,8 +1,10 @@
 """Tests for adversary strategies, their domains, and optimality."""
 
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wbcsim.adversary import (
@@ -111,6 +113,21 @@ class TestAssembly:
         events = next(iter(_events_by_local_list(3, cfg).values()))
         with pytest.raises(ValueError, match=f"strategy must be a {kind}"):
             conditional_failure_probability(cfg, _small_params(3), events, strategy)
+
+    @pytest.mark.parametrize("k", [1.5, True, 1.0, "1"], ids=repr)
+    def test_strategy_counts_must_be_whole_numbers(self, params12, k):
+        # 1.5 and True used to play k = 1
+        message = f"requests {re.escape(repr(k))} indices from class 0011, not a whole number"
+        with pytest.raises(ValueError, match=f"StrategyR {message}"):
+            run_protocol(EXAMPLE_EVENT, params12, R0_FAULTY, strategy=StrategyR(k, 0, 0))
+        for cfg, strategy in ((S_FAULTY, StrategyS(k, 0, 0, 0, 0, 0)), (R0_FAULTY, StrategyR(k, 0, 0))):
+            events = next(iter(_events_by_local_list(3, cfg).values()))
+            with pytest.raises(ValueError, match=f"{type(strategy).__name__} {message}"):
+                conditional_failure_probability(cfg, _small_params(3), events, strategy)
+
+    def test_numpy_integer_counts_are_accepted(self, params12):
+        played = run_protocol(EXAMPLE_EVENT, params12, R0_FAULTY, strategy=StrategyR(np.int64(1), np.int8(1), 0))
+        assert played == run_protocol(EXAMPLE_EVENT, params12, R0_FAULTY, strategy=StrategyR(1, 1, 0))
 
     @pytest.mark.parametrize("cfg", [S_FAULTY, R0_FAULTY], ids=lambda c: c.value)
     def test_conditional_probability_rejects_overdraw(self, cfg):

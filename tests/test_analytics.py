@@ -167,6 +167,26 @@ def assert_windowed_matches_whole_rows(mu, lam, ms):
             assert np.all(np.abs(windowed - whole) <= 2e-15 * rows[:, 0] * whole), (mu, lam, formula.__name__)
 
 
+class TestBlockPartitions:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=st.sampled_from(WINDOW_PAIRS),
+        ms=st.lists(st.integers(1, 2500), min_size=1, max_size=10, unique=True).map(sorted),
+        cuts=st.sets(st.integers(1, 9)),
+    )
+    def test_float_values_do_not_depend_on_the_block(self, pair, ms, cuts):
+        # a float bound is a function of its (m, T, Q) row alone: any cut of
+        # an ascending row list into blocks gives the bits of one-row calls
+        rows = block(*pair, ms)
+        parts = np.split(rows, sorted(c for c in cuts if c < len(rows)))
+        for cfg in AdversaryConfig:
+            blocked = [_report_rows(cfg, part) for part in parts]
+            alone = [_report_rows(cfg, row[None]) for row in rows]
+            for kind in blocked[0]:
+                joined = np.concatenate([values[kind] for values in blocked])
+                assert joined.tobytes() == np.concatenate([values[kind] for values in alone]).tobytes(), (cfg, kind)
+
+
 class TestWindows:
     @pytest.mark.parametrize("mu,lam", WINDOW_PAIRS)
     def test_rows_up_to_m_400_are_whole(self, mu, lam):

@@ -169,6 +169,21 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: invalid m range {part!r} in {text!r}\n"
 
+    @pytest.mark.parametrize("text", ["0", "0..2", "5,-1"])
+    def test_m_below_one_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", text)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: invalid m list {text!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--mu-lo", "--mu-hi", "--lambda-lo", "--lambda-hi"])
+    @pytest.mark.parametrize("value", ["abc", "1/4"])
+    def test_optimize_grid_bounds_are_plain_decimals(self, capsys, flag, value):
+        # parsed as --mu and --lambda are: "abc" used to exit 2 with Fraction's
+        # "Invalid literal", and "1/4" was accepted
+        code, out, err = run(capsys, "optimize", f"{flag}={value}")
+        assert code == EXIT_PARAMETER and out == ""
+        assert err == f"parameter error: {value!r} is not a plain decimal; --inexact allows floats for --mu and --lambda\n"
+
     @pytest.mark.parametrize("ms", ["300,280", "270..300,300"])
     def test_optimize_rejects_candidates_not_strictly_ascending(self, capsys, ms):
         code, out, err = run(capsys, "optimize", "--m", ms)

@@ -19,7 +19,7 @@ from wbcsim.optimizer import (
     m_min_upper,
 )
 import wbcsim.analytics as analytics
-from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
+from wbcsim.analytics import failure_reports, pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
 from wbcsim.protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams, _thresholds
 from wbcsim.security import in_guaranteed_region
 
@@ -215,12 +215,50 @@ class TestMMinTable:
         table = m_min_table(mu, lam, p_target, m_lo, m_hi, require_region=False)
         assert table == self.first_crossings(mu, lam, p_target, m_lo, m_hi)
 
+    @pytest.mark.parametrize("mu,lam", [("0.272", "0.94"), ("0.3", "0.8")])
+    def test_printed_upper_bounds_decide_the_crossings(self, monkeypatch, mu, lam):
+        # `exact` prints each UPPER from a one-row call, and repr round-trips;
+        # at p_target set to any of them the scan answers the first m whose
+        # printed UPPER is below it. Row sums that depended on a row's block
+        # answered 38 of these 1600 scans wrongly.
+        ms = range(1, 401)
+        printed = {cfg: [failure_reports(cfg, ProtocolParams.create(mu, lam, m))[1].value for m in ms]
+                   for cfg in (AdversaryConfig.S_FAULTY, AdversaryConfig.R0_FAULTY)}
+        # every scan of 1..400 hands the formulas the same blocks: each is evaluated once
+        evaluated = {}
+
+        def once(cfg, rows, *args, _fn=analytics._report_rows):
+            key = (cfg, rows.tobytes(), args)
+            if key not in evaluated:
+                evaluated[key] = _fn(cfg, rows, *args)
+            return evaluated[key]
+
+        monkeypatch.setattr(analytics, "_report_rows", once)
+        for cfg, upper in printed.items():
+            for target in upper:
+                first = next((m for m, u in zip(ms, upper) if u < target), NOT_FOUND)
+                assert m_min_table(mu, lam, target, 1, 400, require_region=False)[cfg.value] == first, (cfg, target)
+
 
 @pytest.mark.slow
 def test_smallest_advertised_target_up_to_m_15000():
     # the 1e-30 target: about 4 s on certified windows, where whole rows took 13-19 s
     table = m_min_table(MU, LAM, 1e-30, 1, 15000)
     assert table == {"no-faulty": 7492, "s-faulty": 7492, "r0-faulty": 11927, "overall": 11927}
+
+
+@pytest.fixture
+def formula_blocks(monkeypatch):
+    """The m column of each call of the S and R0 formulas, in call order."""
+    seen = []
+    for name in ("_s_rows", "_r_rows"):
+
+        def spy(m, *args, _fn=getattr(analytics, name)):
+            seen.append(m.tolist())
+            return _fn(m, *args)
+
+        monkeypatch.setattr(analytics, name, spy)
+    return seen
 
 
 class TestBlocks:
@@ -237,15 +275,16 @@ class TestBlocks:
         return seen
 
     @pytest.mark.parametrize("m_lo,m_hi", [(1, 400), (9999, 10001)])
-    def test_blocks_are_bounded_and_cover_each_m_once(self, blocks, m_lo, m_hi):
+    def test_blocks_are_bounded_and_cover_each_m_once(self, blocks, formula_blocks, m_lo, m_hi):
         assert m_min_upper(MU, LAM, 1e-300, m_lo, m_hi) == NOT_FOUND
         for cfg in AdversaryConfig:
             runs = [ms for name, ms in blocks if name is cfg]
             assert [m for ms in runs for m in ms] == list(range(m_lo, m_hi + 1))
-            # float rows span windows of at most _row_width entries, not m
-            assert all(len(ms) * analytics._row_width(max(ms)) <= _BLOCK_ELEMENTS for ms in runs)
+        # each m is one S and one R0 row; float rows span windows of at most _row_width entries, not m
+        assert sorted(m for ms in formula_blocks for m in ms) == sorted(2 * list(range(m_lo, m_hi + 1)))
+        assert all(len(ms) * analytics._row_width(max(ms)) <= _BLOCK_ELEMENTS for ms in formula_blocks)
         if m_lo > 1000:
-            assert max(map(len, runs)) > 1  # large-m blocks hold several rows
+            assert max(map(len, formula_blocks)) > 1  # large-m blocks hold several rows
 
     @pytest.mark.parametrize(
         "p_target,seen", [(0.05, {280, 289, NOT_FOUND, OUTSIDE_REGION}), (0.5, {100, OUTSIDE_REGION})]
@@ -299,7 +338,7 @@ class TestGridScan:
         cells = [cell for cell in cells if in_guaranteed_region(*cell) or not inside_only]
         return {(p.m, p.T, p.Q) for p in (ProtocolParams.create(mu, lam, m) for mu, lam in cells for m in g.m_candidates)}
 
-    def test_default_grid_evaluates_each_distinct_row_once(self, rows):
+    def test_default_grid_evaluates_each_distinct_row_once(self, rows, formula_blocks):
         g = self.spec((Fraction("0.9325"), Fraction("0.9475"), 7), range(270, 301))
         grid_search(g)
         keys = self.cell_rows(g)
@@ -309,8 +348,10 @@ class TestGridScan:
             # each row is a real cell's (m, T, Q), as ProtocolParams.create gives them, once
             assert sorted(row for name, block in rows if name is cfg for row in block) == sorted(keys)
         for _, block in rows:
-            assert len(block) * max(m for m, _, _ in block) <= _BLOCK_ELEMENTS
             assert block == sorted(set(block))  # distinct, in ascending m
+        assert sorted(m for ms in formula_blocks for m in ms) == sorted(2 * [m for m, _, _ in keys])
+        for ms in formula_blocks:
+            assert len(ms) * max(ms) <= _BLOCK_ELEMENTS
 
     def test_scan_stops_after_the_block_of_the_last_crossing(self, rows):
         g = self.spec((Fraction("0.9375"), Fraction("0.9475"), 5), range(1, 2001))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import wbcsim.adversary as adversary
 import wbcsim.protocol as protocol
-from wbcsim.analytics import pf_bruteforce
+from wbcsim.analytics import failure_reports, pf_bruteforce
 from wbcsim.montecarlo import estimate_pf
 from wbcsim.protocol import (
     ABORT,
@@ -258,6 +258,29 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="the sender's value is a bit"):
             invocation_honest(e, x_s)
 
+    @pytest.mark.parametrize("cfg", ["s-faulty", None])
+    def test_configuration_must_be_an_adversary_config(self, params12, cfg):
+        # failure_reports used to return R0's bounds for "s-faulty", and the
+        # Monte-Carlo, 6^m sums and strategy search said only a faulty party
+        # has a strategy view
+        e, small = Event.from_outcomes(["0011", "0110", "1100"] * 4), ProtocolParams.create("0.3", "0.8", 3)
+        events = next(iter(adversary._events_by_local_list(3, AdversaryConfig.S_FAULTY).values()))
+        for call in (
+            lambda: run_protocol(e, params12, cfg),
+            lambda: classify_weak_broadcast(cfg, 0, 0, 0),
+            lambda: failure_reports(cfg, params12),
+            lambda: failure_reports(cfg, params12, exact=True),
+            lambda: estimate_pf(cfg, params12, 10, 0),
+            lambda: pf_bruteforce(cfg, small),
+            lambda: pf_bruteforce(cfg, small, kind="lower"),
+            lambda: pf_bruteforce(cfg, small, kind="exact"),
+            lambda: adversary.best_failure_probability_bruteforce(cfg, small),
+            lambda: adversary.max_conditional_failure(cfg, small, events),
+            lambda: adversary.conditional_failure_probability(cfg, small, events, adversary.StrategyS(0, 0, 0, 0, 0, 0)),
+        ):
+            with pytest.raises(ValueError, match=f"unknown adversary configuration {cfg!r}"):
+                call()
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_no_faulty_fails_iff_support_below_threshold(self, m):
         p = ProtocolParams.create("0.3", "0.8", m)
@@ -444,20 +467,31 @@ def _direct_members(cfg, codes, x_s):
     return [cls == c for c in range(3)]
 
 
+def names_in(path: Path) -> set[str]:
+    """Every name, attribute and from-imported name a module's source uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
 def test_only_protocol_runs_the_engine():
     # every failure probability goes through protocol._failed_weights, so
     # no second loop over engine blocks grows elsewhere
     for path in Path(protocol.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
-        assert ("_run_rows" in names) == (path.name == "protocol.py"), path.name
+        assert ("_run_rows" in names_in(path)) == (path.name == "protocol.py"), path.name
+
+
+def test_analytics_owns_the_formula_block_budget():
+    # the optimizer cuts its runs of m by analytics._rows_per_block and
+    # leaves cutting rows into formula blocks to analytics
+    names = names_in(Path(protocol.__file__).parent / "optimizer.py")
+    assert "_rows_per_block" in names and not names & {"_BLOCK_ELEMENTS", "_row_width"}
 
 
 def test_protocol_imports_no_module_built_on_it():

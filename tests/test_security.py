@@ -79,6 +79,8 @@ class TestChernoffFormulas:
             (chernoff_S, ("0.3", 1, 10)),
             (chernoff_no_faulty, (-1, 10)),
             (chernoff_no_faulty, (0, 10)),
+            (lambda_threshold, (0,)),
+            (lambda_threshold, ("-0.25",)),
         ],
     )
     def test_rejects_out_of_range_parameters(self, bound, args):

@@ -238,6 +238,11 @@ class TestCounts:
         assert g.m == e.m
         assert project_S(g).m == e.m
 
+    @pytest.mark.parametrize("g", [(3, 1, 2, 0, 1), (3, 1, 2, 0, 1, 4, 0), (3, 1, -2, 0, 1, 4)])
+    def test_global_count_list_is_six_non_negative_counts(self, g):
+        with pytest.raises(ValueError, match="six non-negative counts"):
+            GlobalCountList(g)
+
     def test_projections(self):
         g = GlobalCountList((3, 1, 2, 0, 1, 4))
         assert project_S(g).l1 == 3 and project_S(g).l2 == 4 and project_S(g).l3 == 4
