@@ -153,8 +153,8 @@ class _Smooth:
         if func is np.where:
             e, nums = _aligned(*args[1:])
             return _Smooth(np.where(args[0], *nums), e)
-        if func in (np.cumsum, np.sum):
-            return _Smooth(func(args[0].num, *args[1:], **kwargs), args[0].e)
+        if func is np.cumsum:
+            return _Smooth(np.cumsum(args[0].num, *args[1:], **kwargs), args[0].e)
         return NotImplemented
 
 
@@ -298,20 +298,19 @@ def _window(b: _Binomial, m, lo, hi, q: Fraction, z):
 def _half_width(m, q: Fraction, z):
     """Entries a window keeps on each side of the mode: z standard
     deviations of Binom(m, q), and at least _MIN_HALF_WIDTH."""
-    a, d = q.numerator, q.denominator  # a / d * ((d - a) / d) is float(q) * float(1 - q), with no Fraction arithmetic
-    sd = np.sqrt(m * (a / d * ((d - a) / d)))
-    return np.ceil(np.minimum(np.maximum(z * sd, _MIN_HALF_WIDTH), m)).astype(np.int64)
+    return np.ceil(np.clip(z * np.sqrt(m * (float(q) * float(1 - q))), _MIN_HALF_WIDTH, m)).astype(np.int64)
 
 
-def _row_width(m):
-    """The most entries a float S or R0 row at each m spans on its first
-    window (S's weight has the larger standard deviation)."""
-    return np.minimum(m, 2 * _half_width(m, _THIRD, _Z0) + 1)
+def _row_width(m, z=_Z0):
+    """The most entries a float S or R0 row at each m spans on a window of
+    z standard deviations (S's weight has the larger standard deviation)."""
+    return np.minimum(m, 2 * _half_width(m, _THIRD, z) + 1)
 
 
-def _rows_per_block(m):
-    """Float S or R0 rows per block at each m: first windows within _BLOCK_ELEMENTS entries, or one row."""
-    return np.maximum(1, _BLOCK_ELEMENTS // _row_width(m))
+def _rows_per_block(m, z=_Z0):
+    """Float S or R0 rows per block at each m: windows of z standard
+    deviations within _BLOCK_ELEMENTS entries, or one row."""
+    return np.maximum(1, _BLOCK_ELEMENTS // _row_width(m, z))
 
 
 def _row_sum(x):
@@ -370,23 +369,24 @@ def _r_rows(m, T, Q, b: _Binomial, z=None):
 
 def _certified(formula, m, T, Q):
     """Float LOWER and UPPER of a faulty formula, each row on a window that
-    moves both by at most _CERTIFIED of their values, in blocks of as many
-    rows as `_rows_per_block` allows at the largest m. Every row starts at
+    moves both by at most _CERTIFIED of their values. Every row starts at
     _Z0 standard deviations of its weight; a row whose left-out mass is
     too large for that is evaluated again on twice the width, and so on up
-    to the whole row, where nothing is left out. UPPER adds what a window
-    leaves out and LOWER does not, so both stay bounds in their direction."""
+    to the whole row, where nothing is left out. Each pass evaluates its
+    rows in blocks of as many as `_rows_per_block` allows at their largest
+    m and width. UPPER adds what a window leaves out and LOWER does not, so
+    both stay bounds in their direction."""
     z, values = np.full(len(m), _Z0), np.zeros((4, len(m)))  # lower, upper and the most each moved
-    step = _rows_per_block(m.max())
-    for lo in range(0, len(m), step):
-        rows = slice(lo, lo + step)
-        if m[rows].max() <= _MIN_HALF_WIDTH:  # every window is the whole row
-            values[:2, rows] = formula(m[rows], T[rows], Q[rows], _FLOAT)[:2]
-        else:
-            values[:, rows] = formula(m[rows], T[rows], Q[rows], _FLOAT, z[rows])
-    while (short := np.flatnonzero((values[2:] > _CERTIFIED * values[:2]).any(axis=0))).size:
-        z[short] *= 2
-        values[:, short] = formula(m[short], T[short], Q[short], _FLOAT, z[short])
+    rows = np.arange(len(m))
+    while rows.size:
+        step = _rows_per_block(m[rows].max(), z[rows].max()) if rows.size > 1 else 1
+        for block in (rows[lo : lo + step] for lo in range(0, rows.size, step)):
+            if m[block].max() <= _MIN_HALF_WIDTH:  # every window is the whole row and leaves nothing out
+                values[:2, block] = formula(m[block], T[block], Q[block], _FLOAT)[:2]
+            else:
+                values[:, block] = formula(m[block], T[block], Q[block], _FLOAT, z[block])
+        rows = np.flatnonzero((values[2:] > _CERTIFIED * values[:2]).any(axis=0))
+        z[rows] *= 2
     return values[0], values[1]
 
 

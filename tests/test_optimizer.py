@@ -249,16 +249,23 @@ def test_smallest_advertised_target_up_to_m_15000():
 
 @pytest.fixture
 def formula_blocks(monkeypatch):
-    """The m column of each call of the S and R0 formulas, in call order."""
+    """Each call of the S and R0 formulas as (m column, the widest window's
+    z), in call order; z is inf where the rows are whole."""
     seen = []
     for name in ("_s_rows", "_r_rows"):
 
-        def spy(m, *args, _fn=getattr(analytics, name)):
-            seen.append(m.tolist())
-            return _fn(m, *args)
+        def spy(m, T, Q, b, z=None, _fn=getattr(analytics, name)):
+            seen.append((m.tolist(), np.inf if z is None else z.max()))
+            return _fn(m, T, Q, b, z)
 
         monkeypatch.setattr(analytics, name, spy)
     return seen
+
+
+def assert_within_budget(formula_blocks):
+    # float rows span windows of at most _row_width entries at their z, not m
+    for ms, z in formula_blocks:
+        assert len(ms) == 1 or len(ms) * analytics._row_width(max(ms), z) <= _BLOCK_ELEMENTS, (len(ms), max(ms), z)
 
 
 class TestBlocks:
@@ -280,11 +287,11 @@ class TestBlocks:
         for cfg in AdversaryConfig:
             runs = [ms for name, ms in blocks if name is cfg]
             assert [m for ms in runs for m in ms] == list(range(m_lo, m_hi + 1))
-        # each m is one S and one R0 row; float rows span windows of at most _row_width entries, not m
-        assert sorted(m for ms in formula_blocks for m in ms) == sorted(2 * list(range(m_lo, m_hi + 1)))
-        assert all(len(ms) * analytics._row_width(max(ms)) <= _BLOCK_ELEMENTS for ms in formula_blocks)
+        # each m is one S and one R0 row
+        assert sorted(m for ms, _ in formula_blocks for m in ms) == sorted(2 * list(range(m_lo, m_hi + 1)))
+        assert_within_budget(formula_blocks)
         if m_lo > 1000:
-            assert max(map(len, formula_blocks)) > 1  # large-m blocks hold several rows
+            assert max(len(ms) for ms, _ in formula_blocks) > 1  # large-m blocks hold several rows
 
     @pytest.mark.parametrize(
         "p_target,seen", [(0.05, {280, 289, NOT_FOUND, OUTSIDE_REGION}), (0.5, {100, OUTSIDE_REGION})]
@@ -349,9 +356,18 @@ class TestGridScan:
             assert sorted(row for name, block in rows if name is cfg for row in block) == sorted(keys)
         for _, block in rows:
             assert block == sorted(set(block))  # distinct, in ascending m
-        assert sorted(m for ms in formula_blocks for m in ms) == sorted(2 * [m for m, _, _ in keys])
-        for ms in formula_blocks:
-            assert len(ms) * max(ms) <= _BLOCK_ELEMENTS
+        assert sorted(m for ms, _ in formula_blocks for m in ms) == sorted(2 * [m for m, _, _ in keys])
+        for ms, z in formula_blocks:
+            assert len(ms) * max(ms) <= _BLOCK_ELEMENTS and z == np.inf  # whole rows up to m = 400
+
+    def test_wider_windows_keep_the_block_budget(self, formula_blocks):
+        # at m = 2 * 10^4 and a 1e-300 target many rows are too small for
+        # their first windows; their wider windows are cut at their own width
+        ms = range(19996, 20005)
+        g = GridSpec((Fraction("0.25"), Fraction("0.3"), 3), (Fraction("0.93"), Fraction("0.95"), 3), ms, 1e-300)
+        assert {verdict for _, _, verdict in grid_search(g)} == {NOT_FOUND, OUTSIDE_REGION}
+        assert sum(len(ms) for ms, z in formula_blocks if z > analytics._Z0) > 8
+        assert_within_budget(formula_blocks)
 
     def test_scan_stops_after_the_block_of_the_last_crossing(self, rows):
         g = self.spec((Fraction("0.9375"), Fraction("0.9475"), 5), range(1, 2001))
