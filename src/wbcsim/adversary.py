@@ -119,11 +119,11 @@ def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, 
     return {tuple(key): (codes[group == g], nums[group == g]) for g, key in enumerate(keys.tolist())}
 
 
-def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray) -> int:
+def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray, counts) -> int:
     """The largest failed weight numerator any strategy reaches on one
-    local count list group (exhaustive enumeration of k-vectors)."""
-    ks = _strategy_ks(cfg, _view(cfg, codes[:1]).sizes[:, 0])
-    return int(_failed_weights(cfg, p, codes, nums, ks).max())
+    group of Events that share the local count list `counts` (exhaustive
+    enumeration of k-vectors)."""
+    return int(_failed_weights(cfg, p, codes, nums, _strategy_ks(cfg, counts)).max())
 
 
 def conditional_failure_probability(
@@ -147,7 +147,7 @@ def max_conditional_failure(
     """Best conditional failure probability any strategy achieves on one
     `_events_by_local_list` group (codes, numerators) of Events."""
     codes, nums = events
-    return Fraction(_best_failed_weight(cfg, p, codes, nums), int(nums.sum()))
+    return Fraction(_best_failed_weight(cfg, p, codes, nums, _view(cfg, codes[:1]).sizes[:, 0]), int(nums.sum()))
 
 
 def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams, max_m: int = 6) -> Fraction:
@@ -163,5 +163,5 @@ def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams,
     """
     if p.m > max_m:
         raise ValueError(f"brute force limited to m <= {max_m}")
-    groups = _events_by_local_list(p.m, cfg).values()
-    return Fraction(sum(_best_failed_weight(cfg, p, codes, nums) for codes, nums in groups), _DENOMINATOR**p.m)
+    groups = _events_by_local_list(p.m, cfg).items()
+    return Fraction(sum(_best_failed_weight(cfg, p, codes, nums, key) for key, (codes, nums) in groups), _DENOMINATOR**p.m)

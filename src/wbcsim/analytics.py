@@ -66,7 +66,7 @@ import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln
 
 from .adversary import _DENOMINATOR, _event_blocks
-from .protocol import _BLOCK_ELEMENTS, AdversaryConfig, ProtocolParams, _checked_config, _failed_weights
+from .protocol import AdversaryConfig, ProtocolParams, _checked_config, _failed_weights
 
 Probability = Union[float, Fraction]
 
@@ -82,6 +82,9 @@ _TWO_FIFTHS = Fraction(2, 5)
 _Z0 = 18.0
 _CERTIFIED = 1e-17
 _MIN_HALF_WIDTH = 400
+# A float formula block spans at most this many row entries, so its arrays
+# stay in cache however many rows a scan has.
+_FORMULA_ENTRIES = 1 << 14
 
 
 class BoundKind(enum.Enum):
@@ -309,8 +312,8 @@ def _row_width(m, z=_Z0):
 
 def _rows_per_block(m, z=_Z0):
     """Float S or R0 rows per block at each m: windows of z standard
-    deviations within _BLOCK_ELEMENTS entries, or one row."""
-    return np.maximum(1, _BLOCK_ELEMENTS // _row_width(m, z))
+    deviations within _FORMULA_ENTRIES entries, or one row."""
+    return np.maximum(1, _FORMULA_ENTRIES // _row_width(m, z))
 
 
 def _row_sum(x):

@@ -13,15 +13,15 @@ the strategy search; `run_protocol` and the public phase functions are views
 of it on a single row. Explicit strategies are checked once, where they
 enter (`_checked_ks`); the engine trusts their counts.
 
-The engine ranks and counts a block in one pass each. The faulty party's
-view packs its three classes into fields of w bits, one int64 running sum
-over the flattened block holding every class rank of every row, less each
-row's start (`_view`). The lowest k_c indices of each class come from one
-biased subtract-and-mask on that sum (`_lowest`). The per-Event counts of
-the check and cross-check phases are one matrix-vector product per mask
-(`_counts`). The width w is one more than m's bit length; past m = 2^20,
-where three fields no longer fit in int64, the same code runs on Python ints
-in object arrays.
+The engine packs each block once into bitplanes, 64 indices per uint64
+word (`_planes`): where S measured 0011, where it measured 1100, and each
+receiver's bit. A check set or class is then a word mask, and every count
+in the check and cross-check phases is a popcount (`_count`). The faulty
+party's view holds the bytes of its three class masks and, for each byte,
+the class's members before it: one running popcount over the block
+(`_view`). The lowest k_c members of each class are then whole bytes up to
+the one where the count runs out, and a select inside that byte, read from
+a table (`_lowest`). Rows have no width limit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .source import R0_BIT, R1_BIT, S_CLASS, Event, _is_count
+from .source import R0_BIT, R1_BIT, Event, _is_count
 
 
 class ParameterError(ValueError):
@@ -186,55 +186,83 @@ class Transcript:
 # -- the array engine ---------------------------------------------------------
 #
 # Row r of an (N, m) int8 code matrix is one Event; column i - 1 holds index
-# i. Check sets are (N, m) boolean masks. Output values are int8 codes: 0 and
-# 1 for bits, _ABORT for ABORT.
+# i. The engine packs each row into bitplanes of W = ceil(m / 64) uint64
+# words, little-endian: bit (i - 1) % 64 of word (i - 1) // 64 stands for
+# index i, and the bits past m are 0. Check sets, class masks and strategy
+# picks are (..., N, W) word masks, and every count is a popcount; the
+# lowest-k selection reads the words' bytes. Output values are int8 codes:
+# 0 and 1 for bits, _ABORT for ABORT.
 
 _ABORT = 2
 # Each receiver's bit of every outcome code as a bit table: bit `code` of
 # _R0_BITS is R0's bit at an index with that code.
 _R0_BITS, _R1_BITS = (np.int8(sum(bit << code for code, bit in enumerate(bits))) for bits in (R0_BIT, R1_BIT))
-_S_CLASSES = np.array(S_CLASS, np.int8)
-# R0's class of each index, for x_S = 0 and 1, at code + 6 * (index in
-# sigma0): XX0X (2) where R0 measured x_S, otherwise 0011 (0) if S vouched
-# for the index and XX10 (1) if not.
-_R0_CLASSES = np.array(
-    [[2 if R0_BIT[code] == x_s else 1 - vouched for vouched in (0, 1) for code in range(6)] for x_s in (0, 1)], np.int8
-)
 
-# Callers pass rows to the engine in blocks of at most this many outcome
-# codes (rows times m), so memory stays flat however many rows there are.
-_BLOCK_ELEMENTS = 1 << 14
+# Callers pass rows to the engine in blocks of at most _BLOCK_CODES outcome
+# codes and _BLOCK_ROWS rows, so memory stays flat however many rows there
+# are: a block's Monte-Carlo draws take at most 1 MiB, and short rows, each
+# padded to a whole word per plane, do not multiply the rows.
+_BLOCK_CODES = 1 << 17
+_BLOCK_ROWS = 1 << 12
 
 
 def _block_rows(m: int) -> int:
     """Rows per block for Events of length m (one row even if m is larger)."""
-    return max(1, _BLOCK_ELEMENTS // m)
+    return max(1, min(_BLOCK_ROWS, _BLOCK_CODES // m))
 
 
-def _bits(table: np.int8, codes: np.ndarray) -> np.ndarray:
-    """A receiver's bit at every index, read from its bit table."""
-    return (table >> codes) & 1
+def _as_words(row_bytes: np.ndarray) -> np.ndarray:
+    """(..., B) bytes as (..., ceil(B / 8)) words, padded with zero bytes."""
+    *lead, n = row_bytes.shape
+    words = np.zeros((*lead, 8 * -(-n // 8)), np.uint8)
+    words[..., :n] = row_bytes
+    return words.view("<u8")
 
 
-def _counts(mask: np.ndarray) -> np.ndarray:
-    """Members of each row of a (..., m) boolean mask, as one float64
-    matrix-vector product over the block (exact, since m < 2^53)."""
-    return mask.astype(np.float64) @ np.ones(mask.shape[-1])
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(..., 8 B) bits (any nonzero value is set) as (..., W) words: the
+    whole array packed at once, in one call however short its rows."""
+    return _as_words(np.packbits(bits, axis=None, bitorder="little").reshape(*bits.shape[:-1], -1))
 
 
-def _fields(m: int) -> tuple[int, np.ndarray]:
-    """The field width w for Events of length m, and each class c's packed
-    unit 1 << (w * c). With w one more than m's bit length, 2^(w - 1)
-    exceeds m; the units are int64 while three fields fit in its 63 value
-    bits (m < 2^20), Python ints in an object array past that."""
-    w = m.bit_length() + 1
-    return w, np.array([1 << (w * c) for c in range(3)], np.int64 if 3 * w <= 63 else object)
+def _unpack(words: np.ndarray, m: int) -> np.ndarray:
+    """(..., W) words as (..., m) booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=m, bitorder="little").view(bool)
 
 
-def _honest_sigma(codes: np.ndarray, x_s: int) -> np.ndarray:
+def _count(words: np.ndarray) -> np.ndarray:
+    """Members of each row of a (..., W) word mask."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+class _Planes(NamedTuple):
+    """A block's bitplanes, each (N, W): the indices where S measured 0011
+    (code 0) and 1100 (code 5), and R0's and R1's bit at every index."""
+
+    c0: np.ndarray
+    c5: np.ndarray
+    r0: np.ndarray
+    r1: np.ndarray
+
+
+def _planes(codes: np.ndarray) -> _Planes:
+    """The bitplanes of an (N, m) code matrix, each row padded to whole
+    bytes with code 6, which no plane holds."""
+    n, m = codes.shape
+    padded = np.full((n, 8 * -(-m // 8)), 6, np.int8)
+    padded[:, :m] = codes
+    bits = np.empty((4, *padded.shape), np.int8)
+    np.equal(padded, 0, out=bits[0])
+    np.equal(padded, 5, out=bits[1])
+    for plane, table in zip(bits[2:], (_R0_BITS, _R1_BITS)):
+        np.right_shift(table, padded, out=plane)
+    return _Planes(*_pack(np.bitwise_and(bits, 1, out=bits)))
+
+
+def _honest_sigma(planes: _Planes, x_s: int) -> np.ndarray:
     """A correct sender's check set: every index where S measured the pair
     x_S x_S, code 0 (0011) for x_S = 0 and code 5 (1100) for x_S = 1."""
-    return codes == (0 if x_s == 0 else 5)
+    return planes.c0 if x_s == 0 else planes.c5
 
 
 def _checked_config(cfg) -> AdversaryConfig:
@@ -244,67 +272,69 @@ def _checked_config(cfg) -> AdversaryConfig:
     return cfg
 
 
-def _encode(cfg: AdversaryConfig, codes: np.ndarray, units: np.ndarray, x_s: int = 0, sigma0=None) -> np.ndarray:
-    """The faulty party's class c of each index, as its packed unit
-    units[c]: S's class by its pair; R0's after receiving sigma0 (by default
-    the correct sender's check set), 0011 where it measured 1 - x_s and S
-    vouched for the index, XX10 where it measured 1 - x_s otherwise, XX0X
-    where it measured x_s."""
-    if _checked_config(cfg) is AdversaryConfig.S_FAULTY:
-        return np.take(units[_S_CLASSES], codes)
-    if cfg is AdversaryConfig.R0_FAULTY:
-        sigma0 = _honest_sigma(codes, x_s) if sigma0 is None else sigma0
-        return np.take(units[_R0_CLASSES[x_s]], codes + 6 * sigma0.view(np.int8))
-    raise ValueError(f"only a faulty party has a strategy view, not {cfg!r}")
+# Entry 9 * b + n: byte b with only its lowest n set bits, n = 0..8.
+_LOWEST_BITS = np.array(
+    [sum(1 << j for j in [j for j in range(8) if b >> j & 1][:n]) for b in range(256) for n in range(9)], np.uint8
+)
 
 
-class _Ranked(NamedTuple):
-    """One party's view of a block of rows, packed in fields of w bits:
-    field c of cum[r, i] - start[r] counts the indices of class c in row r
-    up to and including index i, so at a class-c index it is the index's
-    rank in its class (the lowest member has rank 1). top[r, i] is the top
-    bit of the index's own field, and sizes[c] the class sizes of every
-    row: the party's local count lists, class-major."""
+class _View(NamedTuple):
+    """One party's view of a block of rows. Its three classes are held by
+    the B = ceil(m / 8) bytes of their word masks, class-major (3, N, B):
+    `offsets`, each byte's row of _LOWEST_BITS (9 times the byte), and
+    `before`, the class's members in all earlier bytes of the block, its
+    earlier rows included; `start` (3, N) is that count at each row's first
+    byte. `sizes` (3, N) are the class sizes of every row, the party's
+    local count lists, and `planes` the block's bitplanes."""
 
-    cum: np.ndarray
+    planes: _Planes
+    offsets: np.ndarray
+    before: np.ndarray
     start: np.ndarray
-    top: np.ndarray
     sizes: np.ndarray
-    w: int
 
 
-def _view(cfg: AdversaryConfig, codes: np.ndarray, x_s: int = 0, sigma0: Optional[np.ndarray] = None) -> _Ranked:
-    """The faulty party's ranked classes of each row of a block: one
-    running sum of the packed units over the flattened block, and each
-    row's start in it. An int64 sum may wrap around over a block; a row's
-    own sum stays below 2^63, and the wrap cancels in the difference."""
-    n, m = codes.shape
-    w, units = _fields(m)
-    enc = _encode(cfg, codes, units, x_s, sigma0)
-    cum = np.cumsum(enc.reshape(-1)).reshape(n, m)
-    start = np.zeros(n, cum.dtype)
-    start[1:] = cum[:-1, -1]
-    shifts = np.array([0, w, 2 * w], cum.dtype)[:, None]
-    sizes = (((cum[:, -1] - start) >> shifts) & ((1 << w) - 1)).astype(np.int64)
-    return _Ranked(cum, start, enc << (w - 1), sizes, w)
+def _view(cfg: AdversaryConfig, codes: np.ndarray, x_s: int = 0, sigma0: Optional[np.ndarray] = None) -> _View:
+    """The faulty party's classes of each row of a block: S's by its pair
+    (0011 / mixed / 1100); R0's after receiving the word mask sigma0 (by
+    default the correct sender's check set): XX0X where it measured x_s,
+    otherwise 0011 where S vouched for the index and XX10 where not."""
+    n_bytes = -(-codes.shape[1] // 8)
+    planes, inside = _planes(codes), _pack(np.arange(8 * n_bytes) < codes.shape[1])
+    if _checked_config(cfg) is AdversaryConfig.S_FAULTY:
+        members = [planes.c0, inside & ~(planes.c0 | planes.c5), planes.c5]
+    elif cfg is AdversaryConfig.R0_FAULTY:
+        sigma0 = _honest_sigma(planes, x_s) if sigma0 is None else sigma0
+        xx0x = planes.r0 if x_s == 1 else inside & ~planes.r0
+        members = [sigma0 & ~xx0x, inside & ~(sigma0 | xx0x), xx0x]
+    else:
+        raise ValueError(f"only a faulty party has a strategy view, not {cfg!r}")
+    member_bytes = np.stack(members).view(np.uint8)[..., :n_bytes]
+    counts = np.bitwise_count(member_bytes)
+    before = counts.astype(np.int64)
+    np.cumsum(before.reshape(-1), out=before.reshape(-1))
+    sizes = before[..., -1].copy()
+    before -= counts
+    sizes -= before[..., 0]
+    return _View(planes, np.multiply(member_bytes, 9, dtype=np.int16), before, before[..., 0], sizes)
 
 
-def _lowest(view: _Ranked, ks) -> np.ndarray:
-    """Mask of the lowest ks[c] indices of each class c in each row, for
-    0 <= ks[c] <= m. ks is class-major and each ks[c] broadcasts against
+def _lowest(view: _View, ks) -> np.ndarray:
+    """Word mask of the lowest ks[c] indices of each class c in each row,
+    for 0 <= ks[c] <= m. ks is class-major and each ks[c] broadcasts against
     the rows: (3, N) holds one strategy per row, (3, K, 1) K strategies for
-    every row, and the mask is then (K, N, m).
+    every row, and the mask is then (K, N, W).
 
-    The row start folds into packed(k + bias) = start + sum of
-    (k_c + bias) << (w * c) with bias = 2^(w - 1) > m. Field c of
-    packed - cum is then k_c + bias - rank_c, between 1 and 2^w - 1, so no
-    field borrows from the next, and its top bit is set iff rank_c <= k_c.
-    Each index reads only its own class's top bit."""
-    w = view.w
-    k0, k1, k2 = (k.astype(view.cum.dtype, copy=False) for k in ks)
-    bias = sum(1 << (w * c + w - 1) for c in range(3))
-    packed = view.start + bias + k0 + (k1 << w) + (k2 << (2 * w))
-    return ((packed[..., None] - view.cum) & view.top) != 0
+    Each byte keeps the lowest k_c + start - before of its class members,
+    clipped to 0..8: none, all, or, in the byte where the count runs out,
+    the lowest few, read from _LOWEST_BITS (a select within the byte)."""
+    ks = np.asarray(ks)
+    rows = (3,) + (1,) * (ks.ndim - 2) + view.start.shape[1:]
+    need = (ks + view.start.reshape(rows))[..., None] - view.before.reshape(*rows, -1)
+    np.clip(need, 0, 8, out=need)
+    need += view.offsets.reshape(*rows, -1)
+    kept = np.take(_LOWEST_BITS, need)
+    return _as_words(kept[0] | kept[1] | kept[2])
 
 
 # Out-of-domain reasons by the engine's code: zeta_S's first failing
@@ -374,7 +404,7 @@ def _checked_ks(cfg: AdversaryConfig, strategy, view) -> np.ndarray:
 def _check(bits: np.ndarray, x: int, sigma: np.ndarray, T: int) -> np.ndarray:
     """Check phase: accept x iff the check set has at least T indices and
     the receiver measured the opposite bit at every one of them."""
-    ok = (_counts(sigma) >= T) & (_counts(sigma & (bits == x)) == 0)
+    ok = (_count(sigma) >= T) & ~np.any(sigma & (bits if x == 1 else ~bits), axis=-1)
     return np.where(ok, x, _ABORT).astype(np.int8)
 
 
@@ -388,7 +418,7 @@ def _cross_check(y_tilde1, y01, rho01, r1_bits, p: ProtocolParams) -> np.ndarray
     integer and T - ceil(lam*T) = Q - 1.
     """
     confused = (y_tilde1 != _ABORT) & (y01 != _ABORT) & (y_tilde1 != y01)
-    length, ones = _counts(rho01), _counts(rho01 & r1_bits.view(bool))
+    length, ones = _count(rho01), _count(rho01 & r1_bits)
     inconsistent = np.where(y01 == 1, ones, length - ones)
     adopt = confused & (length >= p.T) & (inconsistent < p.Q)
     return np.where(adopt, y01, y_tilde1)
@@ -416,7 +446,8 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
 
     A faulty party replaces only the messages it controls: a faulty S its
     invocation, a faulty R0 its check and cross-calling. `view` is the
-    faulty party's `_view` of codes for x_s (None without one). `ks` holds
+    faulty party's `_view` of codes for x_s, which holds the block's
+    bitplanes (None without a faulty party: the engine packs codes). `ks` holds
     explicit strategies, class-major (6 counts for a faulty S, 3 for a
     faulty R0), each count within its class and broadcast against the
     rows: (k, N) plays one strategy per row, (k, K, 1) each of K strategies
@@ -426,6 +457,7 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
     """
     n = len(codes)
     ood = np.zeros(n, np.int8)
+    planes = _planes(codes) if view is None else view.planes
 
     # Invocation. A faulty S targets y0 = 0, y1 = 1 (the other target is symmetric).
     if cfg is AdversaryConfig.S_FAULTY:
@@ -435,23 +467,22 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
         sigma0, sigma1 = _lowest(view, ks[:3]), _lowest(view, ks[3:])
     else:
         x0 = x1 = x_s
-        sigma0 = sigma1 = _honest_sigma(codes, x_s)
+        sigma0 = sigma1 = _honest_sigma(planes, x_s)
 
     # Check, then cross-calling. R1 always checks; a faulty R0 skips its check,
     # forwards a forgery instead of (y0, sigma0), and reports that forgery's
     # bit to the outside.
-    r1_bits = _bits(_R1_BITS, codes)
-    y_tilde1 = _check(r1_bits, x1, sigma1, p.T)
+    y_tilde1 = _check(planes.r1, x1, sigma1, p.T)
     if cfg is AdversaryConfig.R0_FAULTY:
         if ks is None:
             ood, ks = _zeta_R_rows(view.sizes, p)
         y0 = y01 = np.full(n, 1 - x_s, np.int8)
         rho01 = _lowest(view, ks)
     else:
-        y0 = _check(_bits(_R0_BITS, codes), x0, sigma0, p.T)
+        y0 = _check(planes.r0, x0, sigma0, p.T)
         y01, rho01 = y0, sigma0
 
-    y1 = _cross_check(y_tilde1, y01, rho01, r1_bits, p)
+    y1 = _cross_check(y_tilde1, y01, rho01, planes.r1, p)
     return _Rows(x0, x1, y0, y_tilde1, y01, y1, sigma0, sigma1, rho01, ood)
 
 
@@ -497,13 +528,13 @@ def _one_row(event: Event) -> np.ndarray:
 
 
 def _mask(indices: frozenset[int], m: int) -> np.ndarray:
-    mask = np.zeros((1, m), bool)
-    mask[0, [i - 1 for i in indices]] = True
-    return mask
+    mask = np.zeros((1, 8 * -(-m // 8)), bool)
+    mask[0, :m][[i - 1 for i in indices]] = True
+    return _pack(mask)
 
 
-def _indices(mask_row: np.ndarray) -> frozenset[int]:
-    return frozenset((np.flatnonzero(mask_row) + 1).tolist())
+def _indices(words: np.ndarray, m: int) -> frozenset[int]:
+    return frozenset((np.flatnonzero(_unpack(words, m)) + 1).tolist())
 
 
 def _code(value: OutputValue) -> np.ndarray:
@@ -524,15 +555,15 @@ def invocation_honest(event: Event, x_s: int):
     """Invocation phase for a correct sender: the bit x_S to both receivers,
     with the check set of every index where S measured x_S x_S."""
     x_s = _sender_bit(x_s)
-    sigma = _indices(_honest_sigma(_one_row(event), x_s)[0])
+    sigma = _indices(_honest_sigma(_planes(_one_row(event)), x_s)[0], event.m)
     return x_s, sigma, x_s, sigma, x_s
 
 
 def check_phase(event: Event, receiver: str, x_j: int, sigma_j: frozenset[int], p: ProtocolParams) -> OutputValue:
     """Check phase of receiver 'R0' or 'R1': accept x_j iff the check set is
     long enough and the receiver measured the opposite bit at every index."""
-    bits = _bits(_R0_BITS if receiver == "R0" else _R1_BITS, _one_row(event))
-    return _value(_check(bits, x_j, _mask(sigma_j, event.m), p.T)[0])
+    planes = _planes(_one_row(event))
+    return _value(_check(planes.r0 if receiver == "R0" else planes.r1, x_j, _mask(sigma_j, event.m), p.T)[0])
 
 
 def cross_check(
@@ -543,7 +574,7 @@ def cross_check(
     p: ProtocolParams,
 ) -> OutputValue:
     """Cross-check phase of R1 (see `_cross_check`)."""
-    r1_bits = _bits(_R1_BITS, _one_row(event))
+    r1_bits = _planes(_one_row(event)).r1
     return _value(_cross_check(_code(y_tilde1), _code(y01), _mask(rho01, event.m), r1_bits, p)[0])
 
 
@@ -576,13 +607,13 @@ def run_protocol(
         x_s,
         r.x0,
         r.x1,
-        _indices(r.sigma0[0]),
-        _indices(r.sigma1[0]),
+        _indices(r.sigma0[0], p.m),
+        _indices(r.sigma1[0], p.m),
         x_s,
         _value(r.y0[0]),
         _value(r.y_tilde1[0]),
         _value(r.y01[0]),
-        _indices(r.rho01[0]),
+        _indices(r.rho01[0], p.m),
         _value(r.y1[0]),
     )
 

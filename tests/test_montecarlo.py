@@ -57,12 +57,36 @@ class TestPinnedCounts:
         ids=["m5", "m2000"],
     )
     def test_failure_counts_at_the_block_extremes(self, mu, lam, m, trials, seed, counts, jobs):
-        # no-faulty/S/R0 failures with 3276 rows per engine block (m = 5)
-        # and 8 (m = 2000), as the per-row class cumsums counted them
-        assert _block_rows(m) == {5: 3276, 2000: 8}[m]
+        # no-faulty/S/R0 failures with 4096 rows per engine block (m = 5)
+        # and 65 (m = 2000), as the per-row class cumsums counted them; both
+        # runs span several blocks, the last one partial
+        assert _block_rows(m) == {5: 4096, 2000: 65}[m]
+        assert trials // _block_rows(m) >= 2 and trials % _block_rows(m) != 0
         p = params(m, mu, lam)
         got = tuple(estimate_pf(cfg, p, trials, seed, jobs=jobs).n_failures for cfg in (NO_FAULTY, S_FAULTY, R0_FAULTY))
         assert got == counts
+
+
+class TestMemory:
+    def test_draw_buffer_stays_within_one_mebibyte(self, monkeypatch):
+        # rows per block times m float64 draws, for every m to 10^5; past
+        # the code budget a block holds one row
+        for m in range(1, 10**5 + 1):
+            assert _block_rows(m) * m * 8 <= 1 << 20, m
+        assert _block_rows(2**17 + 1) == _block_rows(10**7) == 1
+        # the buffer _count_failures fills
+        buffers = []
+        trial_draws = montecarlo._trial_draws
+
+        def spy(seed, lo, hi, out):
+            buffers.append(out.nbytes)
+            return trial_draws(seed, lo, hi, out)
+
+        monkeypatch.setattr(montecarlo, "_trial_draws", spy)
+        ms = (1, 5, 280, 2000, 70_000)
+        for m in ms:
+            estimate_pf(NO_FAULTY, params(m), 3, seed=1)
+        assert buffers == [_block_rows(m) * m * 8 for m in ms]
 
 
 class TestStatistics:
@@ -158,6 +182,6 @@ class TestSeeds:
         assert built, "the spy sees a substream being built"
         built.clear()
         p = params(280, "0.272", "0.94")
-        estimate_pf(R0_FAULTY, p, 1000, seed=3)
-        assert 1000 // _block_rows(p.m) > 2
+        estimate_pf(R0_FAULTY, p, 2000, seed=3)
+        assert 2000 // _block_rows(p.m) > 2
         assert len(built) <= 2, built

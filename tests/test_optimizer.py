@@ -20,7 +20,7 @@ from wbcsim.optimizer import (
 )
 import wbcsim.analytics as analytics
 from wbcsim.analytics import failure_reports, pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
-from wbcsim.protocol import _BLOCK_ELEMENTS, AdversaryConfig, ParameterError, ProtocolParams, _thresholds
+from wbcsim.protocol import AdversaryConfig, ParameterError, ProtocolParams, _thresholds
 from wbcsim.security import in_guaranteed_region
 
 MU, LAM = "0.272", "0.94"
@@ -265,7 +265,7 @@ def formula_blocks(monkeypatch):
 def assert_within_budget(formula_blocks):
     # float rows span windows of at most _row_width entries at their z, not m
     for ms, z in formula_blocks:
-        assert len(ms) == 1 or len(ms) * analytics._row_width(max(ms), z) <= _BLOCK_ELEMENTS, (len(ms), max(ms), z)
+        assert len(ms) == 1 or len(ms) * analytics._row_width(max(ms), z) <= analytics._FORMULA_ENTRIES, (len(ms), max(ms), z)
 
 
 class TestBlocks:
@@ -358,7 +358,7 @@ class TestGridScan:
             assert block == sorted(set(block))  # distinct, in ascending m
         assert sorted(m for ms, _ in formula_blocks for m in ms) == sorted(2 * [m for m, _, _ in keys])
         for ms, z in formula_blocks:
-            assert len(ms) * max(ms) <= _BLOCK_ELEMENTS and z == np.inf  # whole rows up to m = 400
+            assert len(ms) * max(ms) <= analytics._FORMULA_ENTRIES and z == np.inf  # whole rows up to m = 400
 
     def test_wider_windows_keep_the_block_budget(self, formula_blocks):
         # at m = 2 * 10^4 and a 1e-300 target many rows are too small for

@@ -32,7 +32,7 @@ from wbcsim.protocol import (
     run_protocol,
     _reason,
 )
-from wbcsim.source import R0_BIT, S_CLASS, Event, global_counts
+from wbcsim.source import R0_BIT, R1_BIT, S_CLASS, Event, global_counts
 
 A = ABORT
 ACH = Outcome.ACHIEVED
@@ -348,21 +348,22 @@ class TestEngine:
             assert rows.ood[r] == 0
             assert achieved[r] == (classify_transcript(cfg, t) is ACH)
 
-    @pytest.mark.parametrize("m", [12, 2**20 + 3], ids=["int64", "object"])
-    def test_r0_encoding_is_the_where_formula(self, m):
-        # every (code, sigma0) pair in one row, for both sender bits, as the
-        # packed units of Events of length m
-        codes = np.array([list(range(6)) * 2], np.int8)
-        sigma0 = np.array([[False] * 6 + [True] * 6])
-        _, units = protocol._fields(m)
+    @pytest.mark.parametrize("m", [12, 130], ids=["one-word", "three-words"])
+    def test_r0_classes_are_the_where_formula(self, m):
+        # every (code, sigma0) pair, repeated along one row of m indices
+        # (across word boundaries when m > 64), for both sender bits
+        pairs = np.arange(m) % 12
+        codes, vouched = (pairs % 6)[None].astype(np.int8), (pairs >= 6)[None]
         r0 = AdversaryConfig.R0_FAULTY
         for x_s in (0, 1):
-            want = units[np.where(np.array(R0_BIT)[codes] == x_s, 2, np.where(sigma0, 0, 1))]
-            got = protocol._encode(r0, codes, units, x_s, sigma0)
-            assert got.dtype == units.dtype and got.tolist() == want.tolist()
+            want = np.where(np.array(R0_BIT)[codes] == x_s, 2, np.where(vouched, 0, 1))
+            view = protocol._view(r0, codes, x_s, protocol._mask(frozenset(np.flatnonzero(vouched[0]) + 1), m))
+            assert [member.tolist() for member in _classes(view, m)] == [(want == c).tolist() for c in range(3)]
             # by default sigma0 is the correct sender's check set
-            honest = protocol._encode(r0, codes, units, x_s, codes == 5 * x_s)
-            assert protocol._encode(r0, codes, units, x_s).tolist() == honest.tolist()
+            honest = protocol._view(r0, codes, x_s, protocol._mask(frozenset(np.flatnonzero(codes[0] == 5 * x_s) + 1), m))
+            assert [c.tolist() for c in _classes(protocol._view(r0, codes, x_s), m)] == [
+                c.tolist() for c in _classes(honest, m)
+            ]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -385,11 +386,13 @@ class TestEngine:
         for k in range(int(sizes.max()) + 1):
             ks = np.minimum(k, sizes)
             want = [member & (rank <= kc[:, None]) for member, rank, kc in zip(members, ranks, ks)]
-            assert np.array_equal(protocol._lowest(view, ks), np.logical_or.reduce(want))
+            got = protocol._lowest(view, ks)
+            assert got.shape == (n, math.ceil(m / 64))
+            assert np.array_equal(protocol._unpack(got, m), np.logical_or.reduce(want))
         # two strategies on every row at once, (3, K, 1) against N rows
         ks = np.stack([np.zeros(3, int), sizes.min(axis=1)], axis=1)[:, :, None]
         both = protocol._lowest(view, ks)
-        assert both.shape == (2, n, m)
+        assert both.shape == (2, n, math.ceil(m / 64))
         for j in range(2):
             assert np.array_equal(both[j], protocol._lowest(view, np.broadcast_to(ks[:, j], (3, n))))
 
@@ -402,25 +405,52 @@ class TestEngine:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_block_counts_are_count_nonzero_per_row(self, stack, n, m, density, seed):
-        mask = np.random.default_rng(seed).random((stack, n, m)) < density
-        got = protocol._counts(mask)
+        # rows padded with zeros to whole bytes, packed into words and
+        # counted by popcount
+        mask = np.zeros((stack, n, 8 * math.ceil(m / 8)), bool)
+        mask[..., :m] = np.random.default_rng(seed).random((stack, n, m)) < density
+        words = protocol._pack(mask)
+        assert words.shape == (stack, n, math.ceil(m / 64))
+        assert np.array_equal(protocol._unpack(words, m), mask[..., :m])
+        got = protocol._count(words)
         assert got.shape == (stack, n) and got.tolist() == np.count_nonzero(mask, axis=2).tolist()
-        assert protocol._counts(mask[0]).tolist() == np.count_nonzero(mask[0], axis=1).tolist()
+        assert protocol._count(words[0]).tolist() == np.count_nonzero(mask[0], axis=1).tolist()
 
-    def test_one_event_past_the_int64_width(self):
-        # three 22-bit fields need 66 bits: the view runs on Python ints
+    def test_one_event_past_2_to_the_20(self):
+        # the packed fields of earlier engines ran out of int64 bits here;
+        # bitplanes have no width limit
         m = 2**20 + 3
         codes = np.random.default_rng(7).integers(0, 6, (1, m)).astype(np.int8)
         view = protocol._view(AdversaryConfig.S_FAULTY, codes)
         members = _direct_members(AdversaryConfig.S_FAULTY, codes, 0)
         sizes = np.array([member.sum(axis=1) for member in members])
-        assert view.cum.dtype == object and view.sizes.tolist() == sizes.tolist()
+        assert view.sizes.tolist() == sizes.tolist()
         ks = np.array([sizes[0] // 3, 0 * sizes[1], sizes[2]])
         want = [member & (np.cumsum(member, axis=1) <= kc[:, None]) for member, kc in zip(members, ks)]
         want = np.logical_or.reduce(want)
         got = protocol._lowest(view, ks)
-        assert np.array_equal(got, want)
-        assert protocol._counts(got).tolist() == [np.count_nonzero(want)]
+        assert np.array_equal(protocol._unpack(got, m), want)
+        assert protocol._count(got).tolist() == [np.count_nonzero(want)]
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("x_s", [0, 1])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.value)
+    def test_rows_at_word_boundaries_match_index_lists(self, cfg, x_s, m):
+        # random Events in one block: each row's verdict and out-of-domain
+        # reason as a pure-Python run on sorted index lists gives them
+        p = ProtocolParams.create("0.3", "0.8", m)
+        codes = np.random.default_rng(m + 1000 * x_s).choice(6, size=(60, m), p=[4, 1, 1, 1, 1, 4] / np.float64(12))
+        codes = codes.astype(np.int8)
+        view = None if cfg is AdversaryConfig.NO_FAULTY else protocol._view(cfg, codes, x_s)
+        rows = protocol._run_rows(codes, p, cfg, x_s, view)
+        achieved = protocol._achieved(cfg, x_s, rows.y0, rows.y1)
+        seen = set()
+        for r, row in enumerate(codes.tolist()):
+            want = _index_list_run(row, p, cfg, x_s)
+            got = _reason(rows.ood[r], view.sizes[:, r], p) if rows.ood[r] else bool(achieved[r])
+            assert got == want, r
+            seen.add(want)
+        assert len(seen) > 1  # the block mixes outcomes
 
     def test_blocks_stay_within_the_element_budget(self, monkeypatch):
         # every engine call, counted in (strategy, row) pairs, and every
@@ -450,11 +480,12 @@ class TestEngine:
         searched = sum(len(codes) * adversary._strategy_ks(s_faulty, key).shape[1] for key, (codes, _) in groups.items())
         for blocks, total, m in ((monte_carlo, 10_000, 280), (oracle, 6**6, 6), (pairs, searched, 4)):
             assert len(blocks) > 1 and sum(n for n, _ in blocks) == total
-            assert all(width == m and n * width <= protocol._BLOCK_ELEMENTS for n, width in blocks)
+            assert all(width == m and n * width <= protocol._BLOCK_CODES for n, width in blocks)
+            assert all(n <= protocol._BLOCK_ROWS for n, _ in blocks)
         # the search ranks each group once, not once per strategy: the
-        # grouping and the engine rank every Event once, and each group's
-        # first row once more for its strategies
-        assert sum(ranked) == 2 * 6**4 + len(groups)
+        # grouping and the engine rank every Event once, and the strategies
+        # come from each group's local count list
+        assert sum(ranked) == 2 * 6**4
 
 
 def _direct_members(cfg, codes, x_s):
@@ -465,6 +496,57 @@ def _direct_members(cfg, codes, x_s):
     else:
         cls = np.where(np.array(R0_BIT)[codes] == x_s, 2, np.where(codes == 5 * x_s, 0, 1))
     return [cls == c for c in range(3)]
+
+
+def _classes(view, m):
+    """The view's three class masks, each read back as the lowest all of its members."""
+    return [protocol._unpack(protocol._lowest(view, np.eye(3, dtype=int)[c][:, None] * view.sizes), m) for c in range(3)]
+
+
+def _index_list_run(codes, p, cfg, x_s):
+    """One Event's weak broadcast verdict (True when achieved), or its
+    out-of-domain reason, from the protocol's rules on sorted lists of
+    1-based indices, the faulty party playing zeta_S or zeta_R."""
+    indices = range(1, len(codes) + 1)
+    r0 = {i: R0_BIT[codes[i - 1]] for i in indices}
+    r1 = {i: R1_BIT[codes[i - 1]] for i in indices}
+    honest = [i for i in indices if codes[i - 1] == (0 if x_s == 0 else 5)]
+
+    def check(bits, x, sigma):
+        return x if len(sigma) >= p.T and all(bits[i] != x for i in sigma) else ABORT
+
+    if cfg is AdversaryConfig.S_FAULTY:
+        c0011, mixed, c1100 = ([i for i in indices if S_CLASS[codes[i - 1]] == c] for c in range(3))
+        if p.T - p.Q > len(c0011):
+            return f"cond1: T-Q={p.T - p.Q} > l1={len(c0011)}"
+        if p.Q > len(mixed):
+            return f"cond2: Q={p.Q} > l2={len(mixed)}"
+        if p.T > len(c1100):
+            return f"cond3: T={p.T} > l3={len(c1100)}"
+        x0, x1, sigma0, sigma1 = 0, 1, sorted(c0011[: p.T - p.Q] + mixed[: p.Q]), c1100
+    else:
+        x0 = x1 = x_s
+        sigma0 = sigma1 = honest
+    y_tilde1 = check(r1, x1, sigma1)
+    if cfg is AdversaryConfig.R0_FAULTY:
+        xx0x = [i for i in indices if r0[i] == x_s]
+        c0011 = [i for i in honest if r0[i] != x_s]
+        xx10 = [i for i in indices if r0[i] != x_s and i not in honest]
+        if len(c0011) > p.m - p.T:
+            return f"l1={len(c0011)} > m-T={p.m - p.T}"
+        y0 = y01 = 1 - x_s
+        rho01 = sorted(xx10 + xx0x[: max(0, p.T - len(xx10))])
+    else:
+        y0 = check(r0, x0, sigma0)
+        y01, rho01 = y0, sigma0
+    confused = y_tilde1 is not ABORT and y01 is not ABORT and y_tilde1 != y01
+    inconsistent = sum(r1[i] == y01 for i in rho01)
+    y1 = y01 if confused and len(rho01) >= p.T and inconsistent < p.Q else y_tilde1
+    if cfg is AdversaryConfig.NO_FAULTY:
+        return y0 == x_s and y1 == x_s
+    if cfg is AdversaryConfig.S_FAULTY:
+        return y0 is ABORT or y1 is ABORT or y0 == y1
+    return y1 == x_s
 
 
 def names_in(path: Path) -> set[str]:
@@ -491,7 +573,7 @@ def test_analytics_owns_the_formula_block_budget():
     # the optimizer cuts its runs of m by analytics._rows_per_block and
     # leaves cutting rows into formula blocks to analytics
     names = names_in(Path(protocol.__file__).parent / "optimizer.py")
-    assert "_rows_per_block" in names and not names & {"_BLOCK_ELEMENTS", "_row_width"}
+    assert "_rows_per_block" in names and not names & {"_FORMULA_ENTRIES", "_row_width"}
 
 
 def test_protocol_imports_no_module_built_on_it():

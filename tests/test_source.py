@@ -199,7 +199,7 @@ class TestBlockSeeder:
         monkeypatch.setattr(source, "_hashmix", spy)
         states = list(_trial_states(7, 0, 2500))
         assert len(states) == 2500
-        assert max(rows) < len(states) and max(rows) <= protocol._BLOCK_ELEMENTS
+        assert max(rows) < len(states) and max(rows) <= protocol._block_rows(1)
         for t in (0, 1023, 1024, 2047, 2048, 2499):
             assert states[t] == numpy_state(7, t)
 
