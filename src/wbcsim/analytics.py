@@ -82,8 +82,8 @@ _TWO_FIFTHS = Fraction(2, 5)
 _Z0 = 18.0
 _CERTIFIED = 1e-17
 _MIN_HALF_WIDTH = 400
-# A float formula block spans at most this many row entries, so its arrays
-# stay in cache however many rows a scan has.
+# A float formula block spans at most this many row entries, so memory
+# stays flat however many rows a scan has.
 _FORMULA_ENTRIES = 1 << 14
 
 
