@@ -14,7 +14,8 @@ Out-of-domain masses are summed from their own tails, never taken as
 Each formula evaluates a block of integer (m, T, Q) rows, the whole state
 a bound reads, and sums each row along the conditioned count in index
 order, so a value depends on its row alone and never on its block;
-`failure_reports` and the `pf_*` functions are one-row views of it.
+`failure_reports` and the `pf_*` functions are one-row views of it. They
+are plain arithmetic (`x * valid` masks, `x.cumsum(axis=1)` sums) on either backend.
 
 Every tail inside a sum is a binomial tail at a fixed k whose trial count
 n runs along the row. One recurrence in n computes all of them,
@@ -50,7 +51,9 @@ the weight is a probability <= 1, so the left-out entries add at most the
 weight's mass outside the window, one sf plus one cdf: UPPER adds it and
 LOWER does not, and both stay bounds in their direction. A window widens
 until that certificate is below 1e-17 of each bound. The exact backend
-keeps whole rows.
+keeps whole rows. `_certified` owns every float-only decision: the windows,
+the formula block budget, and the cap at 1 (float sums of terms that add up
+to 1 can round just above it; exact values never exceed 1).
 """
 
 from __future__ import annotations
@@ -115,9 +118,12 @@ _EXPONENTS = {2: (1, 0, 0), 3: (0, 1, 0), 5: (0, 0, 1), 6: (1, 1, 0)}  # of the 
 
 
 class _Smooth:
-    """Exact rationals: Python-int numerators `num` over one 2^a 3^b 5^c per array, e = (a, b, c).
-    Sums, differences and minima raise both operands to the larger exponents, products add them, and
-    the rest acts on `num`, so no gcd runs. Assigning may rescale `num`, so it need not reach a view's base."""
+    """Exact rationals: Python-int numerators `num` over one 2^a 3^b 5^c per array, e = (a, b, c). Sums
+    and differences raise both operands to the larger exponents, products add them (an ndarray has none),
+    and the rest acts on `num`, so no gcd runs; numpy defers its operators to these. Assigning may rescale
+    `num`, so it need not reach a view's base."""
+
+    __array_ufunc__ = None
 
     def __init__(self, num, e=(0, 0, 0)):
         self.num, self.e = np.asarray(num, dtype=object), e
@@ -132,33 +138,26 @@ class _Smooth:
         self.e, (self.num, num) = _aligned(self, value)
         self.num[index] = num
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
-            return NotImplemented
-        if ufunc is np.power:  # integer exponents p >= 0, over the base's denominator^max(p)
-            x, p = inputs[0], np.asarray(inputs[1], dtype=object)
-            return _Smooth(x.num**p * _power(x.e) ** (p.max() - p), tuple(p.max() * a for a in x.e))
-        if ufunc is np.multiply:
-            x, y = (v if isinstance(v, _Smooth) else _Smooth(v) for v in inputs)
-            return _Smooth(x.num * y.num, tuple(a + b for a, b in zip(x.e, y.e)))
-        if ufunc in (np.add, np.subtract, np.minimum):
-            e, nums = _aligned(*inputs)
-            return _Smooth(ufunc(*nums), e)
-        return NotImplemented
+    def __add__(x, y, ufunc=np.add):  # x or y may be an int
+        e, nums = _aligned(x, y)
+        return _Smooth(ufunc(*nums), e)
 
-    __add__ = __radd__ = lambda x, y: x.__array_ufunc__(np.add, "__call__", x, y)  # skips numpy's dispatch
-    __sub__ = lambda x, y: x.__array_ufunc__(np.subtract, "__call__", x, y)
-    __rsub__ = lambda x, y: x.__array_ufunc__(np.subtract, "__call__", y, x)
-    __mul__ = __rmul__ = lambda x, y: x.__array_ufunc__(np.multiply, "__call__", x, y)
-    __pow__ = lambda x, y: x.__array_ufunc__(np.power, "__call__", x, y)
+    __sub__ = lambda x, y: _Smooth.__add__(x, y, np.subtract)
+    __rsub__ = lambda x, y: _Smooth.__add__(y, x, np.subtract)
 
-    def __array_function__(self, func, types, args, kwargs):
-        if func is np.where:
-            e, nums = _aligned(*args[1:])
-            return _Smooth(np.where(args[0], *nums), e)
-        if func is np.cumsum:
-            return _Smooth(np.cumsum(args[0].num, *args[1:], **kwargs), args[0].e)
-        return NotImplemented
+    def __mul__(self, other):
+        other = other if isinstance(other, _Smooth) else _Smooth(other)
+        return _Smooth(self.num * other.num, tuple(a + b for a, b in zip(self.e, other.e)))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, p):
+        """Integer exponents p >= 0, over the base's denominator^max(p)."""
+        p = np.asarray(p, dtype=object)
+        return _Smooth(self.num**p * _power(self.e) ** (p.max() - p), tuple(p.max() * a for a in self.e))
+
+    def cumsum(self, axis):
+        return _Smooth(self.num.cumsum(axis=axis), self.e)
 
 
 def _aligned(*values):
@@ -265,17 +264,11 @@ def _tail(b: _Binomial, k, n, q: Fraction, valid, upper: bool):
     if upper:
         terms = b.scalar(q) * b.pmf(k, n - 1, q)
         terms[:, 0] = b.sf(k, np.maximum(n[:, :1], 0), q)[:, 0]
-        return np.where(valid, np.cumsum(terms, axis=1), 0)
+        return terms.cumsum(axis=1) * valid
     terms = b.scalar(q) * b.pmf(k, n, q)
     rows, last = np.arange(len(n)), valid.sum(axis=1) - 1
     terms[rows, last] = b.cdf(k, np.maximum(n[rows, last], 0)[:, None], q)[:, 0]
-    return np.cumsum(np.where(valid, terms, 0)[:, ::-1], axis=1)[:, ::-1]
-
-
-def _at_most_one(values):
-    """Float sums of terms that add up to 1 can round just above it, so
-    bounds are capped at 1 (never binding on rationals)."""
-    return np.minimum(values, 1)
+    return (terms * valid)[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def _no_faulty_rows(m, T, Q, b: _Binomial):
@@ -310,15 +303,9 @@ def _row_width(m, z=_Z0):
     return np.minimum(m, 2 * _half_width(m, _THIRD, z) + 1)
 
 
-def _rows_per_block(m, z=_Z0):
-    """Float S or R0 rows per block at each m: windows of z standard
-    deviations within _FORMULA_ENTRIES entries, or one row."""
-    return np.maximum(1, _FORMULA_ENTRIES // _row_width(m, z))
-
-
 def _row_sum(x):
     """Each row's sum in index order, so the zeros padding it to its block's width add exactly nothing."""
-    return np.cumsum(x, axis=1)[:, -1]
+    return x.cumsum(axis=1)[:, -1]
 
 
 def _s_rows(m, T, Q, b: _Binomial, z=None):
@@ -334,14 +321,14 @@ def _s_rows(m, T, Q, b: _Binomial, z=None):
     lo, hi, left_out = _window(b, m, T, m - T, _THIRD, z)
     n = lo[:, None] + np.arange(max(1, (hi - lo + 1).max()))
     valid = n <= hi[:, None]
-    w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _THIRD), 0)  # P(l3 = m - n)
+    w = b.pmf(m[:, None] - n, m[:, None], _THIRD) * valid  # P(l3 = m - n)
     l1_tails = _tail(b, T - Q - 1, n, _HALF, valid, upper=False) + _tail(b, Q - 1, n, _HALF, valid, upper=False)
     dom = _row_sum(w * (1 - l1_tails))
     out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + _row_sum(w * l1_tails)
     two_to_minus_q = b.scalar(_HALF) ** Q
     lower = dom * two_to_minus_q
     # a left-out entry adds at most its weight to UPPER and 2^-Q times it to LOWER
-    return _at_most_one(lower), _at_most_one(lower + out + left_out), left_out * two_to_minus_q, left_out
+    return lower, lower + out + left_out, left_out * two_to_minus_q, left_out
 
 
 def _r_rows(m, T, Q, b: _Binomial, z=None):
@@ -361,13 +348,13 @@ def _r_rows(m, T, Q, b: _Binomial, z=None):
     lo, hi, left_out = _window(b, m, T, m, _SIXTH, z)
     n = lo[:, None] + np.arange(max(1, (hi - lo + 1).max()))
     valid = n <= hi[:, None]
-    w = np.where(valid, b.pmf(m[:, None] - n, m[:, None], _SIXTH), 0)  # P(l2 = m - n)
+    w = b.pmf(m[:, None] - n, m[:, None], _SIXTH) * valid  # P(l2 = m - n)
     window = _tail(b, T - 1, n, _TWO_FIFTHS, valid, upper=True) - _tail(b, m - T, n, _TWO_FIFTHS, valid, upper=True)
     lucky = _tail(b, Q - 1, n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
     pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
     lower = pink + _row_sum(w * window * lucky)
     # a left-out entry adds at most its weight to either bound
-    return _at_most_one(lower), _at_most_one(lower + green + left_out), left_out, left_out
+    return lower, lower + green + left_out, left_out, left_out
 
 
 def _certified(formula, m, T, Q):
@@ -376,18 +363,20 @@ def _certified(formula, m, T, Q):
     _Z0 standard deviations of its weight; a row whose left-out mass is
     too large for that is evaluated again on twice the width, and so on up
     to the whole row, where nothing is left out. Each pass evaluates its
-    rows in blocks of as many as `_rows_per_block` allows at their largest
-    m and width. UPPER adds what a window leaves out and LOWER does not, so
-    both stay bounds in their direction."""
+    rows in blocks of as many rows of their largest m and width
+    (`_row_width`) as _FORMULA_ENTRIES holds, or one row. UPPER adds what a window leaves out and LOWER does not, so
+    both stay bounds in their direction. Both are capped at 1 before the
+    certificate test."""
     z, values = np.full(len(m), _Z0), np.zeros((4, len(m)))  # lower, upper and the most each moved
     rows = np.arange(len(m))
     while rows.size:
-        step = _rows_per_block(m[rows].max(), z[rows].max()) if rows.size > 1 else 1
+        step = max(1, _FORMULA_ENTRIES // _row_width(m[rows].max(), z[rows].max())) if rows.size > 1 else 1
         for block in (rows[lo : lo + step] for lo in range(0, rows.size, step)):
             if m[block].max() <= _MIN_HALF_WIDTH:  # every window is the whole row and leaves nothing out
                 values[:2, block] = formula(m[block], T[block], Q[block], _FLOAT)[:2]
             else:
                 values[:, block] = formula(m[block], T[block], Q[block], _FLOAT, z[block])
+        np.minimum(values[:2], 1, out=values[:2])
         rows = np.flatnonzero((values[2:] > _CERTIFIED * values[:2]).any(axis=0))
         z[rows] *= 2
     return values[0], values[1]

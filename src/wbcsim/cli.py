@@ -236,6 +236,8 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = AdversaryConfig(args.config)
+    if args.m < 1:  # a usage error, as an m below 1 is for the other commands
+        raise ValueError(f"invalid m {args.m}")
     p = _params_from(args, args.m)
     report = analytics.pf_bruteforce(cfg, p, kind=BoundKind(args.kind))
     rows = [[args.m, cfg.value, report.kind.value, str(report.value), repr(float(report.value))]]

@@ -15,6 +15,7 @@ them with the outcome table.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ def estimate_pf(
         raise ValueError("n_trials must be a positive count")
     if not _is_count(jobs):
         raise ValueError(f"jobs must be a positive count, got {jobs}")
-    _check_seed(seed)
+    n_trials, seed = operator.index(n_trials), _check_seed(seed)  # Python ints, also from numpy ones
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         failures = _count_failures(cfg, p, seed, 0, n_trials)

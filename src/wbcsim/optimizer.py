@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .source import _is_count
 NOT_FOUND = "NOT_FOUND"
 OUTSIDE_REGION = "OUTSIDE_REGION"
 Verdict = Union[int, str]
+# The scan hands the formulas this many candidate m at a time. The verdicts
+# do not depend on it: `analytics._certified` alone cuts formula blocks.
+_RUN = 64
 
 
 def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
@@ -33,52 +36,41 @@ def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
 
 
-def _blocks(ms: Sequence[int]) -> Iterator[list[int]]:
-    """Consecutive runs of the ascending ms, each of at most as many rows
-    as `analytics._rows_per_block` allows at its largest m."""
-    block: list[int] = []
-    for m, rows in zip(ms, analytics._rows_per_block(np.array(ms, np.int64)).tolist()):
-        if len(block) >= rows:
-            yield block
-            block = []
-        block.append(m)
-    if block:
-        yield block
-
-
 def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[dict[str, Verdict]]:
     """For each (mu, lambda) cell, the first m of the ascending ms where each
     configuration's bound, and all three at once ("overall"), drop below
     p_target; NOT_FOUND where none does.
 
     One scan over m serves every cell. A bound is a function of its
-    (m, T, Q) row alone, so each block of m hands the distinct rows of the
-    open cells (`np.unique`, in ascending m) to each configuration's
-    formulas once, and every cell reads its crossings from those rows. A
-    cell leaves the scan after the block that holds its overall crossing:
-    there every bound is below the target, so each per-configuration
-    crossing is already recorded. Bound monotonicity in m is not assumed.
+    (m, T, Q) row alone, so each run of _RUN consecutive ms hands the
+    distinct rows of the open cells (`np.unique`, in ascending m) to each
+    configuration's formulas once, and every cell reads its crossings from
+    those rows. A cell leaves the scan after the run that holds its overall
+    crossing: there every bound is below the target, so each
+    per-configuration crossing is already recorded. Bound monotonicity in m
+    is not assumed.
     """
     cells = [(p.mu, p.lam) for p in (ProtocolParams.create(mu, lam, 1) for mu, lam in cells)]  # range checks
     names = [cfg.value for cfg in AdversaryConfig] + ["overall"]
     out: list[dict[str, Verdict]] = [dict.fromkeys(names, NOT_FOUND) for _ in cells]
     open_cells = list(range(len(cells)))
-    for block in _blocks(ms):
+    for lo in range(0, len(ms), _RUN):
         if not open_cells:
             break
-        m_column = np.array(block).astype(object)  # Python ints, also from numpy candidates
+        run = ms[lo : lo + _RUN]
+        m_column = np.array(run).astype(object)  # Python ints, also from numpy candidates
         keys = np.concatenate(
             [np.stack([m_column, *_thresholds(*cells[i], m_column)], axis=1) for i in open_cells]
         ).astype(np.int64)  # T and Q are at most m
         rows, index = np.unique(keys, axis=0, return_inverse=True)
         below = np.array([[*analytics._report_rows(cfg, rows).values()][-1] for cfg in AdversaryConfig])
-        below = below[:, index.reshape(len(open_cells), len(block))] < p_target
+        below = below[:, index.reshape(len(open_cells), len(run))] < p_target
         below = np.concatenate([below, below.all(axis=0, keepdims=True)])
         crossed, at = below.any(axis=2), below.argmax(axis=2)
         for j, i in enumerate(open_cells):
             for k, name in enumerate(names):
                 if crossed[k, j] and out[i][name] == NOT_FOUND:
-                    out[i][name] = block[at[k, j]]
+                    out[i][name] = run[at[k, j]]
         open_cells = [i for i in open_cells if out[i]["overall"] == NOT_FOUND]
     return out
 

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from .protocol import ParameterError
+from .source import _is_count
 
 
 def lambda_threshold(mu) -> Fraction:
@@ -33,8 +34,14 @@ def in_guaranteed_region(mu, lam) -> bool:
     return lambda_threshold(mu) < lam < 1
 
 
+def _check_m(m) -> None:
+    if not _is_count(m):
+        raise ParameterError(f"m={m!r} must be a positive count")
+
+
 def chernoff_no_faulty(mu, m: int) -> float:
     """exp(-(m/6)(1-3*mu)^2), bounding the no-faulty failure probability."""
+    _check_m(m)
     mu = Fraction(mu)
     if not 0 < mu < Fraction(1, 3):
         raise ParameterError(f"mu={mu} must satisfy 0 < mu < 1/3")
@@ -44,6 +51,7 @@ def chernoff_no_faulty(mu, m: int) -> float:
 def chernoff_S(mu, lam, m: int) -> float:
     """2^(-(1-lambda)*mu*m) + 4*exp(-(m/9)(1-3*mu)^2), bounding the
     faulty-sender failure probability."""
+    _check_m(m)
     mu_q, lam_q = Fraction(mu), Fraction(lam)
     if not Fraction(1, 2) <= lam_q < 1:
         raise ParameterError(f"lambda={lam_q} must satisfy 1/2 <= lambda < 1")
@@ -61,6 +69,7 @@ def chernoff_R(mu, lam, m: int) -> float:
     tail term is an upper tail only for lambda at or above the region
     boundary, so parameters below it are rejected.
     """
+    _check_m(m)
     mu_q = Fraction(mu)
     lam_q = Fraction(lam)
     if not Fraction(2, 9) < mu_q < Fraction(1, 3):

@@ -158,18 +158,20 @@ _MASK128 = (1 << 128) - 1
 _HASH_TRIALS = 1 << 10
 
 
-def _is_count(value) -> bool:
-    """Whether value is a positive integer of a Python or numpy integer type
-    (one that operator.index accepts), a bool excluded."""
+def _is_count(value, least: int = 1) -> bool:
+    """Whether value is an integer of a Python or numpy integer type (one
+    that operator.index accepts), a bool excluded, and at least `least`."""
     try:
-        return not isinstance(value, bool) and operator.index(value) >= 1
+        return not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         return False
 
 
-def _check_seed(value, name: str = "seed") -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+def _check_seed(value, name: str = "seed") -> int:
+    """value as a Python int, if it is a non-negative integer (`_is_count`)."""
+    if not _is_count(value, least=0):
         raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    return operator.index(value)
 
 
 def _words(n: int) -> list[int]:
@@ -266,8 +268,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     depend on how trials are split across workers. The Monte-Carlo trials
     start from the same states, which the block seeder computes.
     """
-    _check_seed(seed)
-    _check_seed(index, "index")
+    seed, index = _check_seed(seed), _check_seed(index, "index")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
@@ -298,8 +299,7 @@ def sample_event(m: int, rng: int | np.random.Generator) -> Event:
     if not _is_count(m):
         raise ValueError(f"m={m!r} must be a positive count")
     if not isinstance(rng, np.random.Generator):
-        _check_seed(rng)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=rng))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=_check_seed(rng)))
     return Event(tuple(_codes_of(rng.random(m)).tolist()))
 
 

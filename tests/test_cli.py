@@ -13,7 +13,7 @@ import pytest
 
 import wbcsim
 import wbcsim.analytics as analytics
-from wbcsim import cli
+from wbcsim import cli, optimizer
 from wbcsim.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_USAGE, OUTPUT_DIR_ENV, build_parser, main
 from wbcsim.metrics import TARGET_STATE
 from wbcsim.protocol import ABORT
@@ -48,13 +48,12 @@ def bound_calls(monkeypatch):
 
 
 def assert_one_scan_up_to(calls, crossing):
-    """Each bound covers m = 1, 2, ... once, in blocks that stop with the
-    block holding the overall crossing."""
+    """Each bound's formula rows cover m = 1 up to the end of the scan's
+    run of m holding the overall crossing, once each, in ascending order."""
     assert set(calls.values()) == {1}
+    last = -(-crossing // optimizer._RUN) * optimizer._RUN
     for config in ("no-faulty", "s-faulty", "r0-faulty"):
-        blocks = [ms for name, ms in calls.blocks if name == config]
-        assert [m for ms in blocks for m in ms] == list(range(1, blocks[-1][-1] + 1))
-        assert crossing in blocks[-1] and all(m < crossing for ms in blocks[:-1] for m in ms)
+        assert [m for name, ms in calls.blocks if name == config for m in ms] == list(range(1, last + 1))
 
 
 # verdicts of the default `optimize` grid: mu -> verdict at each lambda
@@ -174,6 +173,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", text)
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: invalid m list {text!r}\n"
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_oracle_m_below_one_is_usage_error(self, capsys, m):
+        # it exited 3 with "parameter error", where exact, simulate and bounds exit 2
+        code, out, err = run(capsys, "oracle", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", str(m))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: invalid m {m}\n"
 
     @pytest.mark.parametrize("flag", ["--mu-lo", "--mu-hi", "--lambda-lo", "--lambda-hi"])
     @pytest.mark.parametrize("value", ["abc", "1/4"])

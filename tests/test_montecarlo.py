@@ -126,6 +126,14 @@ class TestStatistics:
         assert r.n_failures == estimate_pf(S_FAULTY, params(12), 60, seed=3).n_failures
 
 
+    def test_numpy_integers_give_the_python_int_result(self):
+        # an np.int64 seed raised "seed must be a non-negative int", and an
+        # np.int64 n_trials was stored in the result as it came
+        r = estimate_pf(S_FAULTY, params(12), np.int64(60), seed=np.int64(3), jobs=np.int32(1))
+        assert r == estimate_pf(S_FAULTY, params(12), 60, seed=3)
+        assert [type(v) for v in (r.n_trials, r.n_failures, r.seed)] == [int, int, int]
+
+
 class TestJobs:
     # True used to pass as one job, and 1.5 to fail later with a TypeError from range
     @pytest.mark.parametrize("jobs", [0, -1, True, 1.5])

@@ -11,7 +11,6 @@ from wbcsim.optimizer import (
     NOT_FOUND,
     OUTSIDE_REGION,
     GridSpec,
-    _blocks,
     config_crossings,
     even_grid,
     grid_search,
@@ -19,6 +18,7 @@ from wbcsim.optimizer import (
     m_min_upper,
 )
 import wbcsim.analytics as analytics
+import wbcsim.optimizer as optimizer
 from wbcsim.analytics import failure_reports, pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
 from wbcsim.protocol import AdversaryConfig, ParameterError, ProtocolParams, _thresholds
 from wbcsim.security import in_guaranteed_region
@@ -293,6 +293,26 @@ class TestBlocks:
         if m_lo > 1000:
             assert max(len(ms) for ms, _ in formula_blocks) > 1  # large-m blocks hold several rows
 
+    def test_verdicts_do_not_depend_on_the_run_length(self, monkeypatch):
+        # runs of one m, of a few, the default and one run holding every candidate
+        grids = [
+            GridSpec((Fraction("0.25"), Fraction("0.3"), 3), (Fraction("0.9"), Fraction("0.95"), 3), range(1, 301), p_target)
+            for p_target in (0.5, 0.05)
+        ] + [GridSpec((Fraction("0.26"), Fraction("0.28"), 2), (Fraction("0.93"), Fraction("0.95"), 2), [10, 50, 100, *range(270, 301)], 0.05)]
+        tables = [(mu, lam, p_target) for mu, lam in ((MU, LAM), ("0.3", "0.8")) for p_target in (0.6, 0.2, 0.05)]
+        answers = {}
+        for run in (1, 5, 64, 1000):
+            monkeypatch.setattr(optimizer, "_RUN", run)
+            answers[run] = (
+                [grid_search(g) for g in grids],
+                [m_min_table(mu, lam, p_target, 1, 300, require_region=False) for mu, lam, p_target in tables],
+            )
+        assert answers[1] == answers[5] == answers[64] == answers[1000]
+        grid_verdicts = {verdict for table in answers[64][0] for _, _, verdict in table}
+        table_verdicts = {verdict for table in answers[64][1] for verdict in table.values()}
+        assert NOT_FOUND in grid_verdicts and len(grid_verdicts - {NOT_FOUND, OUTSIDE_REGION}) > 2
+        assert NOT_FOUND in table_verdicts and len(table_verdicts - {NOT_FOUND}) > 4
+
     @pytest.mark.parametrize(
         "p_target,seen", [(0.05, {280, 289, NOT_FOUND, OUTSIDE_REGION}), (0.5, {100, OUTSIDE_REGION})]
     )
@@ -373,8 +393,9 @@ class TestGridScan:
         g = self.spec((Fraction("0.9375"), Fraction("0.9475"), 5), range(1, 2001))
         verdicts = [verdict for _, _, verdict in grid_search(g)]
         assert set(verdicts) == {280, 281, 282, 287}
-        last_block = next(block for block in _blocks(range(1, 2001)) if max(verdicts) in block)
-        assert max(m for _, block in rows for m, _, _ in block) == last_block[-1]
+        # the scan's runs are m = 1..64, 65..128, ...: it stops with the run holding 287
+        last_run_end = -(-max(verdicts) // optimizer._RUN) * optimizer._RUN
+        assert max(m for _, block in rows for m, _, _ in block) == last_run_end
 
     def test_numpy_candidates_keep_exact_thresholds(self, rows):
         # Fraction(0.3) has a numerator of 5.4e15: times an np.int64 m past
@@ -382,7 +403,7 @@ class TestGridScan:
         ms = np.arange(1800, 1811)
         g = GridSpec((Fraction(0.29), Fraction(0.3), 2), (Fraction(0.94), Fraction(0.945), 2), ms, 1e-4)
         verdicts = grid_search(g)
-        keys, first = self.cell_rows(g, inside_only=True), next(_blocks(ms))
+        keys, first = self.cell_rows(g, inside_only=True), ms[: optimizer._RUN]
         for cfg in AdversaryConfig:
             evaluated = [row for name, block in rows if name is cfg for row in block]
             # each row is a real cell's (m, T, Q), once; every cell is open over the first block of m

@@ -570,10 +570,10 @@ def test_only_protocol_runs_the_engine():
 
 
 def test_analytics_owns_the_formula_block_budget():
-    # the optimizer cuts its runs of m by analytics._rows_per_block and
-    # leaves cutting rows into formula blocks to analytics
+    # the optimizer hands the formulas fixed runs of m and leaves cutting
+    # rows into formula blocks to analytics._certified
     names = names_in(Path(protocol.__file__).parent / "optimizer.py")
-    assert "_rows_per_block" in names and not names & {"_FORMULA_ENTRIES", "_row_width"}
+    assert "_RUN" in names and not names & {"_rows_per_block", "_FORMULA_ENTRIES", "_row_width"}
 
 
 def test_protocol_imports_no_module_built_on_it():

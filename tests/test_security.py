@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
@@ -64,7 +65,9 @@ class TestChernoffFormulas:
     def test_s_value_and_vacuous_origin(self):
         expected = 2 ** (-(1 - 0.94) * 0.272 * 200) + 4 * math.exp(-(200 / 9) * (1 - 3 * 0.272) ** 2)
         assert chernoff_S(MU, LAM, 200) == pytest.approx(expected, rel=1e-12)
-        assert chernoff_S(MU, LAM, 0) == 5  # vacuous at m = 0
+        # m = 0 is no count of singlets: rejected, where it used to give the vacuous 5
+        with pytest.raises(ParameterError):
+            chernoff_S(MU, LAM, 0)
 
     def test_s_rejects_small_lambda(self):
         with pytest.raises(ParameterError):
@@ -86,6 +89,19 @@ class TestChernoffFormulas:
     def test_rejects_out_of_range_parameters(self, bound, args):
         with pytest.raises(ParameterError):
             bound(*args)
+
+    @pytest.mark.parametrize("m", [-5, 0, 2.5, 10.0, True, "10", None])
+    @pytest.mark.parametrize("bound", [chernoff_no_faulty, chernoff_S, chernoff_R])
+    def test_rejects_m_that_is_not_a_count(self, bound, m):
+        # m = -5 gave 1.03 for chernoff_no_faulty; 2.5 and True were accepted
+        args = (MU, m) if bound is chernoff_no_faulty else (MU, LAM, m)
+        with pytest.raises(ParameterError, match="must be a positive count"):
+            bound(*args)
+
+    def test_numpy_integer_m_is_a_count(self):
+        assert chernoff_S(MU, LAM, np.int64(200)) == chernoff_S(MU, LAM, 200)
+        assert chernoff_R(MU, LAM, np.int32(300)) == chernoff_R(MU, LAM, 300)
+        assert chernoff_no_faulty(MU, np.uint16(1000)) == chernoff_no_faulty(MU, 1000)
 
     def test_ranges_are_exact_rationals(self):
         # a mu just below 1/3 is inside the region, though its float is 1/3's
