@@ -14,8 +14,9 @@ Out-of-domain masses are summed from their own tails, never taken as
 Each formula evaluates a block of integer (m, T, Q) rows, the whole state
 a bound reads, and sums each row along the conditioned count in index
 order, so a value depends on its row alone and never on its block;
-`failure_reports` and the `pf_*` functions are one-row views of it. They
-are plain arithmetic (`x * valid` masks, `x.cumsum(axis=1)` sums) on either backend.
+`failure_reports` and the `pf_*` functions are one-row views of it. The
+formulas are plain arithmetic (`x * valid` masks, `x.cumsum(axis=1)`
+sums), the same on either backend.
 
 Every tail inside a sum is a binomial tail at a fixed k whose trial count
 n runs along the row. One recurrence in n computes all of them,
@@ -364,9 +365,9 @@ def _certified(formula, m, T, Q):
     too large for that is evaluated again on twice the width, and so on up
     to the whole row, where nothing is left out. Each pass evaluates its
     rows in blocks of as many rows of their largest m and width
-    (`_row_width`) as _FORMULA_ENTRIES holds, or one row. UPPER adds what a window leaves out and LOWER does not, so
-    both stay bounds in their direction. Both are capped at 1 before the
-    certificate test."""
+    (`_row_width`) as _FORMULA_ENTRIES holds, or one row. UPPER adds what
+    a window leaves out and LOWER does not, so both stay bounds in their
+    direction. Both are capped at 1 before the certificate test."""
     z, values = np.full(len(m), _Z0), np.zeros((4, len(m)))  # lower, upper and the most each moved
     rows = np.arange(len(m))
     while rows.size:
