@@ -8,9 +8,10 @@ region, integer cells where a candidate m suffices, NOT_FOUND otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -136,9 +137,10 @@ class GridSpec:
         for lo, hi, steps in (self.mu_range, self.lambda_range):
             if not (lo < hi and _is_count(steps) and steps >= 2):
                 raise ValueError("grid ranges must be non-degenerate with at least 2 steps")
-        ms = list(self.m_candidates)
+        # an iterator would be used up here, and grid_search needs the counts again
+        ms = list(self.m_candidates) if isinstance(self.m_candidates, (Sequence, np.ndarray)) else []
         if not ms or not all(map(_is_count, ms)) or ms != sorted(set(ms)):
-            raise ValueError("m_candidates must be a non-empty, strictly ascending list of positive counts")
+            raise ValueError("m_candidates must be a non-empty, strictly ascending sequence of positive counts")
         if not 0 < self.p_target <= 1:
             raise ValueError("p_target must be a probability in (0, 1]")
 

@@ -152,7 +152,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 # Trial indices hashed at once, so memory stays flat however many trials run.
 _HASH_TRIALS = 1 << 10
@@ -201,8 +200,25 @@ def _hashmix(value: np.ndarray, init: int, mult: int, first: int, count: int) ->
     return value ^ (value >> 16)
 
 
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2^128 on uint64 (high, low) word arrays."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(a_hi, a_lo, b: int):
+    """(a * b) mod 2^128 on uint64 (high, low) word arrays, b a Python int:
+    the low words' full product from 32-bit limbs, the rest mod 2^64."""
+    b_hi, b_lo = b >> 64, b & 0xFFFFFFFFFFFFFFFF
+    x0, x1, y0, y1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    carry = (x0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (carry >> 32)
+    return a_hi * b_lo + a_lo * b_hi + high, a_lo * b_lo
+
+
 def _trial_states(seed: int, lo: int, hi: int):
-    """The PCG64 state of each trial lo..hi-1, the state that
+    """The PCG64 (state, inc) of each trial lo..hi-1, the state that
     PCG64(SeedSequence(entropy=seed, spawn_key=(trial,))) starts in.
 
     The hash's entropy is the seed's words, zero-padded to the pool size,
@@ -212,7 +228,8 @@ def _trial_states(seed: int, lo: int, hi: int):
     data, so this runs as uint32 array arithmetic on many trials at once.
     The pool yields four uint64 words (generate_state), and PCG64 seeds its
     LCG from them as pcg64_set_seed does: inc = 2*initseq + 1 and
-    state = (inc + initstate)*MULT + inc, on Python ints.
+    state = (inc + initstate)*MULT + inc mod 2^128, on the chunk's uint64
+    word arrays; each trial then yields its two Python ints.
     """
     seed_pool = np.random.SeedSequence(seed).pool
     # hashmix calls so far: one per pool word, one per ordered pair of pool
@@ -231,15 +248,12 @@ def _trial_states(seed: int, lo: int, hi: int):
             pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
             pool ^= pool >> 16
         words = _hashmix(np.concatenate((pool, pool), axis=-1), _INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
-        # read as four little-endian uint64 words
-        for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
-            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-            yield {
-                "bit_generator": "PCG64",
-                "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        # read as four little-endian uint64 words: initstate, then initseq
+        s_hi, s_lo, i_hi, i_lo = words.astype("<u4").view("<u8").T
+        inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+        state = _add128(*_mul128(*_add128(*inc, s_hi, s_lo), _PCG64_MULT), *inc)
+        for state_hi, state_lo, inc_hi, inc_lo in zip(*(x.tolist() for x in (*state, *inc))):
+            yield state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
         start = stop
 
 
@@ -248,13 +262,14 @@ def _trial_draws(seed: int, lo: int, hi: int, out: np.ndarray):
     at a time: each filled block `out[:n]` is yielded before the next
     overwrites it. Row r holds what Generator.random draws first from
     substream(seed, trial) for its trial; one PCG64 is set to each trial's
-    state in turn."""
+    state in turn, through the one state dict this loop owns."""
     bitgen = np.random.PCG64(0)
-    generator = np.random.Generator(bitgen)
-    states = _trial_states(seed, lo, hi)
+    generator, state = np.random.Generator(bitgen), bitgen.state
+    lcg, states = state["state"], _trial_states(seed, lo, hi)
     for start in range(lo, hi, len(out)):
         block = out[: min(len(out), hi - start)]
-        for row, state in zip(block, states):
+        for row, (lcg_state, inc) in zip(block, states):
+            lcg["state"], lcg["inc"] = lcg_state, inc
             bitgen.state = state
             generator.random(out=row)
         yield block

@@ -187,6 +187,38 @@ class TestBlockPartitions:
                 assert joined.tobytes() == np.concatenate([values[kind] for values in alone]).tobytes(), (cfg, kind)
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(pair=st.sampled_from(WINDOW_PAIRS), ms=st.lists(st.integers(1, 80), min_size=2, max_size=8, unique=True))
+    def test_exact_values_do_not_depend_on_the_block(self, pair, ms):
+        # rows of different widths share one array and one denominator in a
+        # block; each row's value is the Fraction of its one-row call
+        rows = block(*pair, ms)
+        for cfg in AdversaryConfig:
+            blocked = _report_rows(cfg, rows, exact=True)
+            for i, row in enumerate(rows):
+                for kind, values in _report_rows(cfg, row[None], exact=True).items():
+                    assert fractions(blocked[kind])[i] == values.item(), (cfg, kind, row)
+
+    def test_windowed_float_values_do_not_depend_on_the_block(self, monkeypatch):
+        # past m = 400 rows are cut to windows; at (0.25, 0.9) and m >= 8000
+        # the S rows' first windows leave out too much and are widened
+        widened = []
+        s_rows = analytics._s_rows
+
+        def spy(m, T, Q, b, z=None):
+            widened.extend(m.tolist() if z is not None and z > _Z0 else [])
+            return s_rows(m, T, Q, b, z)
+
+        monkeypatch.setattr(analytics, "_s_rows", spy)
+        rows = np.concatenate([block(mu, lam, (4000, 8000, 10000, 12000)) for mu, lam in (("0.272", "0.94"), ("0.25", "0.9"))])
+        for cfg in (S_FAULTY, R0_FAULTY):
+            blocked = _report_rows(cfg, rows)
+            for i, row in enumerate(rows):
+                for kind, values in _report_rows(cfg, row[None]).items():
+                    assert values.tobytes() == blocked[kind][i : i + 1].tobytes(), (cfg, kind, row)
+        assert sorted(set(widened)) == [8000, 10000, 12000]
+
+
 class TestWindows:
     @pytest.mark.parametrize("mu,lam", WINDOW_PAIRS)
     def test_rows_up_to_m_400_are_whole(self, mu, lam):
@@ -215,8 +247,8 @@ class TestWindows:
         for mu, lam in WINDOW_PAIRS:
             (m_, T, Q), z = block(mu, lam, [m]).T, np.array([_Z0])
             for lo, hi, q in ((T, m_ - T, _THIRD), (T, m_, analytics._SIXTH)):
-                n_lo, n_hi, _ = _window(_FLOAT, m_, lo, hi, q, z)
-                assert n_hi - n_lo + 1 <= _row_width(m)
+                _, valid, _ = _window(_FLOAT, m_, lo, hi, q, z)
+                assert valid.sum() <= _row_width(m)
         # O(sqrt(m)) at large m: at m = 10^4 about a third of the whole rows
         assert _row_width(10000) < 2000 < 10000 - 2 * 2720 + 1
 
@@ -303,18 +335,18 @@ class TestTail:
         return k, n, n <= last[:, None]
 
     @pytest.mark.parametrize("upper", [False, True])
-    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 5), Fraction(1, 3)])
+    @pytest.mark.parametrize("q", [analytics._HALF, analytics._TWO_FIFTHS, _THIRD])
     @pytest.mark.parametrize("name", sorted(TAIL_ROWS))
     def test_recurrence_is_the_element_wise_tail(self, name, q, upper):
         k, n, valid = self.rows(name)
         if upper:
             n = n - min(0, n.min())  # the upper tails' n runs over T..m
         want = element_wise_tail(k, n, q, valid, upper)
-        got = fractions(_tail(_EXACT, k, n, q, valid, upper))
+        (got,) = map(fractions, _tail(_EXACT, (k,), n, q, valid, upper))
         assert got.shape == want.shape
         assert all(isinstance(g, Fraction) for g in got[valid])
         assert all(g == w for g, w in zip(got.flat, want.flat))
-        approx = _tail(_FLOAT, k, n, q, valid, upper)
+        (approx,) = _tail(_FLOAT, (k,), n, q, valid, upper)
         assert approx.dtype == np.float64
         assert np.allclose(approx, want.astype(float), rtol=1e-14, atol=0)
 
@@ -380,7 +412,7 @@ class TestExactBackend:
         x[:, column], fx[:, column] = z, fz
         assert all(g == w for g, w in zip(fractions(x).flat, fx.flat))
 
-    @given(st.lists(st.integers(0, 200), min_size=1, max_size=6), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(2, 5)]))
+    @given(st.lists(st.integers(0, 200), min_size=1, max_size=6), st.sampled_from([analytics._HALF, _THIRD, analytics._SIXTH, analytics._TWO_FIFTHS]))
     def test_powers_match_fractions(self, q_exponents, q):
         got = fractions(_EXACT.scalar(q) ** np.array(q_exponents))
         assert list(got) == [q**p for p in q_exponents]

@@ -98,6 +98,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="m_candidates"):
             GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), ms, 0.05)
 
+    def test_rejects_candidates_that_are_not_sequences(self):
+        # a generator or a dict_keys of ascending counts passed the spec (the
+        # check used the generator up) and grid_search raised a bare TypeError
+        counts = (m for m in range(270, 301))
+        for ms in (counts, dict.fromkeys(range(270, 301)).keys()):
+            with pytest.raises(ValueError, match="m_candidates"):
+                GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), ms, 0.05)
+        assert next(counts) == 270
+
     @pytest.mark.parametrize("ms", [[279.5, 280.5], [True, 280], [270.0, 280], ["280"]])
     def test_rejects_candidates_that_are_not_integers(self, ms):
         # [279.5, 280.5] used to fail later with an IndexError, and a bool

@@ -172,7 +172,9 @@ class TestSampling:
 
 
 def numpy_state(seed, trial):
-    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))).state
+    """The PCG64 (state, inc) ints of SeedSequence(entropy=seed, spawn_key=(trial,))."""
+    state = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))).state["state"]
+    return state["state"], state["inc"]
 
 
 class TestBlockSeeder:
