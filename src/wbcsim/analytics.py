@@ -34,7 +34,8 @@ pays for its pmf and anchors once. `exact=` only chooses the backend:
   until a report's one Fraction. The pmf walks rows with exact integer
   steps along n or k, and cdf and sf sum one walk down k per element;
 - floats: `bdtr`/`bdtrc` anchors and a pmf read from a cached `gammaln`
-  log-factorial table, O(1) per element. Each tail keeps the anchor's
+  log-factorial table, O(1) per element where a `bdtr` costs an
+  incomplete beta. There is no cancellation: each tail keeps the anchor's
   precision plus about 1e-16 per summed term; the pmf's rounding
   dominates, so float values agree with the exact ones to about
   1e-15 * m relative, up to m ~ 10^4.
@@ -87,7 +88,8 @@ _THIRD, _SIXTH, _HALF, _TWO_FIFTHS = _Rate(1, 3), _Rate(1, 6), _Rate(1, 2), _Rat
 # Float rows start on windows of _Z0 standard deviations of their weight,
 # and widen until what a window leaves out is below _CERTIFIED of each bound;
 # 18 certifies every row of the 1e-30 scan to m = 12000 on its first window.
-# A window keeps at least _MIN_HALF_WIDTH entries on each side of the mode.
+# A window keeps at least _MIN_HALF_WIDTH entries on each side of the mode:
+# shorter rows cost less than a call's fixed work, so rows of m <= 400 stay whole.
 _Z0 = 18.0
 _CERTIFIED = 1e-17
 _MIN_HALF_WIDTH = 400
@@ -168,9 +170,11 @@ class _Smooth:
 
 def _aligned(x, y):
     """The larger exponents of x and y (an int has none), and their numerators over them."""
-    es = [v.e for v in (x, y) if isinstance(v, _Smooth)]
-    e = es[0] if len(es) == 1 or es[0] == es[1] else tuple(map(max, *es))
-    return e, [v * _power(e) if isinstance(v, int) else v.num if v.e == e else v.num * _power(e, v.e) for v in (x, y)]
+    if not isinstance(x, _Smooth) or not isinstance(y, _Smooth):
+        e = (y if isinstance(y, _Smooth) else x).e
+        return e, [v.num if isinstance(v, _Smooth) else v * _power(e) for v in (x, y)]
+    e = x.e if x.e == y.e else tuple(map(max, x.e, y.e))
+    return e, (x.num if x.e == e else x.num * _power(e, x.e), y.num if y.e == e else y.num * _power(e, y.e))
 
 
 def _walk(ks, ns, q: _Rate, top: int) -> list[int]:
@@ -215,13 +219,12 @@ def _exact(k, n, q: _Rate, tail=None) -> _Smooth:
     ns = (n if n.shape == shape else n.repeat(shape[-1], axis=-1)).ravel().tolist()
     top = max(max(ns), 0)
     num = _walk(ks, ns, q, top) if tail is None else [_walk_sum(*kn, q, top, tail == "sf") for kn in zip(ks, ns)]
-    a, b, c = q.e
-    return _Smooth(np.array(num, dtype=object).reshape(shape), (top * a, top * b, top * c))
+    return _Smooth(np.array(num, dtype=object).reshape(shape), tuple(top * a for a in q.e))
 
 
 @functools.cache
 def _log_factorials(size: int) -> np.ndarray:
-    """log(i!) for 0 <= i < size, read-only; sizes are powers of two."""
+    """log(i!) for 0 <= i < size, read-only; sizes are powers of two, one table per doubling of m."""
     table = gammaln(np.arange(size) + 1.0)
     table.flags.writeable = False
     return table
@@ -257,7 +260,7 @@ _EXACT = _Binomial(
     sf=functools.partial(_exact, tail="sf"),
     scalar=lambda q: _Smooth(np.array(q.a, dtype=object), q.e),
 )
-# bdtr gives nan for k outside [0, n] and bdtrc for k > n; there the tail is 0 or 1
+# bdtr gives nan for k < 0 (fmax makes it 0) and both give nan for k > n (taken at k = n)
 _FLOAT = _Binomial(
     pmf=_float_pmf,
     cdf=lambda k, n, q: np.fmax(bdtr(np.minimum(k, n), n, q.float), 0.0),
@@ -284,8 +287,7 @@ def _tail(b: _Binomial, ks: tuple, n, q: _Rate, valid, upper: bool) -> list:
         rows, last = np.arange(len(n)), valid.sum(axis=1) - 1
         terms[rows, last] = b.cdf(k, np.maximum(n[rows, last], 0), q)
         tails = (terms * valid)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    size = len(n) // len(ks)
-    return [tails[i : i + size] for i in range(0, len(n), size)]
+    return [tails[i : i + len(ks[0])] for i in range(0, len(n), len(ks[0]))]
 
 
 def _no_faulty_rows(m, T, Q, b: _Binomial):
