@@ -162,7 +162,7 @@ class _Smooth:
 
     def __pow__(self, p):  # an array of integer exponents p >= 0, over the denominator^max(p)
         top, p = int(p.max()), p.astype(object)
-        return _Smooth(self.num**p * _power(self.e) ** (top - p), tuple(top * a for a in self.e))
+        return _Smooth(self.num**p * _power(self.e) ** (top - p), (top * self.e[0], top * self.e[1], top * self.e[2]))
 
     def cumsum(self, axis):
         return _Smooth(self.num.cumsum(axis=axis), self.e)
@@ -197,11 +197,11 @@ def _walk(ks, ns, q: _Rate, top: int) -> list[int]:
     return num
 
 
-def _walk_sum(k: int, n: int, q: _Rate, top: int, upper: bool) -> int:
-    """The numerator over d^top of P(X > k) if upper else P(X <= k), X ~ Binom(n, q) and n >= 0: the
-    pmf walked down j from n or min(k, n), a step to j - 1 multiplying by jb / ((n-j+1) a)."""
+def _walk_sum(k: int, n: int, q: _Rate, top: int, tail: str) -> int:
+    """The numerator over d^top of P(X > k) if tail is "sf" else P(X <= k), X ~ Binom(n, q), n >= 0:
+    the pmf walked down j from n or min(k, n), a step to j - 1 multiplying by jb / ((n-j+1) a)."""
     a, b, d = q.a, q.b, q.d
-    first, stop = (n, max(k, -1)) if upper else (min(k, n), -1)
+    first, stop = (n, max(k, -1)) if tail == "sf" else (min(k, n), -1)
     if first <= stop:
         return 0
     c = total = math.comb(n, first) * a**first * b ** (n - first) * d ** (top - n)
@@ -218,8 +218,8 @@ def _exact(k, n, q: _Rate, tail=None) -> _Smooth:
     ks = (k if k.shape == shape else k.repeat(shape[-1], axis=-1)).ravel().tolist()
     ns = (n if n.shape == shape else n.repeat(shape[-1], axis=-1)).ravel().tolist()
     top = max(max(ns), 0)
-    num = _walk(ks, ns, q, top) if tail is None else [_walk_sum(*kn, q, top, tail == "sf") for kn in zip(ks, ns)]
-    return _Smooth(np.array(num, dtype=object).reshape(shape), tuple(top * a for a in q.e))
+    num = _walk(ks, ns, q, top) if tail is None else [_walk_sum(k_, n_, q, top, tail) for k_, n_ in zip(ks, ns)]
+    return _Smooth(np.array(num, dtype=object).reshape(shape), (top * q.e[0], top * q.e[1], top * q.e[2]))
 
 
 @functools.cache
