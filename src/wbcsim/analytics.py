@@ -93,9 +93,9 @@ _THIRD, _SIXTH, _HALF, _TWO_FIFTHS = _Rate(1, 3), _Rate(1, 6), _Rate(1, 2), _Rat
 _Z0 = 18.0
 _CERTIFIED = 1e-17
 _MIN_HALF_WIDTH = 400
-# A float formula block spans at most this many row entries, so memory
-# stays flat however many rows a scan has.
-_FORMULA_ENTRIES = 1 << 14
+# A float formula block spans at most this many row entries, so memory stays
+# flat however many rows a scan has; its stacked tails hold each row twice.
+_FORMULA_ENTRIES = 1 << 13
 
 
 class BoundKind(enum.Enum):
@@ -234,14 +234,14 @@ def _float_pmf(k, n, q: _Rate):
     """P(X = k) for X ~ Binom(n, q), 0 outside 0 <= k <= n."""
     n_k = n - k
     log_fact = _log_factorials(1 << int(n.max()).bit_length())
-    # log_fact[n] - log_fact[k] - log_fact[n_k] + k log q + n_k log(1 - q); outside,
-    # the table reads are clipped into range and the sum is set to -inf
+    # log_fact[n] - log_fact[k] - log_fact[n_k] + k log q + n_k log(1 - q); outside, the table
+    # reads are clipped into range and the sum set to 0, as exp of -inf takes a slow path
     pmf = log_fact.take(n, mode="clip") - log_fact.take(k, mode="clip")
     pmf -= log_fact.take(n_k, mode="clip")
     pmf += k * q.log
     pmf += n_k * q.log1m
-    np.copyto(pmf, -np.inf, where=np.minimum(k, n_k) < 0)
-    return np.exp(pmf, out=pmf)
+    np.copyto(pmf, 0.0, where=(outside := np.minimum(k, n_k) < 0))
+    return np.where(outside, 0.0, np.exp(pmf, out=pmf))
 
 
 class _Binomial(NamedTuple):
