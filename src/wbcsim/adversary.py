@@ -49,6 +49,8 @@ class DomainVerdict:
 
 
 def _strategy_view(zeta_rows, l: LocalCountListS, p: ProtocolParams, kind: type):
+    if l.m != p.m:
+        raise ValueError(f"local count list of {l.m} outcomes != params m {p.m}")
     local = (l.l1, l.l2, l.l3)
     ood, ks = zeta_rows(np.array(local)[:, None], p)
     return DomainVerdict(False, _reason(ood[0], local, p)) if ood[0] else kind(*ks[:, 0].tolist())

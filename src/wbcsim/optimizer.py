@@ -97,12 +97,6 @@ def m_min_table(
     return _scan([(mu, lam)], p_target, range(m_lo, m_hi + 1))[0]
 
 
-def config_crossings(mu, lam, p_target: float, m_lo: int, m_hi: int) -> dict[str, Verdict]:
-    """First m where each per-configuration bound drops below p_target."""
-    table = m_min_table(mu, lam, p_target, m_lo, m_hi, require_region=False)
-    return {cfg.value: table[cfg.value] for cfg in AdversaryConfig}
-
-
 def m_min_upper(
     mu,
     lam,

@@ -2,8 +2,8 @@
 
 Four phases: invocation (S sends bit + check set), check (receivers test
 length and consistency), cross-calling (R0 forwards to R1), and cross-check
-(R1 may adopt R0's value). Thresholds T and Q are derived from the two real
-parameters mu and lambda with exact rational ceilings, so boundary cases
+(R1 may adopt R0's value). Every ProtocolParams derives its thresholds T
+and Q from mu, lambda and m with exact rational ceilings, so boundary cases
 like mu*m integral never misclassify.
 
 The phases are written once, in an array engine that runs them on every row
@@ -30,7 +30,7 @@ import dataclasses
 import enum
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -118,23 +118,20 @@ def _thresholds(mu: Fraction, lam: Fraction, m):
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Protocol parameters (mu, lambda, m) with derived thresholds T, Q."""
+    """Protocol parameters (mu, lambda, m). Every construction, `replace`
+    included, checks 0 < mu < 1/3, 1/2 < lambda < 1 and m >= 1 and derives
+    T = ceil(mu*m) and Q = T - ceil(lam*T) + 1 in exact rational arithmetic;
+    the ranges imply 1 <= Q <= T <= m. mu and lam may be decimal strings,
+    ints, Fractions or floats, m any integer type but bool."""
 
     mu: Fraction
     lam: Fraction
     m: int
-    T: int
-    Q: int
+    T: int = field(init=False)
+    Q: int = field(init=False)
 
-    @classmethod
-    def create(cls, mu, lam, m: int) -> "ProtocolParams":
-        """Check the ranges and derive the check-set length threshold
-        T = ceil(mu*m) and inconsistency budget Q = T - ceil(lam*T) + 1 in
-        exact rational arithmetic. mu and lam may be decimal strings, ints,
-        Fractions or floats, m any integer type but bool. The ranges imply
-        1 <= Q <= T <= m."""
-        mu = Fraction(mu)
-        lam = Fraction(lam)
+    def __post_init__(self):
+        mu, lam, m = Fraction(self.mu), Fraction(self.lam), self.m
         if not 0 < mu < Fraction(1, 3):
             raise ParameterError(f"mu={mu} violates 0 < mu < 1/3")
         if not Fraction(1, 2) < lam < 1:
@@ -142,8 +139,13 @@ class ProtocolParams:
         if not _is_count(m):
             raise ParameterError(f"m={m!r} must be a positive count")
         m = operator.index(m)
-        T, Q = _thresholds(mu, lam, m)
-        return cls(mu=mu, lam=lam, m=m, T=T, Q=Q)
+        for name, value in zip(("mu", "lam", "m", "T", "Q"), (mu, lam, m, *_thresholds(mu, lam, m))):
+            object.__setattr__(self, name, value)  # frozen
+
+    @classmethod
+    def create(cls, mu, lam, m: int) -> "ProtocolParams":
+        """The same as ProtocolParams(mu, lam, m)."""
+        return cls(mu, lam, m)
 
 
 @dataclass(frozen=True)

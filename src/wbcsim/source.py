@@ -80,6 +80,10 @@ class Event:
 
     @classmethod
     def from_outcomes(cls, outcomes: Iterable[str]) -> "Event":
+        outcomes = tuple(outcomes)
+        unknown = [s for s in outcomes if s not in OUTCOME_CODE]
+        if unknown:
+            raise ValueError(f"unknown outcomes {unknown}; each outcome is one of {OUTCOMES}")
         return cls(tuple(OUTCOME_CODE[s] for s in outcomes))
 
     def outcome(self, index: int) -> str:
@@ -111,8 +115,9 @@ class GlobalCountList:
     g: tuple[int, int, int, int, int, int]
 
     def __post_init__(self):
-        if len(self.g) != 6 or any(x < 0 for x in self.g):
-            raise ValueError("a global count list is six non-negative counts")
+        if len(self.g) != 6 or not all(_is_count(x, least=0) for x in self.g):
+            raise ValueError(f"a global count list is six non-negative counts, not {self.g!r}")
+        object.__setattr__(self, "g", tuple(map(operator.index, self.g)))  # frozen
 
     @property
     def m(self) -> int:
@@ -127,6 +132,13 @@ class LocalCountListS:
     l1: int
     l2: int
     l3: int
+
+    def __post_init__(self):
+        counts = (self.l1, self.l2, self.l3)
+        if not all(_is_count(x, least=0) for x in counts):
+            raise ValueError(f"a local count list is three non-negative counts, not {counts!r}")
+        for name, x in zip(("l1", "l2", "l3"), counts):
+            object.__setattr__(self, name, operator.index(x))  # frozen
 
     @property
     def m(self) -> int:

@@ -40,7 +40,7 @@ from wbcsim.metrics import (
     quantum_fidelity_pure_target,
 )
 from wbcsim.montecarlo import estimate_pf
-from wbcsim.optimizer import GridSpec, config_crossings, grid_search, m_min_upper
+from wbcsim.optimizer import GridSpec, grid_search, m_min_table, m_min_upper
 from wbcsim.protocol import (
     AdversaryConfig,
     Outcome,
@@ -81,8 +81,8 @@ def params(m, mu=MU, lam=LAM):
 
 def test_criterion_1_reference_resource_counts():
     with verdict(1, "per-config thresholds 143/246/280 and overall minimum 280"):
-        crossings = config_crossings(Fraction(MU), Fraction(LAM), 0.05, 1, 400)
-        assert crossings == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280}
+        crossings = m_min_table(Fraction(MU), Fraction(LAM), 0.05, 1, 400, require_region=False)
+        assert crossings == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280, "overall": 280}
         assert m_min_upper(MU, LAM, 0.05, 1, 400) == 280
 
 

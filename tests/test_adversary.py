@@ -72,6 +72,23 @@ class TestDomains:
         verdict = zeta_R(LocalCountListR(9, 1, 2), params12)  # l1 > m - T = 8
         assert isinstance(verdict, DomainVerdict) and not verdict.in_domain
 
+    @pytest.mark.parametrize("zeta", [zeta_S, zeta_R], ids=["zeta_S", "zeta_R"])
+    def test_count_list_must_hold_m_outcomes(self, params12, zeta):
+        # zeta_S(LocalCountListS(9, 9, 9)) used to ask for 9 indices of class 1100 at m = 12
+        with pytest.raises(ValueError, match="local count list of 27 outcomes != params m 12"):
+            zeta(LocalCountListS(9, 9, 9), params12)
+
+    @pytest.mark.parametrize("counts", [(0, -3, 5), (4, 4.0, 4), (4, True, 7), (4, "4", 4)])
+    def test_count_list_holds_non_negative_counts(self, counts):
+        # zeta_R(LocalCountListR(0, -3, 5)) used to return StrategyR(0, -3, 7)
+        with pytest.raises(ValueError, match="three non-negative counts"):
+            LocalCountListR(*counts)
+
+    def test_count_list_stores_python_ints(self, params12):
+        local = LocalCountListS(np.int64(4), np.uint8(4), 4)
+        assert all(type(x) is int for x in (local.l1, local.l2, local.l3))
+        assert local == LocalCountListS(4, 4, 4) and zeta_S(local, params12) == StrategyS(3, 1, 0, 0, 0, 4)
+
     def test_verdict_requires_reason(self):
         with pytest.raises(ValueError):
             DomainVerdict(False)

@@ -11,7 +11,6 @@ from wbcsim.optimizer import (
     NOT_FOUND,
     OUTSIDE_REGION,
     GridSpec,
-    config_crossings,
     even_grid,
     grid_search,
     m_min_table,
@@ -38,8 +37,8 @@ class TestMMin:
         assert m_min_upper(MU, LAM, 0.05, 1, 400) == 280
 
     def test_per_config_crossings(self):
-        crossings = config_crossings(Fraction(MU), Fraction(LAM), 0.05, 1, 400)
-        assert crossings == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280}
+        crossings = m_min_table(Fraction(MU), Fraction(LAM), 0.05, 1, 400, require_region=False)
+        assert crossings == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280, "overall": 280}
 
     def test_trivial_target_returns_m_lo(self):
         assert m_min_upper(MU, LAM, 1.0, 17, 60) == 17
@@ -72,7 +71,7 @@ class TestMMin:
     @pytest.mark.parametrize("m_lo,m_hi", [(50, 10), (0, 10), (1.5, 10), (1, 10.0), (True, 10), (1, True)])
     def test_crossings_reject_bad_window(self, m_lo, m_hi):
         with pytest.raises(ValueError, match="m_lo <= m_hi"):
-            config_crossings(MU, LAM, 0.05, m_lo, m_hi)
+            m_min_table(MU, LAM, 0.05, m_lo, m_hi, require_region=False)
 
     def test_crossing_is_first_not_last(self):
         # the bounds are sawtooth-shaped: within a constant-T run they creep

@@ -1,9 +1,12 @@
 """Tests for the protocol state machine and outcome classification."""
 
 import ast
+import dataclasses
 import itertools
 import json
 import math
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import wbcsim.adversary as adversary
 import wbcsim.protocol as protocol
-from wbcsim.analytics import failure_reports, pf_bruteforce
+from wbcsim.analytics import failure_reports, pf_bruteforce, pf_S_bounds
 from wbcsim.montecarlo import estimate_pf
 from wbcsim.protocol import (
     ABORT,
@@ -130,6 +133,49 @@ class TestThresholds:
     def test_create_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             ProtocolParams.create(object(), "0.9", 10)
+
+    def test_replace_derives_the_thresholds_again(self):
+        # replace used to copy T = 4, Q = 1 from m = 12, and the S upper bound read 0.4999999999998898
+        p = dataclasses.replace(ProtocolParams.create("0.3", "0.8", 12), m=400)
+        assert (p.T, p.Q) == (120, 25) and p == ProtocolParams.create("0.3", "0.8", 400)
+        assert pf_S_bounds(p)[1].value == pf_S_bounds(ProtocolParams.create("0.3", "0.8", 400))[1].value == 0.07016581602920753
+
+    def test_thresholds_are_not_arguments(self):
+        # ProtocolParams("0.3", "0.8", 12, 4, 2) used to build params with string mu and lambda
+        with pytest.raises(TypeError):
+            ProtocolParams("0.3", "0.8", 12, 4, 2)
+        with pytest.raises(TypeError):
+            ProtocolParams("0.3", "0.8", 12, T=4)
+        with pytest.raises(TypeError):
+            ProtocolParams("0.3", "0.8", 12, Q=2)
+
+    @given(
+        st.one_of(
+            st.decimals(Decimal("0.001"), Decimal("0.333"), places=3).map(str),
+            st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(333_333, 10**6)),
+        ),
+        st.one_of(
+            st.decimals(Decimal("0.501"), Decimal("0.999"), places=3).map(str),
+            st.fractions(min_value=Fraction(500_001, 10**6), max_value=Fraction(999_999, 10**6)),
+        ),
+        st.integers(1, 10**6).flatmap(lambda m: st.sampled_from([m, np.int64(m), np.uint16(min(m, 65535))])),
+    )
+    def test_every_construction_derives_the_thresholds(self, mu, lam, m):
+        p = ProtocolParams(mu, lam, m)
+        assert p == ProtocolParams.create(mu, lam, m)
+        assert type(p.mu) is type(p.lam) is Fraction and type(p.m) is int
+        assert (p.T, p.Q) == protocol._thresholds(Fraction(mu), Fraction(lam), int(m))
+
+    @pytest.mark.parametrize("mu,lam,m", [("0.34", "0.9", 100), ("0.25", "0.5", 100), ("0.25", "0.9", 0), ("0.25", "0.9", 2.5)])
+    def test_constructor_checks_the_ranges(self, mu, lam, m):
+        with pytest.raises(ParameterError):
+            ProtocolParams(mu, lam, m)
+
+    def test_pickle_round_trip(self):
+        p = ProtocolParams.create("0.272", "0.94", 280)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+        assert (q.mu, q.lam, q.m, q.T, q.Q) == (Fraction(272, 1000), Fraction(94, 100), 280, 77, 5)
 
 
 class TestTruthTables:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,12 @@ class TestEvent:
         e = Event.from_outcomes(["0011", "1100", "0101"])
         assert e.codes == (0, 5, 1)
         assert e.outcome(1) == "0011" and e.outcome(3) == "0101"
+
+    # both used to raise a KeyError: '0000' and '0'
+    @pytest.mark.parametrize("outcomes,unknown", [(["0011", "0000"], "['0000']"), ("0011", "['0', '0', '1', '1']")])
+    def test_from_outcomes_names_unknown_outcomes(self, outcomes, unknown):
+        with pytest.raises(ValueError, match=re.escape(f"unknown outcomes {unknown}")):
+            Event.from_outcomes(outcomes)
 
     def test_rejects_empty_and_bad_codes(self):
         with pytest.raises(ValueError):
@@ -246,10 +253,17 @@ class TestCounts:
         assert g.m == e.m
         assert project_S(g).m == e.m
 
-    @pytest.mark.parametrize("g", [(3, 1, 2, 0, 1), (3, 1, 2, 0, 1, 4, 0), (3, 1, -2, 0, 1, 4)])
+    # (1.5, 2, 3, 0, 0, 1) used to pass with m = 7.5
+    @pytest.mark.parametrize(
+        "g", [(3, 1, 2, 0, 1), (3, 1, 2, 0, 1, 4, 0), (3, 1, -2, 0, 1, 4), (1.5, 2, 3, 0, 0, 1), (True, 2, 3, 0, 0, 1)]
+    )
     def test_global_count_list_is_six_non_negative_counts(self, g):
         with pytest.raises(ValueError, match="six non-negative counts"):
             GlobalCountList(g)
+
+    def test_global_count_list_stores_python_ints(self):
+        g = GlobalCountList(tuple(np.arange(6)))
+        assert g.g == (0, 1, 2, 3, 4, 5) and all(type(x) is int for x in g.g) and type(g.m) is int
 
     def test_projections(self):
         g = GlobalCountList((3, 1, 2, 0, 1, 4))
