@@ -43,13 +43,20 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[di
     p_target; NOT_FOUND where none does.
 
     One scan over m serves every cell. A bound is a function of its
-    (m, T, Q) row alone, so each run of _RUN consecutive ms hands the
-    distinct rows of the open cells (`np.unique`, in ascending m) to each
-    configuration's formulas once, and every cell reads its crossings from
-    those rows. A cell leaves the scan after the run that holds its overall
-    crossing: there every bound is below the target, so each
-    per-configuration crossing is already recorded. Bound monotonicity in m
-    is not assumed.
+    (m, T, Q) row alone, so each run of _RUN consecutive ms collects the
+    distinct rows of the open cells (`np.unique`, in ascending m), each
+    configuration's formulas evaluate a row at most once, and every cell
+    reads its crossings from those rows. On every row the float S and R0
+    UPPER are the no-faulty value (the same `bdtr` call) plus non-negative
+    terms, so where no-faulty is not below the target neither is. The
+    faulty formulas therefore skip those rows:
+    (a) R0 runs on every row where no-faulty is below the target;
+    (b) S runs on the rows (a) keeps that an open cell still needs for its
+        S crossing, or where R0 is below too ("overall" needs all three).
+    A row a configuration skips reads "not below". A cell leaves the scan
+    after the run that holds its overall crossing: there every bound is
+    below the target, so each per-configuration crossing is already
+    recorded. Bound monotonicity in m is not assumed.
     """
     cells = [(p.mu, p.lam) for p in (ProtocolParams.create(mu, lam, 1) for mu, lam in cells)]  # range checks
     names = [cfg.value for cfg in AdversaryConfig] + ["overall"]
@@ -64,8 +71,13 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[di
             [np.stack([m_column, *_thresholds(*cells[i], m_column)], axis=1) for i in open_cells]
         ).astype(np.int64)  # T and Q are at most m
         rows, index = np.unique(keys, axis=0, return_inverse=True)
-        below = np.array([[*analytics._report_rows(cfg, rows).values()][-1] for cfg in AdversaryConfig])
-        below = below[:, index.reshape(len(open_cells), len(run))] < p_target
+        index = index.reshape(len(open_cells), len(run))
+        s_open = np.zeros(len(rows), dtype=bool)
+        s_open[index[[out[i][AdversaryConfig.S_FAULTY.value] == NOT_FOUND for i in open_cells]]] = True
+        no_faulty = _below(AdversaryConfig.NO_FAULTY, rows, np.ones(len(rows), dtype=bool), p_target)
+        r0 = _below(AdversaryConfig.R0_FAULTY, rows, no_faulty, p_target)
+        s = _below(AdversaryConfig.S_FAULTY, rows, no_faulty & (s_open | r0), p_target)
+        below = np.stack([no_faulty, s, r0])[:, index]
         below = np.concatenate([below, below.all(axis=0, keepdims=True)])
         crossed, at = below.any(axis=2), below.argmax(axis=2)
         for j, i in enumerate(open_cells):
@@ -74,6 +86,15 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[di
                     out[i][name] = run[at[k, j]]
         open_cells = [i for i in open_cells if out[i]["overall"] == NOT_FOUND]
     return out
+
+
+def _below(cfg: AdversaryConfig, rows: np.ndarray, keep: np.ndarray, p_target: float) -> np.ndarray:
+    """Whether cfg's last report (exact or UPPER) is below p_target on each
+    row that keep marks, from one `_report_rows` call; False elsewhere."""
+    below = np.zeros(len(rows), dtype=bool)
+    if keep.any():
+        below[keep] = [*analytics._report_rows(cfg, rows[keep]).values()][-1] < p_target
+    return below
 
 
 def m_min_table(
@@ -148,6 +169,7 @@ class GridSpec:
 def grid_search(g: GridSpec) -> list[tuple[Fraction, Fraction, Verdict]]:
     """Evaluate every cell: OUTSIDE_REGION, the minimal sufficient candidate
     m, or NOT_FOUND. Ordered row-major by grid indices (mu outer)."""
-    cells = [(mu, lam, in_guaranteed_region(mu, lam)) for mu in g.mu_values() for lam in g.lambda_values()]
+    mus, lams = g.mu_values(), g.lambda_values()
+    cells = [(mu, lam, in_guaranteed_region(mu, lam)) for mu in mus for lam in lams]
     found = iter(_scan([(mu, lam) for mu, lam, inside in cells if inside], g.p_target, g.m_candidates))
     return [(mu, lam, next(found)["overall"] if inside else OUTSIDE_REGION) for mu, lam, inside in cells]

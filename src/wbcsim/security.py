@@ -53,8 +53,8 @@ def chernoff_S(mu, lam, m: int) -> float:
     faulty-sender failure probability."""
     _check_m(m)
     mu_q, lam_q = Fraction(mu), Fraction(lam)
-    if not Fraction(1, 2) <= lam_q < 1:
-        raise ParameterError(f"lambda={lam_q} must satisfy 1/2 <= lambda < 1")
+    if not Fraction(1, 2) < lam_q < 1:
+        raise ParameterError(f"lambda={lam_q} must satisfy 1/2 < lambda < 1")
     if not 0 < mu_q < Fraction(1, 3):
         raise ParameterError(f"mu={mu_q} must satisfy 0 < mu < 1/3")
     mu_f, lam_f = float(mu_q), float(lam_q)

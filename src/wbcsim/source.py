@@ -73,6 +73,7 @@ class Event:
             raise ValueError("an Event needs at least one outcome")
         if not all(type(c) is int and 0 <= c <= 5 for c in self.codes):
             raise ValueError("outcome codes must be ints in 0..5")
+        object.__setattr__(self, "codes", tuple(self.codes))  # frozen
 
     @property
     def m(self) -> int:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wbcsim.analytics as analytics
 from wbcsim.analytics import (
@@ -217,6 +217,50 @@ class TestBlockPartitions:
                 for kind, values in _report_rows(cfg, row[None]).items():
                     assert values.tobytes() == blocked[kind][i : i + 1].tobytes(), (cfg, kind, row)
         assert sorted(set(widened)) == [8000, 10000, 12000]
+
+
+def assert_upper_not_below_no_faulty(rows, exact=False):
+    """On each row, the S and R0 UPPER are at least the no-faulty value
+    (plain `>=`): the m scan skips both faulty formulas on the rows where
+    no-faulty is not below its target."""
+    values = {cfg: [*_report_rows(cfg, rows, exact).values()][-1] for cfg in AdversaryConfig}
+    if exact:
+        values = {cfg: fractions(v) for cfg, v in values.items()}
+    for cfg in (S_FAULTY, R0_FAULTY):
+        kept = np.array(values[cfg] >= values[NO_FAULTY], dtype=bool)
+        assert kept.all(), (cfg, rows[~kept])
+
+
+# (mu, lambda) across the protocol's range, inside the guaranteed region or not
+protocol_pairs = st.tuples(
+    st.integers(1, 333).map(lambda i: Fraction(i, 1000)), st.integers(501, 999).map(lambda i: Fraction(i, 1000))
+)
+
+
+class TestUpperDominatesNoFaulty:
+    @settings(max_examples=40, deadline=None)
+    @given(pair=protocol_pairs, ms=st.lists(st.integers(1, 400), min_size=1, max_size=12, unique=True).map(sorted))
+    def test_whole_rows(self, pair, ms):
+        assert_upper_not_below_no_faulty(block(*pair, ms))
+
+    # (0.25, 0.9) at m >= 8000 widens its S windows
+    @settings(max_examples=25, deadline=None)
+    @given(pair=protocol_pairs, ms=st.lists(st.integers(401, 12000), min_size=1, max_size=4, unique=True).map(sorted))
+    @example(pair=(Fraction("0.25"), Fraction("0.9")), ms=[8000, 10000, 12000])
+    def test_windowed_and_widened_rows(self, pair, ms):
+        assert_upper_not_below_no_faulty(block(*pair, ms))
+
+    @pytest.mark.parametrize("pair,ms", [(("0.01", "0.9"), [180, 182, 183]), (("0.25", "0.51"), [304, 308, 311])])
+    def test_rows_capped_at_one(self, pair, ms):
+        rows = block(*pair, ms)
+        assert np.all(_r_rows(*rows.T, _FLOAT)[1] > 1)  # the float sum rounds above 1 and is capped
+        assert np.all(_report_rows(R0_FAULTY, rows)[BoundKind.UPPER] == 1)
+        assert_upper_not_below_no_faulty(rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=protocol_pairs, ms=st.lists(st.integers(1, 60), min_size=1, max_size=6, unique=True).map(sorted))
+    def test_exact_rows(self, pair, ms):
+        assert_upper_not_below_no_faulty(block(*pair, ms), exact=True)
 
 
 class TestWindows:

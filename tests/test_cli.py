@@ -16,7 +16,7 @@ import wbcsim.analytics as analytics
 from wbcsim import cli, optimizer
 from wbcsim.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_USAGE, OUTPUT_DIR_ENV, build_parser, main
 from wbcsim.metrics import TARGET_STATE
-from wbcsim.protocol import ABORT
+from wbcsim.protocol import ABORT, AdversaryConfig, ProtocolParams
 
 from test_protocol import BROADCAST_TABLE, CONFIGS, WEAK_BROADCAST_TABLE
 
@@ -47,13 +47,24 @@ def bound_calls(monkeypatch):
     return calls
 
 
-def assert_one_scan_up_to(calls, crossing):
-    """Each bound's formula rows cover m = 1 up to the end of the scan's
-    run of m holding the overall crossing, once each, in ascending order."""
+def assert_design_scan(calls, p_target=0.05, crossings=(143, 246, 280)):
+    """The design scan at (0.272, 0.94) evaluates each row at most once per
+    configuration, in ascending m, up to the end of the run of m holding the
+    overall crossing: no-faulty on every m, R0 on the m where no-faulty is
+    below the target (rule (a), from the no-faulty crossing on), and S on
+    those of them whose run opens before the S crossing or where R0 is
+    below too (rule (b))."""
     assert set(calls.values()) == {1}
-    last = -(-crossing // optimizer._RUN) * optimizer._RUN
-    for config in ("no-faulty", "s-faulty", "r0-faulty"):
-        assert [m for name, ms in calls.blocks if name == config for m in ms] == list(range(1, last + 1))
+    evaluated = {config: [m for name, ms in calls.blocks if name == config for m in ms] for config in ("no-faulty", "s-faulty", "r0-faulty")}
+    no_faulty_crossing, s_crossing, crossing = crossings
+    ms = range(1, -(-crossing // optimizer._RUN) * optimizer._RUN + 1)
+    rows = np.array([(p.m, p.T, p.Q) for p in (ProtocolParams.create("0.272", "0.94", m) for m in ms)])
+    below = {cfg.value: dict(zip(ms, [*analytics._report_rows(cfg, rows).values()][-1] < p_target)) for cfg in AdversaryConfig}
+    s_open = {m: s_crossing >= (m - 1) // optimizer._RUN * optimizer._RUN + 1 for m in ms}
+    assert evaluated["no-faulty"] == list(ms)
+    assert evaluated["r0-faulty"] == [m for m in ms if below["no-faulty"][m]]
+    assert evaluated["s-faulty"] == [m for m in ms if below["no-faulty"][m] and (s_open[m] or below["r0-faulty"][m])]
+    assert evaluated["r0-faulty"][0] == evaluated["s-faulty"][0] == no_faulty_crossing
 
 
 # verdicts of the default `optimize` grid: mu -> verdict at each lambda
@@ -79,6 +90,11 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05", "--bogus")
         assert code == EXIT_USAGE
+
+    def test_bounds_rejects_lambda_one_half(self, capsys):
+        # chernoff_S accepted lambda = 1/2, outside the protocol's 1/2 < lambda < 1, and printed 3.58 at m = 100
+        code, out, err = run(capsys, "bounds", "--mu", "0.3", "--lambda", "0.5", "--m", "100")
+        assert code == EXIT_PARAMETER and out == "" and "1/2 < lambda < 1" in err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
@@ -226,7 +242,7 @@ class TestCommands:
     def test_mmin_prints_reference_value(self, capsys, bound_calls):
         code, out, _ = run(capsys, "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05")
         assert code == EXIT_OK and out.strip() == "280"
-        assert_one_scan_up_to(bound_calls, 280)
+        assert_design_scan(bound_calls)
 
     def test_mmin_per_config(self, capsys, bound_calls):
         code, out, _ = run(
@@ -234,7 +250,7 @@ class TestCommands:
         )
         rows = {r["config"]: r["m_min"] for r in json.loads(out)}
         assert rows == {"no-faulty": 143, "s-faulty": 246, "r0-faulty": 280, "overall": 280}
-        assert_one_scan_up_to(bound_calls, 280)
+        assert_design_scan(bound_calls)
 
     def test_mmin_inexact_past_int64_thresholds(self, capsys):
         # --inexact reads 0.3 as a float with a numerator of 5.4e15, so

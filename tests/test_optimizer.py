@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wbcsim.optimizer import (
     NOT_FOUND,
@@ -150,6 +150,24 @@ class TestGridSearch:
             elif tight == OUTSIDE_REGION:
                 assert loose == OUTSIDE_REGION
 
+    def test_each_axis_is_built_once(self, monkeypatch):
+        # the lambda axis used to be built once per mu: 8 even_grid calls on this 7x7 grid
+        g = GridSpec((Fraction("0.269"), Fraction("0.275"), 7), (Fraction("0.9325"), Fraction("0.9475"), 7), range(270, 301), 0.05)
+        expected = [
+            (mu, lam, m_min_upper(mu, lam, 0.05, 270, 300) if in_guaranteed_region(mu, lam) else OUTSIDE_REGION)
+            for mu in even_grid(*g.mu_range)
+            for lam in even_grid(*g.lambda_range)
+        ]
+        calls = []
+
+        def spy(*args, _fn=optimizer.even_grid):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(optimizer, "even_grid", spy)
+        assert grid_search(g) == expected
+        assert calls == [g.mu_range, g.lambda_range]
+
     def test_refinement_preserves_shared_points(self):
         coarse = GridSpec((Fraction("0.271"), Fraction("0.273"), 3), (Fraction("0.9375"), Fraction("0.945"), 2), [280], 0.05)
         fine = GridSpec((Fraction("0.271"), Fraction("0.273"), 5), (Fraction("0.9375"), Fraction("0.945"), 2), [280], 0.05)
@@ -248,6 +266,44 @@ class TestMMinTable:
                 assert m_min_table(mu, lam, target, 1, 400, require_region=False)[cfg.value] == first, (cfg, target)
 
 
+def naive_crossings(cell, p_target, ms):
+    """Every row of every configuration evaluated, and each first crossing read off."""
+    rows = np.array([(p.m, p.T, p.Q) for p in (ProtocolParams.create(*cell, m) for m in ms)])
+    below = [[*analytics._report_rows(cfg, rows).values()][-1] < p_target for cfg in AdversaryConfig]
+    out = {cfg.value: next((m for m, b in zip(ms, bs) if b), NOT_FOUND) for cfg, bs in zip(AdversaryConfig, below)}
+    out["overall"] = next((m for m, *bs in zip(ms, *below) if all(bs)), NOT_FOUND)
+    return out
+
+
+class TestScanRules:
+    # mu and lambda across the protocol's range, so cells fall inside the
+    # guaranteed region and in its grey margin; run lengths of 1 and 7 put
+    # per-configuration crossings in earlier runs than "overall" often
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(150, 333).map(lambda i: Fraction(i, 1000)), st.integers(501, 999).map(lambda i: Fraction(i, 1000))),
+            min_size=1,
+            max_size=4,
+        ),
+        p_target=st.floats(-30, math.log10(0.6)).map(lambda e: 10**e),
+        m_lo=st.integers(1, 3000),
+        width=st.integers(1, 200),
+        run=st.sampled_from([1, 7, 64]),
+    )
+    # the design cell crosses for no-faulty (143), S (246) and overall (280) in three runs
+    @example(cells=[(Fraction(MU), Fraction(LAM)), (Fraction("0.3"), Fraction("0.8"))], p_target=0.05, m_lo=1, width=400, run=64)
+    @example(cells=[(Fraction(MU), Fraction(LAM))], p_target=1e-30, m_lo=7400, width=200, run=64)
+    def test_scan_matches_every_row_of_every_configuration(self, cells, p_target, m_lo, width, run):
+        ms = range(m_lo, m_lo + width)
+        default, optimizer._RUN = optimizer._RUN, run
+        try:
+            scanned = optimizer._scan(cells, p_target, ms)
+        finally:
+            optimizer._RUN = default
+        assert scanned == [naive_crossings(cell, p_target, ms) for cell in cells]
+
+
 @pytest.mark.slow
 def test_smallest_advertised_target_up_to_m_15000():
     # the 1e-30 target: about 4 s on certified windows, where whole rows took 13-19 s
@@ -291,12 +347,18 @@ class TestBlocks:
 
     @pytest.mark.parametrize("m_lo,m_hi", [(1, 400), (9999, 10001)])
     def test_blocks_are_bounded_and_cover_each_m_once(self, blocks, formula_blocks, m_lo, m_hi):
+        # no-faulty is above 1e-300 on every row, and so is each faulty UPPER:
+        # the scan evaluates no-faulty on each m once and no S or R0 row
         assert m_min_upper(MU, LAM, 1e-300, m_lo, m_hi) == NOT_FOUND
-        for cfg in AdversaryConfig:
-            runs = [ms for name, ms in blocks if name is cfg]
-            assert [m for ms in runs for m in ms] == list(range(m_lo, m_hi + 1))
+        ms = list(range(m_lo, m_hi + 1))
+        assert [m for name, block in blocks if name is AdversaryConfig.NO_FAULTY for m in block] == ms
+        assert {name for name, _ in blocks} == {AdversaryConfig.NO_FAULTY} and not formula_blocks
+        # handed the same rows, the S and R0 formulas cut them into bounded blocks
+        rows = np.array([(p.m, p.T, p.Q) for p in (ProtocolParams.create(MU, LAM, m) for m in ms)])
+        for cfg in (AdversaryConfig.S_FAULTY, AdversaryConfig.R0_FAULTY):
+            analytics._report_rows(cfg, rows)
         # each m is one S and one R0 row
-        assert sorted(m for ms, _ in formula_blocks for m in ms) == sorted(2 * list(range(m_lo, m_hi + 1)))
+        assert sorted(m for ms, _ in formula_blocks for m in ms) == sorted(2 * ms)
         assert_within_budget(formula_blocks)
         if m_lo > 1000:
             assert max(len(ms) for ms, _ in formula_blocks) > 1  # large-m blocks hold several rows
@@ -390,10 +452,16 @@ class TestGridScan:
 
     def test_wider_windows_keep_the_block_budget(self, formula_blocks):
         # at m = 2 * 10^4 and a 1e-300 target many rows are too small for
-        # their first windows; their wider windows are cut at their own width
+        # their first windows; their wider windows are cut at their own width.
+        # No-faulty is above the target on every row, so the scan runs no S or
+        # R0 row, and the formulas are handed the grid's rows directly
         ms = range(19996, 20005)
         g = GridSpec((Fraction("0.25"), Fraction("0.3"), 3), (Fraction("0.93"), Fraction("0.95"), 3), ms, 1e-300)
         assert {verdict for _, _, verdict in grid_search(g)} == {NOT_FOUND, OUTSIDE_REGION}
+        assert not formula_blocks
+        rows = np.array(sorted(self.cell_rows(g, inside_only=True)))  # in np.unique's order
+        for cfg in (AdversaryConfig.S_FAULTY, AdversaryConfig.R0_FAULTY):
+            analytics._report_rows(cfg, rows)
         assert sum(len(ms) for ms, z in formula_blocks if z > analytics._Z0) > 8
         assert_within_budget(formula_blocks)
 
@@ -411,10 +479,14 @@ class TestGridScan:
         ms = np.arange(1800, 1811)
         g = GridSpec((Fraction(0.29), Fraction(0.3), 2), (Fraction(0.94), Fraction(0.945), 2), ms, 1e-4)
         verdicts = grid_search(g)
-        keys, first = self.cell_rows(g, inside_only=True), ms[: optimizer._RUN]
-        for cfg in AdversaryConfig:
-            evaluated = [row for name, block in rows if name is cfg for row in block]
-            # each row is a real cell's (m, T, Q), once; every cell is open over the first block of m
-            assert len(set(evaluated)) == len(evaluated) and set(evaluated) <= keys
-            assert {row for row in evaluated if row[0] in first} == {row for row in keys if row[0] in first}
+        evaluated = {cfg: [row for name, block in rows if name is cfg for row in block] for cfg in AdversaryConfig}
+        keys = self.cell_rows(g, inside_only=True)
+        assert len(ms) <= optimizer._RUN  # one run, over which every cell is open
+        # each row is a real cell's (m, T, Q), once per configuration: no-faulty
+        # on every row, S and R0 on the rows where no-faulty is below the target
+        no_faulty = dict(zip(sorted(keys), analytics._no_faulty_rows(*np.array(sorted(keys)).T, analytics._FLOAT)))
+        kept = {row for row in keys if no_faulty[row] < g.p_target}
+        assert kept and kept < keys
+        for cfg, expected in zip(AdversaryConfig, (keys, kept, kept)):
+            assert len(set(evaluated[cfg])) == len(evaluated[cfg]) and set(evaluated[cfg]) == expected, cfg
         assert verdicts == grid_search(GridSpec(g.mu_range, g.lambda_range, ms.tolist(), g.p_target))

@@ -1,6 +1,7 @@
 """Tests for the guaranteed-security region and the asymptotic bounds."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -70,8 +71,9 @@ class TestChernoffFormulas:
             chernoff_S(MU, LAM, 0)
 
     def test_s_rejects_small_lambda(self):
-        with pytest.raises(ParameterError):
-            chernoff_S(MU, "0.4", 100)
+        for lam in ("0.4", "0.5"):  # 1/2 itself used to pass
+            with pytest.raises(ParameterError, match=re.escape("must satisfy 1/2 < lambda < 1")):
+                chernoff_S(MU, lam, 100)
 
     @pytest.mark.parametrize(
         "bound,args",
@@ -84,6 +86,7 @@ class TestChernoffFormulas:
             (chernoff_no_faulty, (0, 10)),
             (lambda_threshold, (0,)),
             (lambda_threshold, ("-0.25",)),
+            (chernoff_S, ("0.3", "0.5", 100)),  # used to return 3.58, outside the protocol's lambda range
         ],
     )
     def test_rejects_out_of_range_parameters(self, bound, args):

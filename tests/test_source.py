@@ -82,6 +82,12 @@ class TestEvent:
         with pytest.raises(ValueError, match=re.escape(f"unknown outcomes {unknown}")):
             Event.from_outcomes(outcomes)
 
+    def test_codes_are_stored_as_a_tuple(self):
+        # a list of codes was kept as a list: unequal to the tuple's Event, and unhashable
+        e = Event([0, 1])
+        assert e.codes == (0, 1) and type(e.codes) is tuple
+        assert e == Event((0, 1)) and hash(e) == hash(Event((0, 1)))
+
     def test_rejects_empty_and_bad_codes(self):
         with pytest.raises(ValueError):
             Event(())
