@@ -72,7 +72,7 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[di
         ).astype(np.int64)  # T and Q are at most m
         rows, index = np.unique(keys, axis=0, return_inverse=True)
         index = index.reshape(len(open_cells), len(run))
-        s_open = np.zeros(len(rows), dtype=bool)
+        s_open = np.zeros(len(rows), dtype=bool)  # rows of a cell still without its S crossing
         s_open[index[[out[i][AdversaryConfig.S_FAULTY.value] == NOT_FOUND for i in open_cells]]] = True
         no_faulty = _below(AdversaryConfig.NO_FAULTY, rows, np.ones(len(rows), dtype=bool), p_target)
         r0 = _below(AdversaryConfig.R0_FAULTY, rows, no_faulty, p_target)
