@@ -306,7 +306,8 @@ class TestScanRules:
 
 @pytest.mark.slow
 def test_smallest_advertised_target_up_to_m_15000():
-    # the 1e-30 target: about 4 s on certified windows, where whole rows took 13-19 s
+    # the 1e-30 target: about 1 s, where evaluating every row on certified
+    # windows took 3-4 s and on whole rows 13-19 s
     table = m_min_table(MU, LAM, 1e-30, 1, 15000)
     assert table == {"no-faulty": 7492, "s-faulty": 7492, "r0-faulty": 11927, "overall": 11927}
 

