@@ -38,7 +38,6 @@ from .protocol import (
     Transcript,
     classify_broadcast,
     classify_weak_broadcast,
-    classify_transcript,
     run_protocol,
 )
 from .security import (

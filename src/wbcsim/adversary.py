@@ -152,7 +152,7 @@ def max_conditional_failure(
     return Fraction(_best_failed_weight(cfg, p, codes, nums, _view(cfg, codes[:1]).sizes[:, 0]), int(nums.sum()))
 
 
-def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams, max_m: int = 6) -> Fraction:
+def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams) -> Fraction:
     """Highest failure probability achievable by any complete strategy.
 
     A complete strategy maps each local count list to a check-set
@@ -163,7 +163,7 @@ def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams,
     all k-vectors. Faulty configurations only: the no-faulty oracle is
     analytics.pf_bruteforce.
     """
-    if p.m > max_m:
-        raise ValueError(f"brute force limited to m <= {max_m}")
+    if p.m > 6:
+        raise ValueError("brute force limited to m <= 6")
     groups = _events_by_local_list(p.m, cfg).items()
     return Fraction(sum(_best_failed_weight(cfg, p, codes, nums, key) for key, (codes, nums) in groups), _DENOMINATOR**p.m)

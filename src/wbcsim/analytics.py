@@ -433,7 +433,7 @@ def pf_R_bounds(p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, 
 
 
 def pf_bruteforce(
-    cfg: AdversaryConfig, p: ProtocolParams, kind: Union[BoundKind, str] = BoundKind.UPPER, max_m: int = 8
+    cfg: AdversaryConfig, p: ProtocolParams, kind: Union[BoundKind, str] = BoundKind.UPPER
 ) -> FailureReport:
     """Exhaustive 6^m oracle: run the protocol on every Event, block by
     block, and sum the integer weights of the failures into one Fraction.
@@ -441,8 +441,8 @@ def pf_bruteforce(
     outside the strategy domain scores as failure for UPPER and as success
     for LOWER. `kind` may be a BoundKind value ("upper"); NO_FAULTY reports EXACT."""
     kind = BoundKind(kind)
-    if p.m > max_m:
-        raise ValueError(f"exhaustive enumeration limited to m <= {max_m}")
+    if p.m > 8:
+        raise ValueError("exhaustive enumeration limited to m <= 8")
     if _checked_config(cfg) is AdversaryConfig.NO_FAULTY:
         kind = BoundKind.EXACT
     elif kind is BoundKind.EXACT:

@@ -43,6 +43,8 @@ class BitstringDistribution:
     def __post_init__(self):
         if len(self.probs) != 16:
             raise ValueError("a bitstring distribution has 16 entries")
+        if not all(math.isfinite(p) for p in self.probs):
+            raise ValueError("probabilities must be finite")
         if any(p < 0 for p in self.probs):
             raise ValueError("probabilities must be non-negative")
         if abs(sum(self.probs) - 1) > _TOL:
@@ -55,8 +57,8 @@ class BitstringDistribution:
             if key not in ALL_BITSTRINGS:
                 raise InputFormatError(f"unknown bitstring key {key!r}")
         total = float(sum(weights.values()))
-        if total <= 0:
-            raise InputFormatError("total weight must be positive")
+        if not 0 < total < math.inf:
+            raise InputFormatError(f"total weight must be positive and finite, not {total}")
         return cls(tuple(float(weights.get(s, 0)) / total for s in ALL_BITSTRINGS))
 
     @classmethod

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,6 +40,15 @@ from .source import R0_BIT, R1_BIT, Event, _is_count
 
 class ParameterError(ValueError):
     """A protocol parameter violates its admissible range."""
+
+
+def _fraction(value, name: str) -> Fraction:
+    """A parameter as an exact Fraction; NaN, an infinity or text that is
+    not a number raise ParameterError naming the parameter."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"{name}={value!r} is not a finite number") from exc
 
 
 class OutOfDomainError(Exception):
@@ -131,7 +139,7 @@ class ProtocolParams:
     Q: int = field(init=False)
 
     def __post_init__(self):
-        mu, lam, m = Fraction(self.mu), Fraction(self.lam), self.m
+        mu, lam, m = _fraction(self.mu, "mu"), _fraction(self.lam, "lambda"), self.m
         if not 0 < mu < Fraction(1, 3):
             raise ParameterError(f"mu={mu} violates 0 < mu < 1/3")
         if not Fraction(1, 2) < lam < 1:
@@ -163,26 +171,6 @@ class Transcript:
     y01: OutputValue
     rho01: frozenset[int]
     y1: OutputValue
-
-    def to_json(self) -> str:
-        def enc(v):
-            return "abort" if v is ABORT else v
-
-        return json.dumps(
-            {
-                "x_S": self.x_s,
-                "x0": self.x0,
-                "x1": self.x1,
-                "sigma0": sorted(self.sigma0),
-                "sigma1": sorted(self.sigma1),
-                "y_S": self.y_s,
-                "y0": enc(self.y0),
-                "y_tilde1": enc(self.y_tilde1),
-                "y01": enc(self.y01),
-                "rho01": sorted(self.rho01),
-                "y1": enc(self.y1),
-            }
-        )
 
 
 # -- the array engine ---------------------------------------------------------
@@ -640,9 +628,3 @@ def classify_broadcast(cfg: AdversaryConfig, y_s: int, y0: int, y1: int) -> Outc
         if v not in (0, 1):
             raise ValueError("broadcast outputs are binary; ABORT is not allowed")
     return classify_weak_broadcast(cfg, y_s, y0, y1)
-
-
-def classify_transcript(cfg: AdversaryConfig, t: Transcript) -> Outcome:
-    """Weak broadcast verdict for a full transcript."""
-    return classify_weak_broadcast(cfg, t.x_s, t.y0, t.y1)
-

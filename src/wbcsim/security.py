@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .protocol import ParameterError
+from .protocol import ParameterError, _fraction
 from .source import _is_count
 
 
 def lambda_threshold(mu) -> Fraction:
     """Smallest admissible lambda at a given mu: (2 + 9*mu) / (18*mu)."""
-    mu = Fraction(mu)
+    mu = _fraction(mu, "mu")
     if mu <= 0:
         raise ParameterError(f"mu={mu} must be positive")
     return (2 + 9 * mu) / (18 * mu)
@@ -27,8 +27,8 @@ def lambda_threshold(mu) -> Fraction:
 def in_guaranteed_region(mu, lam) -> bool:
     """True iff 2/9 < mu < 1/3 and (2+9*mu)/(18*mu) < lambda < 1, evaluated
     in exact rational arithmetic."""
-    mu = Fraction(mu)
-    lam = Fraction(lam)
+    mu = _fraction(mu, "mu")
+    lam = _fraction(lam, "lambda")
     if not Fraction(2, 9) < mu < Fraction(1, 3):
         return False
     return lambda_threshold(mu) < lam < 1
@@ -42,7 +42,7 @@ def _check_m(m) -> None:
 def chernoff_no_faulty(mu, m: int) -> float:
     """exp(-(m/6)(1-3*mu)^2), bounding the no-faulty failure probability."""
     _check_m(m)
-    mu = Fraction(mu)
+    mu = _fraction(mu, "mu")
     if not 0 < mu < Fraction(1, 3):
         raise ParameterError(f"mu={mu} must satisfy 0 < mu < 1/3")
     return math.exp(-(m / 6) * (1 - 3 * float(mu)) ** 2)
@@ -52,7 +52,7 @@ def chernoff_S(mu, lam, m: int) -> float:
     """2^(-(1-lambda)*mu*m) + 4*exp(-(m/9)(1-3*mu)^2), bounding the
     faulty-sender failure probability."""
     _check_m(m)
-    mu_q, lam_q = Fraction(mu), Fraction(lam)
+    mu_q, lam_q = _fraction(mu, "mu"), _fraction(lam, "lambda")
     if not Fraction(1, 2) < lam_q < 1:
         raise ParameterError(f"lambda={lam_q} must satisfy 1/2 < lambda < 1")
     if not 0 < mu_q < Fraction(1, 3):
@@ -70,8 +70,8 @@ def chernoff_R(mu, lam, m: int) -> float:
     boundary, so parameters below it are rejected.
     """
     _check_m(m)
-    mu_q = Fraction(mu)
-    lam_q = Fraction(lam)
+    mu_q = _fraction(mu, "mu")
+    lam_q = _fraction(lam, "lambda")
     if not Fraction(2, 9) < mu_q < Fraction(1, 3):
         raise ParameterError(f"mu={mu_q} must satisfy 2/9 < mu < 1/3")
     if lam_q < lambda_threshold(mu_q) or lam_q >= 1:

@@ -69,6 +69,8 @@ class Event:
     codes: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.codes, (list, tuple)):
+            raise ValueError(f"outcome codes come in a list or tuple, not a {type(self.codes).__name__}")
         if len(self.codes) == 0:
             raise ValueError("an Event needs at least one outcome")
         if not all(type(c) is int and 0 <= c <= 5 for c in self.codes):
@@ -116,8 +118,8 @@ class GlobalCountList:
     g: tuple[int, int, int, int, int, int]
 
     def __post_init__(self):
-        if len(self.g) != 6 or not all(_is_count(x, least=0) for x in self.g):
-            raise ValueError(f"a global count list is six non-negative counts, not {self.g!r}")
+        if not isinstance(self.g, (list, tuple)) or len(self.g) != 6 or not all(_is_count(x, least=0) for x in self.g):
+            raise ValueError(f"a global count list is a list or tuple of six non-negative counts, not {self.g!r}")
         object.__setattr__(self, "g", tuple(map(operator.index, self.g)))  # frozen
 
     @property

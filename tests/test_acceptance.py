@@ -45,7 +45,7 @@ from wbcsim.protocol import (
     AdversaryConfig,
     Outcome,
     ProtocolParams,
-    classify_transcript,
+    classify_weak_broadcast,
     invocation_honest,
     run_protocol,
 )
@@ -166,7 +166,7 @@ def test_criterion_5_strategy_optimality_and_dysfunctional_classes():
                         continue
                     s = StrategyS(k0011, kmixed, 0, 0, 0, l.l3)
                     t = run_protocol(event, p, S_FAULTY, strategy=s)
-                    assert classify_transcript(S_FAULTY, t) is Outcome.ACHIEVED
+                    assert classify_weak_broadcast(S_FAULTY, t.x_s, t.y0, t.y1) is Outcome.ACHIEVED
             # dysfunctional class of a faulty R0: below-diagonal strategies
             # (forged set shorter than T) never flip R1 once honest checks pass
             for event, _ in _all_events(m):
@@ -178,7 +178,7 @@ def test_criterion_5_strategy_optimality_and_dysfunctional_classes():
                     if k1 + k2 + k3 >= p.T:
                         continue
                     t = run_protocol(event, p, R0_FAULTY, strategy=StrategyR(k1, k2, k3))
-                    assert classify_transcript(R0_FAULTY, t) is Outcome.ACHIEVED
+                    assert classify_weak_broadcast(R0_FAULTY, t.x_s, t.y0, t.y1) is Outcome.ACHIEVED
 
 
 def test_criterion_6_truth_tables():

@@ -477,8 +477,9 @@ class TestBruteForceOracle:
         assert pf_bruteforce(R0_FAULTY, p, kind).value == pf_R_bounds(p, exact=True)[idx].value
 
     def test_rejects_large_m(self):
-        with pytest.raises(ValueError):
-            pf_bruteforce(NO_FAULTY, params("0.272", "0.94", 9))
+        for cfg in (NO_FAULTY, S_FAULTY, R0_FAULTY):
+            with pytest.raises(ValueError, match="limited to m <= 8"):
+                pf_bruteforce(cfg, params("0.272", "0.94", 9))
 
     def test_rejects_exact_kind_for_faulty(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,11 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: invalid m {m}\n"
 
+    def test_oracle_m_above_eight_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "oracle", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", "9")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: exhaustive enumeration limited to m <= 8\n"
+
     @pytest.mark.parametrize("flag", ["--mu-lo", "--mu-hi", "--lambda-lo", "--lambda-hi"])
     @pytest.mark.parametrize("value", ["abc", "1/4"])
     def test_optimize_grid_bounds_are_plain_decimals(self, capsys, flag, value):
@@ -455,12 +460,23 @@ class TestOutputFiles:
         assert (tmp_path / "mc.csv").read_text() == out
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of start-up on every command
+def _python(*args):
+    """Run this interpreter in a subprocess that imports wbcsim from where the tests do."""
     src = str(Path(wbcsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, wbcsim.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-    )
-    assert result.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up on every command
+    result = _python("-c", "import sys, wbcsim.cli; print('scipy.stats' in sys.modules)")
+    assert result.returncode == 0 and result.stdout.strip() == "False"
+
+
+def test_module_entry_point_exits_with_the_code_of_main():
+    # `python -m wbcsim.cli` runs `sys.exit(main())`, the module's entry point
+    argv = ("-m", "wbcsim.cli", "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05")
+    result = _python(*argv)
+    assert (result.returncode, result.stdout) == (EXIT_OK, "280\n")
+    result = _python(*argv, "--m-lo", "0")
+    assert result.returncode == EXIT_USAGE and result.stdout == ""

@@ -40,6 +40,17 @@ class TestBitstringDistribution:
         assert d.probs[ALL_BITSTRINGS.index("0011")] == 0.5
         assert d.probs[ALL_BITSTRINGS.index("1100")] == 0.5
 
+    @pytest.mark.parametrize("probs", [(math.nan,) * 16, (math.nan,) + (1 / 15,) * 15], ids=["all-nan", "one-nan"])
+    def test_non_finite_entries_rejected(self, probs):
+        # NaN fails every tolerance check, so these passed and classical_fidelity gave nan
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            BitstringDistribution(probs)
+
+    @pytest.mark.parametrize("weights", [{"0011": math.nan}, {"0011": math.inf, "1100": 1}], ids=["nan", "inf"])
+    def test_from_mapping_rejects_non_finite_weights(self, weights):
+        with pytest.raises(InputFormatError, match="total weight must be positive and finite"):
+            BitstringDistribution.from_mapping(weights)
+
     def test_from_mapping_rejects_bad_keys(self):
         with pytest.raises(InputFormatError):
             BitstringDistribution.from_mapping({"00110": 1})

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "chernoff_no_faulty",
     "classical_fidelity",
     "classify_broadcast",
-    "classify_transcript",
     "classify_weak_broadcast",
     "estimate_pf",
     "failure_reports",

@@ -86,6 +86,13 @@ class TestChernoffFormulas:
             (chernoff_no_faulty, (0, 10)),
             (lambda_threshold, (0,)),
             (lambda_threshold, ("-0.25",)),
+            # non-finite values raised OverflowError or "cannot convert NaN to integer ratio"
+            (chernoff_S, ("0.3", math.inf, 10)),
+            (chernoff_S, (math.nan, "0.9", 10)),
+            (chernoff_no_faulty, (math.inf, 10)),
+            (chernoff_R, ("0.3", math.nan, 10)),
+            (lambda_threshold, (math.nan,)),
+            (in_guaranteed_region, (math.inf, "0.9")),
         ],
     )
     def test_rejects_out_of_range_parameters(self, bound, args):

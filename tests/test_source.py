@@ -88,6 +88,12 @@ class TestEvent:
         assert e.codes == (0, 1) and type(e.codes) is tuple
         assert e == Event((0, 1)) and hash(e) == hash(Event((0, 1)))
 
+    @pytest.mark.parametrize("codes", [{0: 1, 1: 2}, {3, 1}, b"\x00\x01", iter([0, 1])], ids=["dict", "set", "bytes", "iterator"])
+    def test_codes_must_be_a_list_or_tuple(self, codes):
+        # a dict gave its keys, a set its iteration order, bytes their values, and an iterator a bare TypeError
+        with pytest.raises(ValueError, match="outcome codes come in a list or tuple"):
+            Event(codes)
+
     def test_rejects_empty_and_bad_codes(self):
         with pytest.raises(ValueError):
             Event(())
@@ -259,9 +265,18 @@ class TestCounts:
         assert g.m == e.m
         assert project_S(g).m == e.m
 
-    # (1.5, 2, 3, 0, 0, 1) used to pass with m = 7.5
+    # (1.5, 2, 3, 0, 0, 1) used to pass with m = 7.5, a dict as its six keys, and an iterator raised TypeError
     @pytest.mark.parametrize(
-        "g", [(3, 1, 2, 0, 1), (3, 1, 2, 0, 1, 4, 0), (3, 1, -2, 0, 1, 4), (1.5, 2, 3, 0, 0, 1), (True, 2, 3, 0, 0, 1)]
+        "g",
+        [
+            (3, 1, 2, 0, 1),
+            (3, 1, 2, 0, 1, 4, 0),
+            (3, 1, -2, 0, 1, 4),
+            (1.5, 2, 3, 0, 0, 1),
+            (True, 2, 3, 0, 0, 1),
+            dict.fromkeys(range(6), 1),
+            iter((3, 1, 2, 0, 1, 4)),
+        ],
     )
     def test_global_count_list_is_six_non_negative_counts(self, g):
         with pytest.raises(ValueError, match="six non-negative counts"):
