@@ -26,9 +26,9 @@ from .protocol import (
     _block_rows,
     _checked_ks,
     _failed_weights,
-    _mask,
     _one_row,
     _reason,
+    _sender_bit,
     _view,
     _zeta_R_rows,
     _zeta_S_rows,
@@ -74,9 +74,10 @@ def zeta_R(l: LocalCountListR, p: ProtocolParams) -> Union[StrategyR, DomainVerd
     return _strategy_view(_zeta_R_rows, l, p, StrategyR)
 
 
-def local_counts_R(event: Event, sigma0: frozenset[int], x_s: int = 0) -> LocalCountListR:
-    """R0's local count list (0011, XX10, XX0X) after receiving sigma0."""
-    view = _view(AdversaryConfig.R0_FAULTY, _one_row(event), x_s, _mask(sigma0, event.m))
+def local_counts_R(event: Event, x_s: int = 0) -> LocalCountListR:
+    """R0's local count list (0011, XX10, XX0X) after receiving the correct
+    sender's check set for the bit x_s."""
+    view = _view(AdversaryConfig.R0_FAULTY, _one_row(event), _sender_bit(x_s))
     return LocalCountListR(*view.sizes[:, 0].tolist())
 
 

@@ -52,14 +52,20 @@ class BitstringDistribution:
 
     @classmethod
     def from_mapping(cls, weights: Mapping[str, float]) -> "BitstringDistribution":
-        """Normalize non-negative weights keyed by four-bit strings."""
-        for key in weights:
-            if key not in ALL_BITSTRINGS:
+        """Normalize non-negative weights keyed by four-bit strings; a bad key
+        or weight, or a total that is not positive and finite, raises InputFormatError."""
+        floats = dict.fromkeys(ALL_BITSTRINGS, 0.0)
+        for key, value in weights.items():
+            if key not in floats:
                 raise InputFormatError(f"unknown bitstring key {key!r}")
-        total = float(sum(weights.values()))
+            # bool is an int subclass, but JSON true/false are not counts
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+                raise InputFormatError(f"count for {key!r} must be a finite non-negative number")
+            floats[key] = math.inf if value > sys.float_info.max else float(value)  # a huge int is infinite
+        total = sum(floats.values())
         if not 0 < total < math.inf:
             raise InputFormatError(f"total weight must be positive and finite, not {total}")
-        return cls(tuple(float(weights.get(s, 0)) / total for s in ALL_BITSTRINGS))
+        return cls(tuple(w / total for w in floats.values()))
 
     @classmethod
     def ideal(cls) -> "BitstringDistribution":
@@ -116,16 +122,7 @@ def ingest_counts(fh: IO[str]) -> BitstringDistribution:
         raise InputFormatError(f"counts file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputFormatError("counts file must be a JSON object of bitstring -> count")
-    for key, value in raw.items():
-        if key not in ALL_BITSTRINGS:
-            raise InputFormatError(f"unknown bitstring key {key!r}")
-        # bool is an int subclass, but JSON true/false are not counts
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
-            raise InputFormatError(f"count for {key!r} must be a finite non-negative number")
-    try:
-        return BitstringDistribution.from_mapping(raw)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    return BitstringDistribution.from_mapping(raw)
 
 
 def ingest_density_matrix(fh: IO[str]) -> DensityMatrix16:

@@ -28,11 +28,15 @@ Verdict = Union[int, str]
 _RUN = 64
 
 
-def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
-    """Reject a target outside (0, 1] or an m window other than counts
-    1 <= m_lo <= m_hi."""
-    if not 0 < p_target <= 1:
+def _check_target(p_target: float) -> None:
+    """Reject a target that is a bool or lies outside (0, 1]."""
+    if isinstance(p_target, (bool, np.bool_)) or not 0 < p_target <= 1:
         raise ValueError(f"p_target must be a probability in (0, 1], got {p_target}")
+
+
+def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
+    """Reject a bad target or an m window other than counts 1 <= m_lo <= m_hi."""
+    _check_target(p_target)
     if not (_is_count(m_lo) and _is_count(m_hi)) or m_lo > m_hi:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
 
@@ -156,8 +160,7 @@ class GridSpec:
         ms = list(self.m_candidates) if isinstance(self.m_candidates, (Sequence, np.ndarray)) else []
         if not ms or not all(map(_is_count, ms)) or ms != sorted(set(ms)):
             raise ValueError("m_candidates must be a non-empty, strictly ascending sequence of positive counts")
-        if not 0 < self.p_target <= 1:
-            raise ValueError("p_target must be a probability in (0, 1]")
+        _check_target(self.p_target)
 
     def mu_values(self) -> list[Fraction]:
         return even_grid(*self.mu_range)

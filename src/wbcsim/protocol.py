@@ -9,9 +9,9 @@ like mu*m integral never misclassify.
 The phases are written once, in an array engine that runs them on every row
 of an (N, m) matrix of outcome codes, one Event per row. One failure kernel,
 `_failed_weights`, runs it block by block for Monte-Carlo, the 6^m sums and
-the strategy search; `run_protocol` and the public phase functions are views
-of it on a single row. Explicit strategies are checked once, where they
-enter (`_checked_ks`); the engine trusts their counts.
+the strategy search; `run_protocol` is its one public entry for a single
+row. Explicit strategies are checked once, where they enter
+(`_checked_ks`); the engine trusts their counts.
 
 The engine packs each block once into bitplanes, 64 indices per uint64
 word (`_planes`): where S measured 0011, where it measured 1100, and each
@@ -31,7 +31,7 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -59,23 +59,18 @@ class OutOfDomainError(Exception):
         self.reason = reason
 
 
-class _AbortType:
-    """Singleton 'abort' output, the third value besides 0 and 1."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class _Abort:
+    """The 'abort' output besides 0 and 1; pickles and copies as the one ABORT."""
 
     def __repr__(self):
         return "ABORT"
 
+    def __reduce__(self):
+        return "ABORT"
 
-ABORT = _AbortType()
-OutputValue = Union[int, _AbortType]
+
+ABORT = _Abort()
+OutputValue = Union[int, _Abort]
 
 
 class AdversaryConfig(enum.Enum):
@@ -284,17 +279,17 @@ class _View(NamedTuple):
     sizes: np.ndarray
 
 
-def _view(cfg: AdversaryConfig, codes: np.ndarray, x_s: int = 0, sigma0: Optional[np.ndarray] = None) -> _View:
+def _view(cfg: AdversaryConfig, codes: np.ndarray, x_s: int = 0) -> _View:
     """The faulty party's classes of each row of a block: S's by its pair
-    (0011 / mixed / 1100); R0's after receiving the word mask sigma0 (by
-    default the correct sender's check set): XX0X where it measured x_s,
-    otherwise 0011 where S vouched for the index and XX10 where not."""
+    (0011 / mixed / 1100); R0's after receiving the correct sender's check
+    set sigma0 for x_s: XX0X where it measured x_s, otherwise 0011 where S
+    vouched for the index and XX10 where not."""
     n_bytes = -(-codes.shape[1] // 8)
     planes, inside = _planes(codes), _pack(np.arange(8 * n_bytes) < codes.shape[1])
     if _checked_config(cfg) is AdversaryConfig.S_FAULTY:
         members = [planes.c0, inside & ~(planes.c0 | planes.c5), planes.c5]
     elif cfg is AdversaryConfig.R0_FAULTY:
-        sigma0 = _honest_sigma(planes, x_s) if sigma0 is None else sigma0
+        sigma0 = _honest_sigma(planes, x_s)
         xx0x = planes.r0 if x_s == 1 else inside & ~planes.r0
         members = [sigma0 & ~xx0x, inside & ~(sigma0 | xx0x), xx0x]
     else:
@@ -517,12 +512,6 @@ def _one_row(event: Event) -> np.ndarray:
     return np.array([event.codes], np.int8)
 
 
-def _mask(indices: frozenset[int], m: int) -> np.ndarray:
-    mask = np.zeros((1, 8 * -(-m // 8)), bool)
-    mask[0, :m][[i - 1 for i in indices]] = True
-    return _pack(mask)
-
-
 def _indices(words: np.ndarray, m: int) -> frozenset[int]:
     return frozenset((np.flatnonzero(_unpack(words, m)) + 1).tolist())
 
@@ -539,33 +528,6 @@ def _sender_bit(x_s) -> int:
     if x_s not in (0, 1):
         raise ValueError(f"the sender's value is a bit, not {x_s!r}")
     return int(x_s)
-
-
-def invocation_honest(event: Event, x_s: int):
-    """Invocation phase for a correct sender: the bit x_S to both receivers,
-    with the check set of every index where S measured x_S x_S."""
-    x_s = _sender_bit(x_s)
-    sigma = _indices(_honest_sigma(_planes(_one_row(event)), x_s)[0], event.m)
-    return x_s, sigma, x_s, sigma, x_s
-
-
-def check_phase(event: Event, receiver: str, x_j: int, sigma_j: frozenset[int], p: ProtocolParams) -> OutputValue:
-    """Check phase of receiver 'R0' or 'R1': accept x_j iff the check set is
-    long enough and the receiver measured the opposite bit at every index."""
-    planes = _planes(_one_row(event))
-    return _value(_check(planes.r0 if receiver == "R0" else planes.r1, x_j, _mask(sigma_j, event.m), p.T)[0])
-
-
-def cross_check(
-    y_tilde1: OutputValue,
-    y01: OutputValue,
-    rho01: frozenset[int],
-    event: Event,
-    p: ProtocolParams,
-) -> OutputValue:
-    """Cross-check phase of R1 (see `_cross_check`)."""
-    r1_bits = _planes(_one_row(event)).r1
-    return _value(_cross_check(_code(y_tilde1), _code(y01), _mask(rho01, event.m), r1_bits, p)[0])
 
 
 def run_protocol(

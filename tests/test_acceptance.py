@@ -46,7 +46,6 @@ from wbcsim.protocol import (
     Outcome,
     ProtocolParams,
     classify_weak_broadcast,
-    invocation_honest,
     run_protocol,
 )
 from wbcsim.security import (
@@ -172,8 +171,7 @@ def test_criterion_5_strategy_optimality_and_dysfunctional_classes():
             for event, _ in _all_events(m):
                 if global_counts(event).g[0] < p.T:
                     continue
-                _, sigma0, _, _, _ = invocation_honest(event, 0)
-                l = local_counts_R(event, sigma0)
+                l = local_counts_R(event)
                 for k1, k2, k3 in itertools.product(range(l.l1 + 1), range(l.l2 + 1), range(l.l3 + 1)):
                     if k1 + k2 + k3 >= p.T:
                         continue

@@ -26,7 +26,6 @@ from wbcsim.protocol import (
     OutOfDomainError,
     ProtocolParams,
     classify_weak_broadcast,
-    invocation_honest,
     run_protocol,
 )
 from wbcsim.source import Event, LocalCountListR, LocalCountListS, global_counts, project_S
@@ -105,8 +104,18 @@ class TestAssembly:
             run_protocol(EXAMPLE_EVENT, params12, S_FAULTY, strategy=StrategyS(5, 0, 0, 0, 0, 4))
 
     def test_local_counts_after_invocation(self, params12):
-        _, sigma0, _, _, _ = invocation_honest(EXAMPLE_EVENT, 0)
-        assert local_counts_R(EXAMPLE_EVENT, sigma0) == LocalCountListR(4, 2, 6)
+        assert local_counts_R(EXAMPLE_EVENT) == LocalCountListR(4, 2, 6)
+
+    @pytest.mark.parametrize("x_s", [0, 1])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_local_counts_follow_the_honest_check_set(self, m, x_s):
+        # R0's classes after the sigma0 a correct sender sends, on every Event
+        p = ProtocolParams.create("0.3", "0.8", m)
+        for event, _ in _all_events(m):
+            sigma0 = run_protocol(event, p, AdversaryConfig.NO_FAULTY, x_s=x_s).sigma0
+            other = [i for i in range(1, m + 1) if event.r0_bit(i) != x_s]
+            want = (len([i for i in other if i in sigma0]), len([i for i in other if i not in sigma0]), m - len(other))
+            assert local_counts_R(event, x_s) == LocalCountListR(*want)
 
     def test_rho_takes_lowest_indices(self, params12):
         t = run_protocol(EXAMPLE_EVENT, params12, R0_FAULTY, strategy=StrategyR(0, 2, 2))
@@ -228,8 +237,7 @@ class TestOptimality:
             for row, num in zip(codes.tolist(), nums.tolist()):
                 event = Event(tuple(row))
                 assert Fraction(num, 12**m) == events[event.codes]
-                _, sigma0, _, _, _ = invocation_honest(event, 0)
-                assert local_counts_R(event, sigma0) == LocalCountListR(*counts)
+                assert local_counts_R(event) == LocalCountListR(*counts)
 
     def test_brute_force_rejects_large_m(self):
         with pytest.raises(ValueError, match="limited to m <= 6"):
@@ -267,8 +275,7 @@ class TestDysfunctionalClasses:
         for event, _ in _all_events(m):
             if global_counts(event).g[0] < p.T:
                 continue  # honest check sets too short: not the strategy's doing
-            _, sigma0, _, _, _ = invocation_honest(event, 0)
-            l = local_counts_R(event, sigma0)
+            l = local_counts_R(event)
             for k1, k2, k3 in itertools.product(range(l.l1 + 1), range(l.l2 + 1), range(l.l3 + 1)):
                 if k1 + k2 + k3 >= p.T:
                     continue

@@ -51,6 +51,20 @@ class TestBitstringDistribution:
         with pytest.raises(InputFormatError, match="total weight must be positive and finite"):
             BitstringDistribution.from_mapping(weights)
 
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ({"0011": 10**400}, "total weight must be positive and finite"),
+            ({"0011": -1, "1100": 2}, "count for '0011' must be a finite non-negative number"),
+            ({"0011": "a"}, "count for '0011' must be a finite non-negative number"),
+        ],
+        ids=["beyond-float-range", "negative", "string"],
+    )
+    def test_from_mapping_checks_every_weight(self, weights, message):
+        # these raised OverflowError, a plain ValueError and TypeError
+        with pytest.raises(InputFormatError, match=message):
+            BitstringDistribution.from_mapping(weights)
+
     def test_from_mapping_rejects_bad_keys(self):
         with pytest.raises(InputFormatError):
             BitstringDistribution.from_mapping({"00110": 1})

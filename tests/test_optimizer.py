@@ -58,6 +58,14 @@ class TestMMin:
         with pytest.raises(ValueError):
             m_min_upper(MU, LAM, 0.05, 10, 5)
 
+    @pytest.mark.parametrize("p_target", [True, np.True_])
+    def test_target_must_not_be_a_bool(self, p_target):
+        # True passed as the target 1: m_min_table answered a table and GridSpec accepted it
+        with pytest.raises(ValueError, match="p_target must be a probability"):
+            m_min_table("0.272", "0.94", p_target)
+        with pytest.raises(ValueError, match="p_target must be a probability"):
+            GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), [280], p_target)
+
     def test_invalid_parameters_raise_without_region_check(self):
         # mu >= 1/3 violates the protocol's own domain; the scan must not
         # turn that into NOT_FOUND

@@ -1,6 +1,7 @@
 """Tests for the protocol state machine and outcome classification."""
 
 import ast
+import copy
 import dataclasses
 import itertools
 import math
@@ -24,11 +25,8 @@ from wbcsim.protocol import (
     OutOfDomainError,
     ParameterError,
     ProtocolParams,
-    check_phase,
     classify_broadcast,
     classify_weak_broadcast,
-    cross_check,
-    invocation_honest,
     run_protocol,
     _reason,
 )
@@ -207,56 +205,80 @@ class TestTruthTables:
         with pytest.raises(ValueError):
             classify_weak_broadcast(AdversaryConfig.NO_FAULTY, 0, 2, 0)
 
+    def test_abort_is_one_object(self):
+        assert repr(ABORT) == "ABORT"
+        assert pickle.loads(pickle.dumps(ABORT)) is ABORT and copy.deepcopy(ABORT) is ABORT
+        assert ABORT not in (0, 1) and ABORT != 2
+
 
 @pytest.fixture
 def params12():
     return ProtocolParams.create("0.3", "0.8", 12)
 
 
+def _mask(indices, m):
+    """1-based indices as a one-row word mask."""
+    bits = np.zeros((1, 8 * -(-m // 8)), bool)
+    bits[0, :m] = np.isin(np.arange(1, m + 1), list(indices))
+    return protocol._pack(bits)
+
+
+def check_row(e, receiver, x, sigma, p):
+    """The check phase of receiver "r0" or "r1" on one Event."""
+    bits = getattr(protocol._planes(protocol._one_row(e)), receiver)
+    return protocol._value(protocol._check(bits, x, _mask(sigma, e.m), p.T)[0])
+
+
+def cross_check_row(y_tilde1, y01, rho01, e, p):
+    """R1's cross-check phase on one Event."""
+    r1_bits = protocol._planes(protocol._one_row(e)).r1
+    y1 = protocol._cross_check(protocol._code(y_tilde1), protocol._code(y01), _mask(rho01, e.m), r1_bits, p)
+    return protocol._value(y1[0])
+
+
 class TestPhases:
     def test_honest_invocation_collects_matching_indices(self):
-        e = Event.from_outcomes(["0011", "1100", "0011", "0101"])
-        x0, sigma0, x1, sigma1, y_s = invocation_honest(e, 0)
-        assert (x0, x1, y_s) == (0, 0, 0)
-        assert sigma0 == sigma1 == frozenset({1, 3})
-        _, sigma0, _, _, _ = invocation_honest(e, 1)
-        assert sigma0 == frozenset({2})
+        e, p = Event.from_outcomes(["0011", "1100", "0011", "0101"]), ProtocolParams.create("0.3", "0.8", 4)
+        t = run_protocol(e, p, AdversaryConfig.NO_FAULTY, x_s=0)
+        assert (t.x0, t.x1, t.y_s) == (0, 0, 0)
+        assert t.sigma0 == t.sigma1 == frozenset({1, 3})
+        assert run_protocol(e, p, AdversaryConfig.NO_FAULTY, x_s=1).sigma0 == frozenset({2})
 
     def test_check_phase_length_condition(self, params12):
         e = Event.from_outcomes(["0011"] * 12)
-        assert check_phase(e, "R0", 0, frozenset({1, 2, 3}), params12) is ABORT  # |sigma| = 3 < T = 4
-        assert check_phase(e, "R0", 0, frozenset({1, 2, 3, 4}), params12) == 0
+        assert check_row(e, "r0", 0, frozenset({1, 2, 3}), params12) is ABORT  # |sigma| = 3 < T = 4
+        assert check_row(e, "r0", 0, frozenset({1, 2, 3, 4}), params12) == 0
 
     def test_check_phase_consistency_condition(self, params12):
         # R0 measures 1 on 0011 but 0 on 1100: a 1100 index betrays x = 0
         e = Event.from_outcomes(["0011", "0011", "0011", "1100"] * 3)
-        assert check_phase(e, "R0", 0, frozenset({1, 2, 3, 4}), params12) is ABORT
-        assert check_phase(e, "R0", 0, frozenset({1, 2, 3, 5}), params12) == 0
-        assert check_phase(e, "R1", 1, frozenset({4, 8, 12}), params12) is ABORT  # too short
+        assert check_row(e, "r0", 0, frozenset({1, 2, 3, 4}), params12) is ABORT
+        assert check_row(e, "r0", 0, frozenset({1, 2, 3, 5}), params12) == 0
+        assert check_row(e, "r1", 1, frozenset({4, 8, 12}), params12) is ABORT  # too short
         e4 = Event.from_outcomes(["1100"] * 12)
-        assert check_phase(e4, "R1", 1, frozenset({1, 2, 3, 4}), params12) == 1
+        assert check_row(e4, "r1", 1, frozenset({1, 2, 3, 4}), params12) == 1
 
     def test_cross_check_keeps_value_when_not_confused(self, params12):
         e = Event.from_outcomes(["0011"] * 12)
         rho = frozenset({1, 2, 3, 4})
-        assert cross_check(0, 0, rho, e, params12) == 0
-        assert cross_check(ABORT, 0, rho, e, params12) is ABORT
-        assert cross_check(1, ABORT, rho, e, params12) == 1
+        assert cross_check_row(0, 0, rho, e, params12) == 0
+        assert cross_check_row(ABORT, 0, rho, e, params12) is ABORT
+        assert cross_check_row(1, ABORT, rho, e, params12) == 1
 
     def test_cross_check_requires_length(self, params12):
         e = Event.from_outcomes(["0011"] * 12)
-        assert cross_check(1, 0, frozenset({1, 2, 3}), e, params12) == 1
+        assert cross_check_row(1, 0, frozenset({1, 2, 3}), e, params12) == 1
 
     def test_cross_check_adoption_budget(self, params12):
         # adoption iff fewer than Q = 1 of rho01's indices are inconsistent,
         # for any |rho01| >= T: the budget does not grow with the set
         e = Event.from_outcomes(["0011"] * 6 + ["1100"] * 6)
         consistent4 = frozenset({1, 2, 3, 4})  # R1 reads 1 = 1 - y01 everywhere
-        assert cross_check(1, 0, consistent4, e, params12) == 0
+        assert cross_check_row(1, 0, consistent4, e, params12) == 0
         one_bad = frozenset({1, 2, 3, 7})
-        assert cross_check(1, 0, one_bad, e, params12) == 1
+        assert cross_check_row(1, 0, one_bad, e, params12) == 1
         one_bad_longer = frozenset({1, 2, 3, 4, 5, 7})
-        assert cross_check(1, 0, one_bad_longer, e, params12) == 1
+        assert cross_check_row(1, 0, one_bad_longer, e, params12) == 1
 
     @given(st.lists(st.integers(0, 5), min_size=4, max_size=12))
     @settings(max_examples=60)
@@ -265,7 +287,7 @@ class TestPhases:
         e = Event(tuple(codes))
         rho = frozenset(range(1, len(codes) + 1))
         inconsistent = sum(1 for i in rho if e.r1_bit(i) == 0)
-        got = cross_check(1, 0, rho, e, p)
+        got = cross_check_row(1, 0, rho, e, p)
         if len(rho) >= p.T and inconsistent < p.Q:
             assert got == 0
         else:
@@ -286,7 +308,7 @@ class TestPhases:
         rho = frozenset(data.draw(st.sets(st.integers(1, len(codes)))))
         consistent = sum(1 for i in rho if e.r1_bit(i) == 1)
         adopt = len(rho) >= p.T and consistent >= p.lam * p.T + len(rho) - p.T
-        assert cross_check(1, 0, rho, e, p) == (0 if adopt else 1)
+        assert cross_check_row(1, 0, rho, e, p) == (0 if adopt else 1)
 
 
 class TestRunProtocol:
@@ -308,7 +330,7 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="the sender's value is a bit"):
             run_protocol(e, params12, cfg, x_s=x_s)
         with pytest.raises(ValueError, match="the sender's value is a bit"):
-            invocation_honest(e, x_s)
+            adversary.local_counts_R(e, x_s)
 
     @pytest.mark.parametrize("cfg", ["s-faulty", None])
     def test_configuration_must_be_an_adversary_config(self, params12, cfg):
@@ -389,20 +411,15 @@ class TestEngine:
 
     @pytest.mark.parametrize("m", [12, 130], ids=["one-word", "three-words"])
     def test_r0_classes_are_the_where_formula(self, m):
-        # every (code, sigma0) pair, repeated along one row of m indices
-        # (across word boundaries when m > 64), for both sender bits
-        pairs = np.arange(m) % 12
-        codes, vouched = (pairs % 6)[None].astype(np.int8), (pairs >= 6)[None]
-        r0 = AdversaryConfig.R0_FAULTY
+        # every code, repeated along one row of m indices (across word
+        # boundaries when m > 64), for both sender bits; the correct sender
+        # vouches for the indices where it measured x_S x_S
+        codes = (np.arange(m) % 6)[None].astype(np.int8)
         for x_s in (0, 1):
+            vouched = codes == 5 * x_s
             want = np.where(np.array(R0_BIT)[codes] == x_s, 2, np.where(vouched, 0, 1))
-            view = protocol._view(r0, codes, x_s, protocol._mask(frozenset(np.flatnonzero(vouched[0]) + 1), m))
+            view = protocol._view(AdversaryConfig.R0_FAULTY, codes, x_s)
             assert [member.tolist() for member in _classes(view, m)] == [(want == c).tolist() for c in range(3)]
-            # by default sigma0 is the correct sender's check set
-            honest = protocol._view(r0, codes, x_s, protocol._mask(frozenset(np.flatnonzero(codes[0] == 5 * x_s) + 1), m))
-            assert [c.tolist() for c in _classes(protocol._view(r0, codes, x_s), m)] == [
-                c.tolist() for c in _classes(honest, m)
-            ]
 
     @settings(max_examples=40, deadline=None)
     @given(
