@@ -14,13 +14,17 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import sys
 import time
 from fractions import Fraction
 from typing import Sequence
 
-from . import analytics, metrics, montecarlo, optimizer, security
+import numpy
+import scipy
+
+from . import __version__, analytics, metrics, montecarlo, optimizer, security
 from .analytics import BoundKind
 from .protocol import (
     ABORT,
@@ -80,30 +84,40 @@ def _output_path(args, suffix: str) -> str | None:
     return os.path.join(out_dir, f"{args.output}{suffix}")
 
 
+def _emit(text: str, args) -> None:
+    """Write one data output, text in --format, to stdout or the --output file."""
+    path = _output_path(args, f".{args.format}")
+    if path is None:
+        sys.stdout.write(text + "\n")
+    else:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+
+
 def _emit_table(header: list[str], rows: list[list], args) -> None:
     """Write rows as CSV or JSON to stdout or the --output file."""
     if args.format == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-        suffix = ".json"
+        _emit(json.dumps([dict(zip(header, row)) for row in rows], indent=2), args)
     else:
-        lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-        suffix = ".csv"
-    path = _output_path(args, suffix)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _emit("\n".join([",".join(header)] + [",".join(str(v) for v in row) for row in rows]), args)
 
 
-def _write_manifest(args, payload: dict) -> None:
+def _write_manifest(args) -> None:
+    """Beside an --output file, record the parsed command line, defaults
+    included, so that it reruns to the same data, and the code that ran it."""
     path = _output_path(args, ".manifest.json")
     if path is None:
         return
-    payload = dict(payload, command=args.command, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
+    manifest = {key: value for key, value in vars(args).items() if key not in ("func", "format", "output")}
+    manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    manifest["versions"] = {
+        "wbcsim": __version__,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
@@ -120,26 +134,16 @@ def _params_from(args, m: int) -> ProtocolParams:
     return ProtocolParams.create(_parse_real(args.mu, args.inexact), _parse_real(args.lam, args.inexact), m)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     cfg = AdversaryConfig(args.config)
     rows = []
     for m in _parse_m_list(args.m):
         r = montecarlo.estimate_pf(cfg, _params_from(args, m), args.trials, args.seed, jobs=args.jobs)
         rows.append([m, cfg.value, r.n_trials, repr(r.estimate), repr(r.stderr), r.seed])
     _emit_table(["m", "config", "N", "estimate", "stderr", "seed"], rows, args)
-    manifest = {
-        "mu": args.mu,
-        "lambda": args.lam,
-        "m": args.m,
-        "config": args.config,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _write_manifest(args, manifest)
-    return EXIT_OK
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> None:
     cfg = AdversaryConfig(args.config)
     rows = []
     for m in _parse_m_list(args.m):
@@ -148,11 +152,9 @@ def _cmd_exact(args) -> int:
             if report.kind is BoundKind.EXACT or args.kind in ("both", report.kind.value):
                 rows.append([m, cfg.value, report.kind.value, repr(float(report.value))])
     _emit_table(["m", "config", "kind", "value"], rows, args)
-    _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "m": args.m, "config": args.config})
-    return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> None:
     mu = _parse_real(args.mu, args.inexact)
     lam = _parse_real(args.lam, args.inexact)
     rows = []
@@ -161,11 +163,9 @@ def _cmd_bounds(args) -> int:
         rows.append([m, "s-faulty", repr(security.chernoff_S(mu, lam, m))])
         rows.append([m, "r0-faulty", repr(security.chernoff_R(mu, lam, m))])
     _emit_table(["m", "config", "bound"], rows, args)
-    _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "m": args.m})
-    return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> None:
     plain = functools.partial(_parse_real, inexact=False)
     spec = optimizer.GridSpec(
         mu_range=(plain(args.mu_lo), plain(args.mu_hi), args.mu_steps),
@@ -176,19 +176,9 @@ def _cmd_optimize(args) -> int:
     table = optimizer.grid_search(spec)
     rows = [[float(mu), float(lam), verdict] for mu, lam, verdict in table]
     _emit_table(["mu", "lambda", "verdict"], rows, args)
-    manifest = {
-        "mu_range": [str(spec.mu_range[0]), str(spec.mu_range[1]), spec.mu_range[2]],
-        "lambda_range": [str(spec.lambda_range[0]), str(spec.lambda_range[1]), spec.lambda_range[2]],
-        "m_candidates": spec.m_candidates,
-        "p_target": spec.p_target,
-        "seed": None,
-        "timestamp": None,  # set by _write_manifest; listed here to keep its place before "command"
-    }
-    _write_manifest(args, manifest)
-    return EXIT_OK
 
 
-def _cmd_mmin(args) -> int:
+def _cmd_mmin(args) -> None:
     table = optimizer.m_min_table(
         _parse_real(args.mu, args.inexact),
         _parse_real(args.lam, args.inexact),
@@ -200,12 +190,10 @@ def _cmd_mmin(args) -> int:
     if args.per_config:
         _emit_table(["config", "m_min"], [[name, value] for name, value in table.items()], args)
     else:
-        print(table["overall"])
-    _write_manifest(args, {"mu": args.mu, "lambda": args.lam, "p_target": args.pft, "m_min": table["overall"]})
-    return EXIT_OK
+        _emit(json.dumps(table["overall"]) if args.format == "json" else str(table["overall"]), args)
 
 
-def _cmd_truth_table(args) -> int:
+def _cmd_truth_table(args) -> None:
     if args.kind == "broadcast":
         values, classify = (0, 1), classify_broadcast
     else:
@@ -215,10 +203,9 @@ def _cmd_truth_table(args) -> int:
         shown = ["abort" if v is ABORT else v for v in (y0, y1)]
         rows.append([cfg.value, y_s, *shown, classify(cfg, y_s, y0, y1).value])
     _emit_table(["config", "y_S", "y0", "y1", "outcome"], rows, args)
-    return EXIT_OK
 
 
-def _cmd_fidelity(args) -> int:
+def _cmd_fidelity(args) -> None:
     out: dict[str, float] = {}
     if args.counts:
         with open(args.counts) as fh:
@@ -231,10 +218,9 @@ def _cmd_fidelity(args) -> int:
     if not out:
         raise ParameterError("fidelity needs --counts and/or --density")
     _emit_table(["metric", "value"], [[k, v] for k, v in out.items()], args)
-    return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
     cfg = AdversaryConfig(args.config)
     if args.m < 1:  # a usage error, as an m below 1 is for the other commands
         raise ValueError(f"invalid m {args.m}")
@@ -242,17 +228,15 @@ def _cmd_oracle(args) -> int:
     report = analytics.pf_bruteforce(cfg, p, kind=BoundKind(args.kind))
     rows = [[args.m, cfg.value, report.kind.value, str(report.value), repr(float(report.value))]]
     _emit_table(["m", "config", "kind", "exact", "value"], rows, args)
-    return EXIT_OK
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args) -> None:
     lams = optimizer.even_grid(Fraction(1, 2), Fraction(1), args.steps)
     rows = []
     for mu in optimizer.even_grid(Fraction(0), Fraction(1, 3), args.steps):
         for lam in lams:
             rows.append([float(mu), float(lam), int(security.in_guaranteed_region(mu, lam))])
     _emit_table(["mu", "lambda", "inside"], rows, args)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +324,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        args.func(args)
+        _write_manifest(args)
+        return EXIT_OK
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

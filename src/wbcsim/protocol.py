@@ -524,10 +524,15 @@ def _value(code) -> OutputValue:
     return ABORT if code == _ABORT else int(code)
 
 
+def _is_bit(value) -> bool:
+    """Whether value is 0 or 1 as a count (`_is_count`): no bool, no float."""
+    return _is_count(value, least=0) and value <= 1
+
+
 def _sender_bit(x_s) -> int:
-    if x_s not in (0, 1):
+    if not _is_bit(x_s):
         raise ValueError(f"the sender's value is a bit, not {x_s!r}")
-    return int(x_s)
+    return operator.index(x_s)
 
 
 def run_protocol(
@@ -575,7 +580,7 @@ def classify_weak_broadcast(cfg: AdversaryConfig, y_s: int, y0: OutputValue, y1:
     `_achieved`)."""
     y_s = _sender_bit(y_s)
     for v in (y0, y1):
-        if v is not ABORT and v not in (0, 1):
+        if v is not ABORT and not _is_bit(v):
             raise ValueError("receiver outputs must be 0, 1, or ABORT")
     return Outcome.ACHIEVED if _achieved(cfg, y_s, _code(y0), _code(y1))[0] else Outcome.FAILURE
 
@@ -586,7 +591,6 @@ def classify_broadcast(cfg: AdversaryConfig, y_s: int, y0: int, y1: int) -> Outc
     On bits they coincide with the weak ones: weak consistency for a faulty
     sender reduces to y0 == y1.
     """
-    for v in (y_s, y0, y1):
-        if v not in (0, 1):
-            raise ValueError("broadcast outputs are binary; ABORT is not allowed")
+    if not all(map(_is_bit, (y_s, y0, y1))):
+        raise ValueError("broadcast outputs are binary; ABORT is not allowed")
     return classify_weak_broadcast(cfg, y_s, y0, y1)

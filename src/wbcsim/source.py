@@ -16,12 +16,11 @@ as Generator.choice does.
 
 from __future__ import annotations
 
-import csv
 import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +38,6 @@ OUTCOME_PROBS: tuple[Fraction, ...] = (
     Fraction(1, 3),
 )
 
-S_PAIR: tuple[str, ...] = tuple(s[:2] for s in OUTCOMES)
 R0_BIT: tuple[int, ...] = tuple(int(s[2]) for s in OUTCOMES)
 R1_BIT: tuple[int, ...] = tuple(int(s[3]) for s in OUTCOMES)
 
@@ -48,18 +46,6 @@ S_CLASS: tuple[int, ...] = (0, 1, 1, 1, 1, 2)
 
 # Bitwise complement of each outcome, used by the x_S=0 <-> x_S=1 symmetry.
 FLIP_CODE: tuple[int, ...] = tuple(OUTCOME_CODE[s.translate(str.maketrans("01", "10"))] for s in OUTCOMES)
-
-
-def index_label(index: int) -> str:
-    """Render a 1-based state index as a, b, ..., z, aa, ab, ... for dumps."""
-    if index < 1:
-        raise ValueError("indices are 1-based")
-    label = ""
-    n = index
-    while n > 0:
-        n, rem = divmod(n - 1, 26)
-        label = chr(ord("a") + rem) + label
-    return label
 
 
 @dataclass(frozen=True)
@@ -102,13 +88,6 @@ class Event:
     def flipped(self) -> "Event":
         """The Event with every outcome bitwise complemented."""
         return Event(tuple(FLIP_CODE[c] for c in self.codes))
-
-    def dump_csv(self, fh: IO[str]) -> None:
-        """Write the per-index measurement table (index, S_bits, R0_bit, R1_bit)."""
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "S_bits", "R0_bit", "R1_bit"])
-        for i, c in enumerate(self.codes, start=1):
-            writer.writerow([index_label(i), S_PAIR[c], R0_BIT[c], R1_BIT[c]])
 
 
 @dataclass(frozen=True)

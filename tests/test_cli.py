@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import wbcsim
 import wbcsim.analytics as analytics
@@ -424,13 +426,12 @@ class TestOutputFiles:
         assert heatmap.splitlines()[0] == "mu,lambda,verdict"
         assert len(heatmap.splitlines()) == 5
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["p_target"] == 0.05 and manifest["command"] == "optimize"
         assert list(manifest) == [
-            "mu_range", "lambda_range", "m_candidates", "p_target", "seed", "timestamp", "command",
+            "command", "mu_lo", "mu_hi", "mu_steps", "lambda_lo", "lambda_hi", "lambda_steps", "m", "pft",
+            "timestamp", "versions",
         ]
-        assert manifest["mu_range"] == ["271/1000", "273/1000", 2]
-        assert manifest["m_candidates"] == [278, 279, 280, 281, 282]
-        assert manifest["seed"] is None and manifest["timestamp"]
+        assert manifest["command"] == "optimize" and manifest["timestamp"]
+        assert [manifest[key] for key in list(manifest)[1:-2]] == ["0.271", "0.273", 2, "0.9375", "0.945", 2, "278..282", 0.05]
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
@@ -453,11 +454,100 @@ class TestOutputFiles:
         argv += ("--trials", "150", "--seed", "2")
         run(capsys, *argv, "--output", "mc")
         manifest = json.loads((tmp_path / "mc.manifest.json").read_text())
-        assert list(manifest) == ["mu", "lambda", "m", "config", "trials", "seed", "command", "timestamp"]
+        assert list(manifest) == [
+            "command", "mu", "lam", "inexact", "config", "m", "trials", "seed", "jobs", "timestamp", "versions",
+        ]
         assert manifest["config"] == "r0-faulty" and manifest["command"] == "simulate"
-        assert [manifest[key] for key in ("mu", "lambda", "m", "trials", "seed")] == ["0.3", "0.8", "8", 150, 2]
+        assert [manifest[key] for key in ("mu", "lam", "inexact", "m", "trials", "seed", "jobs")] == ["0.3", "0.8", False, "8", 150, 2, 1]
         _, out, _ = run(capsys, *argv)
         assert (tmp_path / "mc.csv").read_text() == out
+
+    def test_every_subcommand_writes_a_manifest_naming_its_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        counts = tmp_path / "counts.json"
+        counts.write_text('{"0011": 1, "1100": 1}')
+        mu_lambda = ("--mu", "0.272", "--lambda", "0.94")
+        argvs = {
+            "simulate": ("--config", "s-faulty", *mu_lambda, "--m", "4", "--trials", "10"),
+            "exact": ("--config", "s-faulty", *mu_lambda, "--m", "4"),
+            "bounds": (*mu_lambda, "--m", "4"),
+            "optimize": ("--mu-steps", "2", "--lambda-steps", "2", "--m", "270,280"),
+            "mmin": (*mu_lambda, "--pft", "0.05", "--m-hi", "10"),
+            "truth-table": (),
+            "fidelity": ("--counts", str(counts)),
+            "oracle": ("--config", "r0-faulty", *mu_lambda, "--m", "2"),
+            "region": ("--steps", "2"),
+        }
+        assert set(argvs) == set(_subparsers().choices)
+        versions = {"wbcsim": wbcsim.__version__, "python": platform.python_version()}
+        versions.update(numpy=np.__version__, scipy=scipy.__version__)
+        for command, argv in argvs.items():
+            assert run(capsys, command, *argv, "--output", command) == (EXIT_OK, "", "")
+            manifest = json.loads((tmp_path / f"{command}.manifest.json").read_text())
+            assert manifest["command"] == command and manifest["versions"] == versions
+        # a command that fails writes no manifest
+        assert run(capsys, "mmin", "--mu", "0.2", "--lambda", "0.94", "--pft", "0.05", "--output", "bad")[0] == EXIT_PARAMETER
+        assert not (tmp_path / "bad.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--config", "r0-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "8", "--trials", "150", "--seed", "2"),
+            ("exact", "--config", "no-faulty", "--mu", "0.27", "--lambda", "0.94", "--m", "100", "--inexact"),
+            ("exact", "--config", "s-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", "279,280", "--kind", "lower"),
+            ("bounds", "--mu", "0.272", "--lambda", "0.94", "--m", "100..102", "--format", "json"),
+            ("optimize", "--mu-steps", "3", "--lambda-steps", "3", "--pft", "0.04"),
+            ("mmin", "--mu", "0.3", "--lambda", "0.945", "--pft", "0.05", "--m-lo", "1750", "--m-hi", "4000", "--inexact"),
+            ("mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05", "--per-config", "--no-region-check"),
+        ],
+        ids=["simulate", "exact-inexact", "exact-kind", "bounds-json", "optimize", "mmin-m-window", "mmin-per-config"],
+    )
+    def test_manifest_reruns_to_the_same_data(self, capsys, tmp_path, monkeypatch, argv):
+        # the command line rebuilt from a manifest's recorded arguments gives
+        # the same bytes; the manifests once left out --inexact, --kind and
+        # --m-lo/--m-hi, each of which changes these outputs
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        fmt = "json" if "json" in argv else "csv"
+        assert run(capsys, *argv, "--output", "first") == (EXIT_OK, "", "")
+        manifest = json.loads((tmp_path / "first.manifest.json").read_text())
+        rerun = _recorded_argv(manifest)
+        assert run(capsys, *rerun, "--format", fmt, "--output", "again") == (EXIT_OK, "", "")
+        assert (tmp_path / f"again.{fmt}").read_bytes() == (tmp_path / f"first.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "fmt,m_hi,expected",
+        [("csv", "400", "280\n"), ("json", "400", "280\n"), ("csv", "100", "NOT_FOUND\n"), ("json", "100", '"NOT_FOUND"\n')],
+    )
+    def test_plain_mmin_goes_where_its_format_and_output_say(self, capsys, tmp_path, monkeypatch, fmt, m_hi, expected):
+        # without --per-config the overall value used to be printed whatever
+        # --output said, and NOT_FOUND unquoted under --format json
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        argv = ("mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05", "--m-hi", m_hi, "--format", fmt)
+        assert run(capsys, *argv) == (EXIT_OK, expected, "")
+        assert run(capsys, *argv, "--output", "plain") == (EXIT_OK, "", "")
+        assert (tmp_path / f"plain.{fmt}").read_text() == expected
+
+
+def _subparsers() -> argparse._SubParsersAction:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _recorded_argv(manifest: dict) -> list[str]:
+    """The command line a manifest records: each recorded argument becomes
+    the option of the parser action whose destination it is. Every recorded
+    argument must belong to one."""
+    argv, recorded = [manifest["command"]], set(manifest) - {"command", "timestamp", "versions"}
+    for action in _subparsers().choices[manifest["command"]]._actions:
+        if action.dest not in recorded:
+            continue
+        recorded.remove(action.dest)
+        value = manifest[action.dest]
+        if isinstance(action, argparse._StoreTrueAction):
+            argv += action.option_strings if value else []
+        elif value is not None:
+            argv += [action.option_strings[0], str(value)]
+    assert not recorded
+    return argv
 
 
 def _python(*args):

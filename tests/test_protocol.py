@@ -205,6 +205,31 @@ class TestTruthTables:
         with pytest.raises(ValueError):
             classify_weak_broadcast(AdversaryConfig.NO_FAULTY, 0, 2, 0)
 
+    @pytest.mark.parametrize(
+        "classify,y_s,y0,y1",
+        [
+            (classify_weak_broadcast, 1, 1.0, 1),
+            (classify_weak_broadcast, True, 1, 1),
+            (classify_weak_broadcast, 0, ABORT, np.True_),
+            (classify_broadcast, 0, 0, 0.0),
+            (classify_broadcast, np.float64(1.0), 1, 1),
+            (classify_broadcast, 1, np.int64(2), 1),
+        ],
+        ids=repr,
+    )
+    def test_values_must_be_bits_not_bools_or_floats(self, classify, y_s, y0, y1):
+        # each of these used to score as if it were the bit it equals
+        with pytest.raises(ValueError):
+            classify(AdversaryConfig.NO_FAULTY, y_s, y0, y1)
+
+    def test_numpy_int_bits_are_bits(self, params12):
+        ones = (np.int64(1),) * 3
+        for classify in (classify_weak_broadcast, classify_broadcast):
+            assert classify(AdversaryConfig.NO_FAULTY, *ones) is ACH
+        e = Event.from_outcomes(["0011", "0110", "1100"] * 4)
+        t = run_protocol(e, params12, AdversaryConfig.NO_FAULTY, x_s=np.int64(1))
+        assert type(t.x_s) is int and t == run_protocol(e, params12, AdversaryConfig.NO_FAULTY, x_s=1)
+
     def test_abort_is_one_object(self):
         assert repr(ABORT) == "ABORT"
         assert pickle.loads(pickle.dumps(ABORT)) is ABORT and copy.deepcopy(ABORT) is ABORT
@@ -321,11 +346,12 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(e, params12, AdversaryConfig.NO_FAULTY, strategy=object())
 
-    @pytest.mark.parametrize("x_s", [2, -1])
+    @pytest.mark.parametrize("x_s", [2, -1, True, 1.0, np.float64(1.0), np.True_, np.int64(2)], ids=repr)
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.value)
     def test_sender_value_must_be_a_bit(self, params12, cfg, x_s):
         # x_S = 2 used to run to all-ABORT outputs, -1 to outputs of -1, and
-        # a faulty R0 with x_S = 2 to an IndexError
+        # a faulty R0 with x_S = 2 to an IndexError; True, 1.0 and numpy's
+        # float and bool ran as 1
         e = Event.from_outcomes(["0011", "0110", "1100"] * 4)
         with pytest.raises(ValueError, match="the sender's value is a bit"):
             run_protocol(e, params12, cfg, x_s=x_s)

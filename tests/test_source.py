@@ -1,6 +1,5 @@
 """Tests for the singlet-state measurement statistics."""
 
-import io
 import math
 import re
 from fractions import Fraction
@@ -20,7 +19,6 @@ from wbcsim.source import (
     GlobalCountList,
     global_counts,
     ideal_distribution,
-    index_label,
     project_S,
     sample_event,
     substream,
@@ -116,21 +114,6 @@ class TestEvent:
         for i in range(1, e.m + 1):
             assert f.r0_bit(i) == 1 - e.r0_bit(i)
             assert f.r1_bit(i) == 1 - e.r1_bit(i)
-
-    def test_dump_csv(self):
-        buf = io.StringIO()
-        Event.from_outcomes(["1100", "0011"]).dump_csv(buf)
-        assert buf.getvalue() == "index,S_bits,R0_bit,R1_bit\na,11,0,0\nb,00,1,1\n"
-
-
-class TestIndexLabel:
-    @pytest.mark.parametrize("index,label", [(1, "a"), (2, "b"), (26, "z"), (27, "aa"), (52, "az"), (53, "ba")])
-    def test_labels(self, index, label):
-        assert index_label(index) == label
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            index_label(0)
 
 
 class TestSampling:
