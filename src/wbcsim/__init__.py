@@ -11,7 +11,6 @@ from .analytics import (
     pf_S_bounds,
 )
 from .adversary import (
-    DomainVerdict,
     StrategyR,
     StrategyS,
     best_failure_probability_bruteforce,

@@ -4,15 +4,14 @@ A strategy only fixes how many indices from each locally distinguishable
 outcome class go into each check set; the failure probability does not
 depend on which indices are picked within a class, so assembly always takes
 the lowest indices. The optimal incomplete strategies zeta_S and zeta_R are
-defined on restricted domains of local count lists; outside the domain the
-verdict is OutOfDomain, which bound computations score as worst case.
+defined on restricted domains of local count lists; outside the domain they
+raise OutOfDomainError, which bound computations score as worst case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .protocol import (
     AdversaryConfig,
+    OutOfDomainError,
     ProtocolParams,
     StrategyR,
     StrategyS,
@@ -36,40 +36,30 @@ from .protocol import (
 from .source import OUTCOME_PROBS, Event, LocalCountListR, LocalCountListS
 
 
-@dataclass(frozen=True)
-class DomainVerdict:
-    """Result of a strategy domain check; out-of-domain carries the reason."""
-
-    in_domain: bool
-    reason: str | None = None
-
-    def __post_init__(self):
-        if not self.in_domain and not self.reason:
-            raise ValueError("an out-of-domain verdict needs a reason")
-
-
 def _strategy_view(zeta_rows, l: LocalCountListS, p: ProtocolParams, kind: type):
     if l.m != p.m:
         raise ValueError(f"local count list of {l.m} outcomes != params m {p.m}")
     local = (l.l1, l.l2, l.l3)
     ood, ks = zeta_rows(np.array(local)[:, None], p)
-    return DomainVerdict(False, _reason(ood[0], local, p)) if ood[0] else kind(*ks[:, 0].tolist())
+    if ood[0]:
+        raise OutOfDomainError(_reason(ood[0], local, p))
+    return kind(*ks[:, 0].tolist())
 
 
-def zeta_S(l: LocalCountListS, p: ProtocolParams) -> Union[StrategyS, DomainVerdict]:
+def zeta_S(l: LocalCountListS, p: ProtocolParams) -> StrategyS:
     """Optimal incomplete strategy (T-Q, Q, 0; 0, 0, l3) of a faulty sender.
 
-    Defined when T-Q <= l1, Q <= l2 and T <= l3; otherwise returns the
-    out-of-domain verdict naming the first failing condition.
+    Defined when T-Q <= l1, Q <= l2 and T <= l3; otherwise raises
+    OutOfDomainError naming the first failing condition.
     """
     return _strategy_view(_zeta_S_rows, l, p, StrategyS)
 
 
-def zeta_R(l: LocalCountListR, p: ProtocolParams) -> Union[StrategyR, DomainVerdict]:
+def zeta_R(l: LocalCountListR, p: ProtocolParams) -> StrategyR:
     """Optimal incomplete strategy (0, l2, n_min) of a faulty R0.
 
     n_min tops the check set up to length T with only-potentially-consistent
-    XX0X indices. Defined when l1 <= m - T.
+    XX0X indices. Defined when l1 <= m - T; otherwise raises OutOfDomainError.
     """
     return _strategy_view(_zeta_R_rows, l, p, StrategyR)
 

@@ -49,6 +49,7 @@ class BitstringDistribution:
             raise ValueError("probabilities must be non-negative")
         if abs(sum(self.probs) - 1) > _TOL:
             raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))  # frozen
 
     @classmethod
     def from_mapping(cls, weights: Mapping[str, float]) -> "BitstringDistribution":

@@ -8,6 +8,7 @@ region, integer cells where a candidate m suffices, NOT_FOUND otherwise.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import analytics
-from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _thresholds
+from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _fraction, _thresholds
 from .security import in_guaranteed_region
 from .source import _is_count
 
@@ -29,9 +30,9 @@ _RUN = 64
 
 
 def _check_target(p_target: float) -> None:
-    """Reject a target that is a bool or lies outside (0, 1]."""
-    if isinstance(p_target, (bool, np.bool_)) or not 0 < p_target <= 1:
-        raise ValueError(f"p_target must be a probability in (0, 1], got {p_target}")
+    """Reject a target that is a bool, not a real number, or outside (0, 1]."""
+    if isinstance(p_target, bool) or not isinstance(p_target, numbers.Real) or not 0 < p_target <= 1:
+        raise ValueError(f"p_target must be a probability in (0, 1], got {p_target!r}")
 
 
 def _check_scan(p_target: float, m_lo: int, m_hi: int) -> None:
@@ -136,10 +137,12 @@ def m_min_upper(
 
 
 def even_grid(lo, hi, steps: int) -> list[Fraction]:
-    """steps evenly spaced exact rationals from lo to hi, both included."""
+    """steps evenly spaced exact rationals from lo to hi > lo, both included."""
     if not _is_count(steps) or steps < 2:
         raise ValueError(f"a grid needs at least 2 steps, got {steps}")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _fraction(lo, "lo"), _fraction(hi, "hi")
+    if not lo < hi:
+        raise ValueError(f"a grid needs lo < hi, got [{lo}, {hi}]")
     return [lo + (hi - lo) * Fraction(i, steps - 1) for i in range(steps)]
 
 
@@ -154,8 +157,7 @@ class GridSpec:
 
     def __post_init__(self):
         for lo, hi, steps in (self.mu_range, self.lambda_range):
-            if not (lo < hi and _is_count(steps) and steps >= 2):
-                raise ValueError("grid ranges must be non-degenerate with at least 2 steps")
+            even_grid(lo, hi, steps)
         # an iterator would be used up here, and grid_search needs the counts again
         ms = list(self.m_candidates) if isinstance(self.m_candidates, (Sequence, np.ndarray)) else []
         if not ms or not all(map(_is_count, ms)) or ms != sorted(set(ms)):

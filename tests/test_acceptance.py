@@ -15,7 +15,6 @@ import pytest
 
 import wbcsim
 from wbcsim.adversary import (
-    DomainVerdict,
     StrategyR,
     StrategyS,
     _all_events,
@@ -44,6 +43,7 @@ from wbcsim.optimizer import GridSpec, grid_search, m_min_table, m_min_upper
 from wbcsim.protocol import (
     AdversaryConfig,
     Outcome,
+    OutOfDomainError,
     ProtocolParams,
     classify_weak_broadcast,
     run_protocol,
@@ -151,8 +151,9 @@ def test_criterion_5_strategy_optimality_and_dysfunctional_classes():
                 (R0_FAULTY, zeta_R, LocalCountListR),
             ):
                 for counts, events in _events_by_local_list(m, cfg).items():
-                    strategy = zeta(local_type(*counts), p)
-                    if isinstance(strategy, DomainVerdict):
+                    try:
+                        strategy = zeta(local_type(*counts), p)
+                    except OutOfDomainError:
                         continue
                     best = max_conditional_failure(cfg, p, events)
                     assert conditional_failure_probability(cfg, p, events, strategy) == best

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from wbcsim.adversary import (
-    DomainVerdict,
     StrategyR,
     StrategyS,
     _all_events,
@@ -58,9 +57,9 @@ class TestDomains:
         ],
     )
     def test_zeta_S_out_of_domain(self, params12, counts, fragment):
-        verdict = zeta_S(LocalCountListS(*counts), params12)
-        assert isinstance(verdict, DomainVerdict) and not verdict.in_domain
-        assert fragment in verdict.reason
+        with pytest.raises(OutOfDomainError) as exc:
+            zeta_S(LocalCountListS(*counts), params12)
+        assert fragment in exc.value.reason
 
     def test_zeta_R_in_domain_tops_up_to_T(self, params12):
         assert zeta_R(LocalCountListR(4, 2, 6), params12) == StrategyR(0, 2, 2)
@@ -68,8 +67,8 @@ class TestDomains:
         assert zeta_R(LocalCountListR(4, 5, 3), params12) == StrategyR(0, 5, 0)
 
     def test_zeta_R_out_of_domain(self, params12):
-        verdict = zeta_R(LocalCountListR(9, 1, 2), params12)  # l1 > m - T = 8
-        assert isinstance(verdict, DomainVerdict) and not verdict.in_domain
+        with pytest.raises(OutOfDomainError):
+            zeta_R(LocalCountListR(9, 1, 2), params12)  # l1 > m - T = 8
 
     @pytest.mark.parametrize("zeta", [zeta_S, zeta_R], ids=["zeta_S", "zeta_R"])
     def test_count_list_must_hold_m_outcomes(self, params12, zeta):
@@ -83,14 +82,33 @@ class TestDomains:
         with pytest.raises(ValueError, match="three non-negative counts"):
             LocalCountListR(*counts)
 
+    @pytest.mark.parametrize("mu,lam,out_of_domain", [("0.3", "0.8", 1438), ("0.272", "0.94", 1438), ("0.25", "0.9", 810)])
+    def test_zeta_raises_exactly_where_run_protocol_does(self, mu, lam, out_of_domain):
+        # zeta_S and zeta_R used to return a DomainVerdict where run_protocol
+        # raised; on every Event with m <= 4 and each faulty configuration
+        # both now raise OutOfDomainError, with the same reason
+        def reason(call, *args):
+            try:
+                call(*args)
+            except OutOfDomainError as exc:
+                return exc.reason
+            return None
+
+        pairs = out = 0
+        for m, cfg in itertools.product(range(1, 5), [S_FAULTY, R0_FAULTY]):
+            p = ProtocolParams.create(mu, lam, m)
+            zeta, local_type = (zeta_S, LocalCountListS) if cfg is S_FAULTY else (zeta_R, LocalCountListR)
+            for counts, (codes, _) in _events_by_local_list(m, cfg).items():
+                want = reason(zeta, local_type(*counts), p)
+                assert all(reason(run_protocol, Event(tuple(row)), p, cfg) == want for row in codes.tolist())
+                pairs += len(codes)
+                out += len(codes) if want else 0
+        assert (pairs, out) == (2 * sum(6**m for m in range(1, 5)), out_of_domain)
+
     def test_count_list_stores_python_ints(self, params12):
         local = LocalCountListS(np.int64(4), np.uint8(4), 4)
         assert all(type(x) is int for x in (local.l1, local.l2, local.l3))
         assert local == LocalCountListS(4, 4, 4) and zeta_S(local, params12) == StrategyS(3, 1, 0, 0, 0, 4)
-
-    def test_verdict_requires_reason(self):
-        with pytest.raises(ValueError):
-            DomainVerdict(False)
 
 
 class TestAssembly:
@@ -197,8 +215,9 @@ class TestOptimality:
         zeta = zeta_S if cfg is S_FAULTY else zeta_R
         local_type = LocalCountListS if cfg is S_FAULTY else LocalCountListR
         for counts, events in _events_by_local_list(m, cfg).items():
-            strategy = zeta(local_type(*counts), p)
-            if isinstance(strategy, DomainVerdict):
+            try:
+                strategy = zeta(local_type(*counts), p)
+            except OutOfDomainError:
                 continue
             best = max_conditional_failure(cfg, p, events)
             assert conditional_failure_probability(cfg, p, events, strategy) == best
@@ -206,8 +225,9 @@ class TestOptimality:
     def test_in_domain_s_failure_is_two_to_minus_q(self):
         p = _small_params(3)  # T = 1, Q = 1
         for counts, events in _events_by_local_list(3, S_FAULTY).items():
-            strategy = zeta_S(LocalCountListS(*counts), p)
-            if isinstance(strategy, DomainVerdict):
+            try:
+                strategy = zeta_S(LocalCountListS(*counts), p)
+            except OutOfDomainError:
                 continue
             assert conditional_failure_probability(S_FAULTY, p, events, strategy) == Fraction(1, 2) ** p.Q
 

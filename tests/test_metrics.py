@@ -35,6 +35,14 @@ class TestBitstringDistribution:
         with pytest.raises(ValueError):
             BitstringDistribution((0.5,) + (0.0,) * 15)
 
+    @pytest.mark.parametrize("probs", [[1 / 16] * 16, np.full(16, 1 / 16)], ids=["list", "ndarray"])
+    def test_stores_a_tuple_of_floats(self, probs):
+        # the input was stored as given: a list compared unequal to the same
+        # tuple, and with an ndarray == raised ValueError and hash TypeError
+        d = BitstringDistribution(probs)
+        assert d == BitstringDistribution.uniform() and hash(d) == hash(BitstringDistribution.uniform())
+        assert type(d.probs) is tuple and all(type(p) is float for p in d.probs)
+
     def test_from_mapping_normalizes(self):
         d = BitstringDistribution.from_mapping({"0011": 500, "1100": 500})
         assert d.probs[ALL_BITSTRINGS.index("0011")] == 0.5

@@ -66,6 +66,18 @@ class TestMMin:
         with pytest.raises(ValueError, match="p_target must be a probability"):
             GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), [280], p_target)
 
+    @pytest.mark.parametrize("p_target", ["0.05", None, [0.05]])
+    def test_target_must_be_a_real_number(self, p_target):
+        # m_min_upper("0.272", "0.94", "0.05") raised TypeError from the comparison
+        with pytest.raises(ValueError, match="p_target must be a probability"):
+            m_min_upper("0.272", "0.94", p_target)
+        with pytest.raises(ValueError, match="p_target must be a probability"):
+            GridSpec((Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2), [280], p_target)
+
+    @pytest.mark.parametrize("p_target", [Fraction(1, 20), np.float64(0.05), np.float32(0.05), 1])
+    def test_real_targets_pass(self, p_target):
+        assert m_min_upper("0.272", "0.94", p_target, 270, 300) == m_min_upper("0.272", "0.94", float(p_target), 270, 300)
+
     def test_invalid_parameters_raise_without_region_check(self):
         # mu >= 1/3 violates the protocol's own domain; the scan must not
         # turn that into NOT_FOUND
@@ -128,6 +140,21 @@ class TestGridSpec:
             GridSpec((Fraction("0.271"), Fraction("0.273"), steps), (Fraction("0.93"), Fraction("0.95"), 2), [280], 0.05)
         with pytest.raises(ValueError, match="at least 2 steps"):
             even_grid("0.271", "0.273", steps)
+
+    def test_axes_are_compared_as_numbers(self):
+        # ("1/4", "0.3") was rejected and (".3", "0.25") accepted, then searched
+        # on a descending mu axis, because the strings were compared as text
+        lams = (Fraction("0.93"), Fraction("0.95"), 2)
+        assert GridSpec(("1/4", "0.3", 3), lams, [280], 0.05).mu_values() == [Fraction(1, 4), Fraction(11, 40), Fraction(3, 10)]
+        with pytest.raises(ValueError, match="lo < hi"):
+            GridSpec((".3", "0.25", 3), lams, [280], 0.05)
+        with pytest.raises(ValueError, match="lo < hi"):
+            even_grid(".3", "0.25", 3)
+
+    def test_mixed_fraction_and_text_axis_passes(self):
+        # (Fraction(1, 4), "0.3") raised TypeError: '<' between Fraction and str
+        g = GridSpec((Fraction(1, 4), "0.3", 3), (Fraction("0.93"), Fraction("0.95"), 2), [280], 0.05)
+        assert g.mu_values() == even_grid("0.25", "0.3", 3)
 
     def test_numpy_steps_pass(self):
         assert even_grid("0.271", "0.273", np.int64(3)) == even_grid("0.271", "0.273", 3)

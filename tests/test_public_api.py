@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "BitstringDistribution",
     "BoundKind",
     "DensityMatrix16",
-    "DomainVerdict",
     "Event",
     "FailureReport",
     "GlobalCountList",
