@@ -61,16 +61,14 @@ def _parse_m_list(text: str) -> list[int]:
     """Comma list with optional a..b ranges, e.g. '50,100,270..300'."""
     values: list[int] = []
     for part in text.split(","):
-        if ".." in part:
-            try:
-                lo, hi = map(int, part.split(".."))
-            except ValueError:  # not two ints: '1..3..5', '1..', '..5', 'a..b'
-                raise ValueError(f"invalid m range {part!r} in {text!r}") from None
-            if lo > hi:
-                raise ValueError(f"inverted m range {part!r} in {text!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(part))
+        is_range = ".." in part
+        try:  # a plain part m is the range m..m
+            lo, hi = map(int, part.split("..") if is_range else (part, part))
+        except ValueError:  # not two ints: '1..3..5', '1..', '..5', 'a..b'; not one: 'abc', '', '2.5'
+            raise ValueError(f"invalid m {'range ' if is_range else ''}{part!r} in {text!r}") from None
+        if lo > hi:
+            raise ValueError(f"inverted m range {part!r} in {text!r}")
+        values.extend(range(lo, hi + 1))
     if not values or any(v < 1 for v in values):
         raise ValueError(f"invalid m list {text!r}")
     return values

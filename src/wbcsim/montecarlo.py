@@ -15,7 +15,6 @@ them with the outcome table.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import AdversaryConfig, ProtocolParams, _block_rows, _failed_weights
-from .source import _check_seed, _codes_of, _is_count, _trial_draws
+from .source import _as_count, _codes_of, _trial_draws
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,7 @@ def estimate_pf(
     result is identical for every jobs value. At most one worker process
     per CPU is started, however large jobs is.
     """
-    if not _is_count(n_trials):
-        raise ValueError("n_trials must be a positive count")
-    if not _is_count(jobs):
-        raise ValueError(f"jobs must be a positive count, got {jobs}")
-    n_trials, seed = operator.index(n_trials), _check_seed(seed)  # Python ints, also from numpy ones
+    n_trials, jobs, seed = _as_count(n_trials, "n_trials"), _as_count(jobs, "jobs"), _as_count(seed, "seed", least=0)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         failures = _count_failures(cfg, p, seed, 0, n_trials)

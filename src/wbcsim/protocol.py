@@ -35,7 +35,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .source import R0_BIT, R1_BIT, Event, _is_count
+from .source import R0_BIT, R1_BIT, Event, _as_count, _is_count
 
 
 class ParameterError(ValueError):
@@ -44,11 +44,20 @@ class ParameterError(ValueError):
 
 def _fraction(value, name: str) -> Fraction:
     """A parameter as an exact Fraction; NaN, an infinity or text that is
-    not a number raise ParameterError naming the parameter."""
+    not a number raise ParameterError naming the parameter; any other type
+    (None, an object) raises Fraction's TypeError, as is Python's convention."""
     try:
         return Fraction(value)
     except (ValueError, OverflowError) as exc:
         raise ParameterError(f"{name}={value!r} is not a finite number") from exc
+
+
+def _mu(value) -> Fraction:
+    """mu as a Fraction if 0 < mu < 1/3, the protocol's and the Chernoff bounds' range."""
+    mu = _fraction(value, "mu")
+    if not 0 < mu < Fraction(1, 3):
+        raise ParameterError(f"mu={mu} must satisfy 0 < mu < 1/3")
+    return mu
 
 
 class OutOfDomainError(Exception):
@@ -134,14 +143,10 @@ class ProtocolParams:
     Q: int = field(init=False)
 
     def __post_init__(self):
-        mu, lam, m = _fraction(self.mu, "mu"), _fraction(self.lam, "lambda"), self.m
-        if not 0 < mu < Fraction(1, 3):
-            raise ParameterError(f"mu={mu} violates 0 < mu < 1/3")
+        mu, lam = _mu(self.mu), _fraction(self.lam, "lambda")
         if not Fraction(1, 2) < lam < 1:
-            raise ParameterError(f"lambda={lam} violates 1/2 < lambda < 1")
-        if not _is_count(m):
-            raise ParameterError(f"m={m!r} must be a positive count")
-        m = operator.index(m)
+            raise ParameterError(f"lambda={lam} must satisfy 1/2 < lambda < 1")
+        m = _as_count(self.m, "m", error=ParameterError)
         for name, value in zip(("mu", "lam", "m", "T", "Q"), (mu, lam, m, *_thresholds(mu, lam, m))):
             object.__setattr__(self, name, value)  # frozen
 

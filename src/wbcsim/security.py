@@ -4,7 +4,9 @@ The theorem region is where all three failure probabilities decay
 exponentially in m. The closed-form bounds below instantiate the theorem's
 constants; they disregard ceilings, so they are asymptotic and may exceed 1
 at small m. Values are never clamped here — domination tests compare raw
-numbers — clamping belongs to the reporting layer.
+numbers — clamping belongs to the reporting layer. The bounds check
+(mu, lambda, m) by ProtocolParams' rule and wording; chernoff_R adds
+2/9 < mu and lambda >= (2+9*mu)/(18*mu).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .protocol import ParameterError, _fraction
-from .source import _is_count
+from .protocol import ParameterError, ProtocolParams, _fraction, _mu
+from .source import _as_count
 
 
 def lambda_threshold(mu) -> Fraction:
@@ -34,30 +36,17 @@ def in_guaranteed_region(mu, lam) -> bool:
     return lambda_threshold(mu) < lam < 1
 
 
-def _check_m(m) -> None:
-    if not _is_count(m):
-        raise ParameterError(f"m={m!r} must be a positive count")
-
-
 def chernoff_no_faulty(mu, m: int) -> float:
     """exp(-(m/6)(1-3*mu)^2), bounding the no-faulty failure probability."""
-    _check_m(m)
-    mu = _fraction(mu, "mu")
-    if not 0 < mu < Fraction(1, 3):
-        raise ParameterError(f"mu={mu} must satisfy 0 < mu < 1/3")
+    m, mu = _as_count(m, "m", error=ParameterError), _mu(mu)
     return math.exp(-(m / 6) * (1 - 3 * float(mu)) ** 2)
 
 
 def chernoff_S(mu, lam, m: int) -> float:
     """2^(-(1-lambda)*mu*m) + 4*exp(-(m/9)(1-3*mu)^2), bounding the
     faulty-sender failure probability."""
-    _check_m(m)
-    mu_q, lam_q = _fraction(mu, "mu"), _fraction(lam, "lambda")
-    if not Fraction(1, 2) < lam_q < 1:
-        raise ParameterError(f"lambda={lam_q} must satisfy 1/2 < lambda < 1")
-    if not 0 < mu_q < Fraction(1, 3):
-        raise ParameterError(f"mu={mu_q} must satisfy 0 < mu < 1/3")
-    mu_f, lam_f = float(mu_q), float(lam_q)
+    p = ProtocolParams(mu, lam, m)
+    mu_f, lam_f, m = float(p.mu), float(p.lam), p.m
     return 2.0 ** (-(1 - lam_f) * mu_f * m) + 4 * math.exp(-(m / 9) * (1 - 3 * mu_f) ** 2)
 
 
@@ -69,16 +58,14 @@ def chernoff_R(mu, lam, m: int) -> float:
     tail term is an upper tail only for lambda at or above the region
     boundary, so parameters below it are rejected.
     """
-    _check_m(m)
-    mu_q = _fraction(mu, "mu")
-    lam_q = _fraction(lam, "lambda")
-    if not Fraction(2, 9) < mu_q < Fraction(1, 3):
-        raise ParameterError(f"mu={mu_q} must satisfy 2/9 < mu < 1/3")
-    if lam_q < lambda_threshold(mu_q) or lam_q >= 1:
+    p = ProtocolParams(mu, lam, m)
+    if not Fraction(2, 9) < p.mu:
+        raise ParameterError(f"mu={p.mu} must satisfy 2/9 < mu < 1/3")
+    if p.lam < lambda_threshold(p.mu):
         raise ParameterError(
-            f"lambda={lam_q} must satisfy (2+9*mu)/(18*mu) <= lambda < 1 (threshold {lambda_threshold(mu_q)})"
+            f"lambda={p.lam} must satisfy (2+9*mu)/(18*mu) <= lambda < 1 (threshold {lambda_threshold(p.mu)})"
         )
-    mu_f, lam_f = float(mu_q), float(lam_q)
+    mu_f, lam_f, m = float(p.mu), float(p.lam), p.m
     delta = (2 + 9 * mu_f - 18 * lam_f * mu_f) / (6 - 27 * mu_f)
     x_bar = (3 * mu_f / 2 - 1 / 3) * m
     tails = 2 * math.exp(-(m / 9) * (1 - 3 * mu_f) ** 2) + 2 * math.exp(-(m / 18) * (1 - 3 * mu_f) ** 2)

@@ -160,10 +160,11 @@ def _is_count(value, least: int = 1) -> bool:
         return False
 
 
-def _check_seed(value, name: str = "seed") -> int:
-    """value as a Python int, if it is a non-negative integer (`_is_count`)."""
-    if not _is_count(value, least=0):
-        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+def _as_count(value, name: str, least: int = 1, error: type[Exception] = ValueError) -> int:
+    """value as a Python int, if it is a count of at least `least`, 1 or 0
+    (`_is_count`); else `error`, with the one wording every entry point uses."""
+    if not _is_count(value, least):
+        raise error(f"{name} must be a {'positive count' if least else 'non-negative int'}, got {value!r}")
     return operator.index(value)
 
 
@@ -277,7 +278,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     depend on how trials are split across workers. The Monte-Carlo trials
     start from the same states, which the block seeder computes.
     """
-    seed, index = _check_seed(seed), _check_seed(index, "index")
+    seed, index = _as_count(seed, "seed", least=0), _as_count(index, "index", least=0)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
@@ -305,10 +306,9 @@ def sample_event(m: int, rng: int | np.random.Generator) -> Event:
     `rng` is either a root seed (int) or an already-positioned Generator
     (e.g. from substream()).
     """
-    if not _is_count(m):
-        raise ValueError(f"m={m!r} must be a positive count")
+    m = _as_count(m, "m")
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=_check_seed(rng)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=_as_count(rng, "seed", least=0)))
     return Event(tuple(_codes_of(rng.random(m)).tolist()))
 
 

@@ -186,6 +186,13 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: invalid m range {part!r} in {text!r}\n"
 
+    @pytest.mark.parametrize("text,part", [("abc", "abc"), ("1,,2", ""), ("2.5", "2.5"), ("10,x", "x")])
+    def test_malformed_plain_m_is_named(self, capsys, text, part):
+        # these printed Python's "invalid literal for int() with base 10: 'abc'"
+        code, out, err = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", text)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: invalid m {part!r} in {text!r}\n"
+
     @pytest.mark.parametrize("text", ["0", "0..2", "5,-1"])
     def test_m_below_one_is_usage_error(self, capsys, text):
         code, out, err = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", text)

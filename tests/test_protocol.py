@@ -18,6 +18,7 @@ import wbcsim.adversary as adversary
 import wbcsim.protocol as protocol
 from wbcsim.analytics import failure_reports, pf_bruteforce, pf_S_bounds
 from wbcsim.montecarlo import estimate_pf
+from wbcsim.optimizer import GridSpec, even_grid
 from wbcsim.protocol import (
     ABORT,
     AdversaryConfig,
@@ -30,6 +31,7 @@ from wbcsim.protocol import (
     run_protocol,
     _reason,
 )
+from wbcsim.security import chernoff_S, in_guaranteed_region
 from wbcsim.source import R0_BIT, R1_BIT, S_CLASS, Event, global_counts
 
 A = ABORT
@@ -135,8 +137,17 @@ class TestThresholds:
         assert 1 <= Q <= T
 
     def test_create_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
-            ProtocolParams.create(object(), "0.9", 10)
+        # a non-number that is not text raises Fraction's TypeError, Python's
+        # convention for an argument of the wrong type, and not ParameterError
+        for call in (
+            lambda: ProtocolParams.create(object(), "0.9", 10),
+            lambda: even_grid(None, "0.3", 3),
+            lambda: GridSpec((None, "0.3", 3), ("0.9", "0.95", 2), [10], 0.05),
+            lambda: chernoff_S(None, "0.9", 10),
+            lambda: in_guaranteed_region(None, "0.9"),
+        ):
+            with pytest.raises(TypeError, match="argument should be a string or a Rational instance"):
+                call()
 
     def test_replace_derives_the_thresholds_again(self):
         # replace used to copy T = 4, Q = 1 from m = 12, and the S upper bound read 0.4999999999998898

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
-from wbcsim.protocol import ParameterError, ProtocolParams
+from wbcsim.montecarlo import estimate_pf
+from wbcsim.protocol import AdversaryConfig, ParameterError, ProtocolParams
 from wbcsim.security import (
     chernoff_no_faulty,
     chernoff_R,
@@ -16,6 +17,7 @@ from wbcsim.security import (
     in_guaranteed_region,
     lambda_threshold,
 )
+from wbcsim.source import sample_event, substream
 
 MU, LAM = "0.272", "0.94"
 
@@ -146,6 +148,57 @@ class TestChernoffFormulas:
             chernoff_R("0.25", "0.90", 100)
         with pytest.raises(ParameterError):
             chernoff_R("0.2", "0.99", 100)
+
+
+class TestOneRule:
+    """Each input rule is stated once, so every entry point words it alike."""
+
+    @pytest.mark.parametrize(
+        "mu,lam,message",
+        [
+            (0, LAM, "mu=0 must satisfy 0 < mu < 1/3"),
+            (Fraction(1, 3), LAM, "mu=1/3 must satisfy 0 < mu < 1/3"),
+            ("-0.1", LAM, "mu=-1/10 must satisfy 0 < mu < 1/3"),
+            (MU, "0.5", "lambda=1/2 must satisfy 1/2 < lambda < 1"),
+            (MU, 1, "lambda=1 must satisfy 1/2 < lambda < 1"),
+        ],
+        ids=["mu=0", "mu=1/3", "mu=-0.1", "lambda=0.5", "lambda=1"],
+    )
+    def test_a_range_reads_alike_at_every_entry_point(self, mu, lam, message):
+        # ProtocolParams said "violates", and chernoff_R gave mu = 1/3 its own "2/9 < mu < 1/3"
+        calls = [lambda: ProtocolParams(mu, lam, 10), lambda: chernoff_S(mu, lam, 10)]
+        if lam == LAM:
+            calls.append(lambda: chernoff_no_faulty(mu, 10))
+        if mu in (MU, Fraction(1, 3)):
+            calls.append(lambda: chernoff_R(mu, lam, 10))
+        for call in calls:
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, True, "10", None])
+    def test_a_count_reads_alike_at_every_entry_point(self, bad):
+        # ProtocolParams, the bounds and sample_event said "m=0 must be a positive count"
+        p, cfg = ProtocolParams(MU, LAM, 10), AdversaryConfig.NO_FAULTY
+        cases = [
+            ("m must be a positive count", ParameterError, lambda: ProtocolParams(MU, LAM, bad)),
+            ("m must be a positive count", ParameterError, lambda: chernoff_no_faulty(MU, bad)),
+            ("m must be a positive count", ParameterError, lambda: chernoff_S(MU, LAM, bad)),
+            ("m must be a positive count", ParameterError, lambda: chernoff_R(MU, LAM, bad)),
+            ("m must be a positive count", ValueError, lambda: sample_event(bad, 1)),
+            ("n_trials must be a positive count", ValueError, lambda: estimate_pf(cfg, p, bad, 1)),
+            ("jobs must be a positive count", ValueError, lambda: estimate_pf(cfg, p, 10, 1, jobs=bad)),
+        ]
+        if bad != 0:  # 0 is a seed and a trial index
+            cases += [
+                ("seed must be a non-negative int", ValueError, lambda: estimate_pf(cfg, p, 10, bad)),
+                ("seed must be a non-negative int", ValueError, lambda: sample_event(3, bad)),
+                ("seed must be a non-negative int", ValueError, lambda: substream(bad, 0)),
+                ("index must be a non-negative int", ValueError, lambda: substream(0, bad)),
+            ]
+        for prefix, error, call in cases:
+            with pytest.raises(error, match=f"^{re.escape(f'{prefix}, got {bad!r}')}$") as info:
+                call()
+            assert type(info.value) is error
 
 
 class TestDomination:

@@ -25,7 +25,7 @@ from wbcsim.source import (
 )
 import wbcsim.protocol as protocol
 import wbcsim.source as source
-from wbcsim.source import _CDF, _check_seed, _codes_of, _trial_draws, _trial_states
+from wbcsim.source import _CDF, _as_count, _codes_of, _trial_draws, _trial_states
 
 events_st = st.lists(st.integers(0, 5), min_size=1, max_size=12).map(lambda c: Event(tuple(c)))
 
@@ -226,7 +226,7 @@ class TestBlockSeeder:
         # an np.int64 seed or index raised "seed must be a non-negative int"
         assert np.array_equal(substream(np.int64(9), np.uint32(4)).random(5), substream(9, 4).random(5))
         assert sample_event(7, np.int64(11)) == sample_event(7, 11)
-        assert [type(_check_seed(v)) for v in (np.int64(3), np.uint8(0), 5)] == [int, int, int]
+        assert [type(_as_count(v, "seed", least=0)) for v in (np.int64(3), np.uint8(0), 5)] == [int, int, int]
 
     def test_codes_count_the_table_entries_at_or_below_each_draw(self):
         # Generator.random draws lie in [0, 1); the last entry is 1.0
