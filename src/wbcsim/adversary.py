@@ -116,7 +116,7 @@ def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarr
     """The largest failed weight numerator any strategy reaches on one
     group of Events that share the local count list `counts` (exhaustive
     enumeration of k-vectors)."""
-    return int(_failed_weights(cfg, p, codes, nums, _strategy_ks(cfg, counts)).max())
+    return int(_failed_weights(cfg, p, codes, nums, _strategy_ks(cfg, counts))[0].max())
 
 
 def conditional_failure_probability(
@@ -129,7 +129,7 @@ def conditional_failure_probability(
     `_events_by_local_list` group (codes, numerators) of Events."""
     codes, nums = events
     ks = _checked_ks(cfg, strategy, _view(cfg, codes[:1]))
-    return Fraction(int(_failed_weights(cfg, p, codes, nums, ks)[0]), int(nums.sum()))
+    return Fraction(int(_failed_weights(cfg, p, codes, nums, ks)[0, 0]), int(nums.sum()))
 
 
 def max_conditional_failure(

@@ -432,22 +432,15 @@ def pf_R_bounds(p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, 
     return failure_reports(AdversaryConfig.R0_FAULTY, p, exact)
 
 
-def pf_bruteforce(
-    cfg: AdversaryConfig, p: ProtocolParams, kind: Union[BoundKind, str] = BoundKind.UPPER
-) -> FailureReport:
+def pf_bruteforce(cfg: AdversaryConfig, p: ProtocolParams) -> tuple[FailureReport, ...]:
     """Exhaustive 6^m oracle: run the protocol on every Event, block by
-    block, and sum the integer weights of the failures into one Fraction.
-    Faulty configurations apply the optimal incomplete strategy; an Event
-    outside the strategy domain scores as failure for UPPER and as success
-    for LOWER. `kind` may be a BoundKind value ("upper"); NO_FAULTY reports EXACT."""
-    kind = BoundKind(kind)
+    block, and sum the integer weights of the failures into Fractions. The
+    reports are failure_reports(cfg, p, exact=True)'s, from one enumeration:
+    (EXACT,) with no faulty component, (LOWER, UPPER) for the optimal
+    incomplete strategy otherwise, which score an Event outside its domain
+    as success and as failure."""
     if p.m > 8:
         raise ValueError("exhaustive enumeration limited to m <= 8")
-    if _checked_config(cfg) is AdversaryConfig.NO_FAULTY:
-        kind = BoundKind.EXACT
-    elif kind is BoundKind.EXACT:
-        raise ValueError("faulty configurations only admit LOWER/UPPER brute-force scoring")
-    ood_fails = kind is BoundKind.UPPER
-    failed = sum(_failed_weights(cfg, p, codes, nums, ood_fails=ood_fails)[0] for codes, nums in _event_blocks(p.m))
-    total = Fraction(int(failed), _DENOMINATOR**p.m)
-    return FailureReport(cfg, kind, total, p)
+    kinds = (BoundKind.EXACT,) if _checked_config(cfg) is AdversaryConfig.NO_FAULTY else (BoundKind.LOWER, BoundKind.UPPER)
+    weights = sum(_failed_weights(cfg, p, codes, nums)[:, 0] for codes, nums in _event_blocks(p.m)).cumsum()
+    return tuple(FailureReport(cfg, kind, Fraction(int(w), _DENOMINATOR**p.m), p) for kind, w in zip(kinds, weights))

@@ -119,8 +119,8 @@ def ingest_counts(fh: IO[str]) -> BitstringDistribution:
     and return the normalized distribution."""
     try:
         raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"counts file is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8 (RFC 8259)
+        raise InputFormatError(f"counts file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputFormatError("counts file must be a JSON object of bitstring -> count")
     return BitstringDistribution.from_mapping(raw)
@@ -130,8 +130,8 @@ def ingest_density_matrix(fh: IO[str]) -> DensityMatrix16:
     """Read a JSON array of 16 rows x 16 [re, im] pairs."""
     try:
         raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"density-matrix file is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8 (RFC 8259)
+        raise InputFormatError(f"density-matrix file is not valid UTF-8 JSON: {exc}") from exc
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

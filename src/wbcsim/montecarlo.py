@@ -49,7 +49,7 @@ def _count_failures(cfg: AdversaryConfig, p: ProtocolParams, seed: int, lo: int,
     a whole block of rows goes through the protocol engine at once."""
     draws = np.empty((_block_rows(p.m), p.m))
     ones = np.ones(len(draws), np.int64)
-    return sum(int(_failed_weights(cfg, p, _codes_of(b), ones[: len(b)])[0]) for b in _trial_draws(seed, lo, hi, draws))
+    return sum(int(_failed_weights(cfg, p, _codes_of(b), ones[: len(b)]).sum()) for b in _trial_draws(seed, lo, hi, draws))
 
 
 def estimate_pf(

@@ -163,6 +163,7 @@ class GridSpec:
         if not ms or not all(map(_is_count, ms)) or ms != sorted(set(ms)):
             raise ValueError("m_candidates must be a non-empty, strictly ascending sequence of positive counts")
         _check_target(self.p_target)
+        object.__setattr__(self, "m_candidates", tuple(map(int, ms)))  # frozen; Verdicts are Python ints
 
     def mu_values(self) -> list[Fraction]:
         return even_grid(*self.mu_range)

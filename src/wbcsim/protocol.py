@@ -491,22 +491,24 @@ def _achieved(cfg: AdversaryConfig, y_s: int, y0: np.ndarray, y1: np.ndarray) ->
     raise ValueError(f"unknown adversary configuration {cfg!r}")
 
 
-def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes, nums, ks=None, ood_fails=True) -> np.ndarray:
-    """The failed weight (the sum of `nums` over the rows that fail for
-    x_S = 0) of each column of `ks` (explicit strategies, class-major) or,
-    when None, of the optimal strategy, under which a row outside its domain
-    fails iff `ood_fails`. Each block is ranked once and runs its strategies
-    a few at a time, so no engine call exceeds the block budget."""
+def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes, nums, ks=None) -> np.ndarray:
+    """The weights (sums of `nums`) of the rows that fail for x_S = 0 inside
+    the strategy domain (row 0) and of the rows outside it (row 1), one
+    column per column of `ks` (explicit strategies, class-major, which have
+    no outside) or, when None, for the optimal strategy. Each block is ranked
+    once and runs its strategies a few at a time, so no engine call exceeds
+    the block budget."""
     step = _block_rows(codes.shape[1])
-    weights = np.zeros(1 if ks is None else ks.shape[1], np.int64)
+    weights = np.zeros((2, 1 if ks is None else ks.shape[1]), np.int64)
     for lo in range(0, len(codes), step):
         block = codes[lo : lo + step]
         view = None if cfg is AdversaryConfig.NO_FAULTY else _view(cfg, block)
         per = max(1, step // len(block))
-        for k in range(0, len(weights), per):
+        for k in range(0, weights.shape[1], per):
             rows = _run_rows(block, p, cfg, 0, view, None if ks is None else ks[:, k : k + per, None])
-            failed = np.where(rows.ood != 0, ood_fails, ~_achieved(cfg, 0, rows.y0, rows.y1))
-            weights[k : k + per] += failed @ nums[lo : lo + step]
+            inside, w = rows.ood == 0, nums[lo : lo + step]
+            weights[0, k : k + per] += (inside & ~_achieved(cfg, 0, rows.y0, rows.y1)) @ w
+            weights[1, k : k + per] += ~inside @ w
     return weights
 
 

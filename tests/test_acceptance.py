@@ -26,7 +26,7 @@ from wbcsim.adversary import (
     zeta_S,
 )
 from wbcsim.analytics import (
-    BoundKind,
+    failure_reports,
     pf_bruteforce,
     pf_no_faulty_exact,
     pf_R_bounds,
@@ -132,13 +132,8 @@ def test_criterion_4_exhaustive_oracle_equivalence():
         for mu, lam in (("0.26", "0.94"), (MU, LAM), ("0.30", "0.95")):
             for m in range(1, 6):
                 p = params(m, mu, lam)
-                assert pf_bruteforce(NO_FAULTY, p).value == pf_no_faulty_exact(p, exact=True).value
-                s_lo, s_hi = pf_S_bounds(p, exact=True)
-                assert pf_bruteforce(S_FAULTY, p, BoundKind.LOWER).value == s_lo.value
-                assert pf_bruteforce(S_FAULTY, p, BoundKind.UPPER).value == s_hi.value
-                r_lo, r_hi = pf_R_bounds(p, exact=True)
-                assert pf_bruteforce(R0_FAULTY, p, BoundKind.LOWER).value == r_lo.value
-                assert pf_bruteforce(R0_FAULTY, p, BoundKind.UPPER).value == r_hi.value
+                for cfg in (NO_FAULTY, S_FAULTY, R0_FAULTY):
+                    assert pf_bruteforce(cfg, p) == failure_reports(cfg, p, exact=True)
 
 
 def test_criterion_5_strategy_optimality_and_dysfunctional_classes():

@@ -464,40 +464,38 @@ class TestExactBackend:
 
 class TestBruteForceOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_no_faulty_equivalence(self, m):
+    @pytest.mark.parametrize("cfg", [NO_FAULTY, S_FAULTY, R0_FAULTY], ids=lambda c: c.value)
+    def test_equals_the_exact_reports(self, cfg, m):
         p = params("0.272", "0.94", m)
-        assert pf_bruteforce(NO_FAULTY, p).value == pf_no_faulty_exact(p, exact=True).value
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("kind", [BoundKind.LOWER, BoundKind.UPPER])
-    def test_faulty_equivalence(self, m, kind):
-        p = params("0.272", "0.94", m)
-        idx = 0 if kind is BoundKind.LOWER else 1
-        assert pf_bruteforce(S_FAULTY, p, kind).value == pf_S_bounds(p, exact=True)[idx].value
-        assert pf_bruteforce(R0_FAULTY, p, kind).value == pf_R_bounds(p, exact=True)[idx].value
+        assert pf_bruteforce(cfg, p) == failure_reports(cfg, p, exact=True)
 
     def test_rejects_large_m(self):
         for cfg in (NO_FAULTY, S_FAULTY, R0_FAULTY):
             with pytest.raises(ValueError, match="limited to m <= 8"):
                 pf_bruteforce(cfg, params("0.272", "0.94", 9))
 
-    def test_rejects_exact_kind_for_faulty(self):
-        with pytest.raises(ValueError):
-            pf_bruteforce(S_FAULTY, params("0.3", "0.8", 2), BoundKind.EXACT)
-
-    def test_string_kind_is_its_bound_kind(self):
-        # "upper" used to score as LOWER: 2/27, labelled upper
+    def test_one_call_returns_each_bound_under_its_kind(self):
+        # a kind switch used to score "upper" as LOWER (2/27, labelled
+        # upper) and "exact" on a faulty configuration as LOWER
         p = params("0.3", "0.8", 4)
-        upper = pf_bruteforce(S_FAULTY, p, "upper")
-        assert upper == pf_bruteforce(S_FAULTY, p, BoundKind.UPPER)
-        assert upper.kind is BoundKind.UPPER and upper.value == Fraction(25, 27)
-        assert pf_bruteforce(S_FAULTY, p, "lower").value == Fraction(2, 27)
+        lower, upper = pf_bruteforce(S_FAULTY, p)
+        assert (lower.kind, lower.value) == (BoundKind.LOWER, Fraction(2, 27))
+        assert (upper.kind, upper.value) == (BoundKind.UPPER, Fraction(25, 27))
+        [exact] = pf_bruteforce(NO_FAULTY, p)
+        assert (exact.kind, exact.value) == (BoundKind.EXACT, Fraction(16, 27))
 
-    @pytest.mark.parametrize("kind", ["exact", "UPPER", "tight"])
-    def test_rejects_exact_or_unknown_kind_strings(self, kind):
-        # "exact" on a faulty config used to return the LOWER value
-        with pytest.raises(ValueError):
-            pf_bruteforce(S_FAULTY, params("0.3", "0.8", 2), kind)
+    @pytest.mark.parametrize("cfg", [NO_FAULTY, S_FAULTY, R0_FAULTY], ids=lambda c: c.value)
+    def test_every_report_comes_from_one_enumeration(self, monkeypatch, cfg):
+        passes, event_blocks = [], analytics._event_blocks
+
+        def spy(m):
+            passes.append(m)
+            yield from event_blocks(m)
+
+        monkeypatch.setattr(analytics, "_event_blocks", spy)
+        p = params("0.25", "0.9", 4)
+        assert pf_bruteforce(cfg, p) == failure_reports(cfg, p, exact=True)
+        assert passes == [4]
 
 
 class TestFailureReport:

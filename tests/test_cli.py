@@ -117,6 +117,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "fidelity", "--counts", str(bad))
         assert code == EXIT_INPUT and "00110" in err
 
+    @pytest.mark.parametrize("flag", ["--counts", "--density"])
+    def test_input_file_that_is_not_utf8_is_input_error(self, capsys, tmp_path, flag):
+        # a UTF-16 byte order mark used to exit 2 (usage) with a bare codec error
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run(capsys, "fidelity", flag, str(path))
+        assert code == EXIT_INPUT and out == "" and "not valid UTF-8 JSON" in err
+
     @pytest.mark.parametrize(
         "flag,payload",
         [

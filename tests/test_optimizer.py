@@ -1,5 +1,6 @@
 """Tests for minimal-resource search and the (mu, lambda) grid scan."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -158,6 +159,15 @@ class TestGridSpec:
 
     def test_numpy_steps_pass(self):
         assert even_grid("0.271", "0.273", np.int64(3)) == even_grid("0.271", "0.273", 3)
+
+    @pytest.mark.parametrize("ms", [np.arange(270, 301), [np.int64(m) for m in range(270, 301)]], ids=["ndarray", "int64-list"])
+    def test_numpy_candidates_are_stored_as_python_ints(self, ms):
+        # numpy candidates used to give numpy.int64 verdicts, which json.dumps rejects
+        mus, lams = (Fraction("0.271"), Fraction("0.273"), 2), (Fraction("0.93"), Fraction("0.95"), 2)
+        g = GridSpec(mus, lams, ms, 0.05)
+        assert g.m_candidates == tuple(range(270, 301)) and {type(m) for m in g.m_candidates} == {int}
+        assert json.dumps([v for _, _, v in grid_search(g)]) == '["NOT_FOUND", 292, "NOT_FOUND", 290]'
+        assert GridSpec(mus, lams, [280], 0.05) == GridSpec(mus, lams, (280,), 0.05)
 
     def test_grid_values_are_exact_and_inclusive(self):
         mus = even_grid("0.269", "0.275", 7)

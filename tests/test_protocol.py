@@ -383,8 +383,6 @@ class TestRunProtocol:
             lambda: failure_reports(cfg, params12, exact=True),
             lambda: estimate_pf(cfg, params12, 10, 0),
             lambda: pf_bruteforce(cfg, small),
-            lambda: pf_bruteforce(cfg, small, kind="lower"),
-            lambda: pf_bruteforce(cfg, small, kind="exact"),
             lambda: adversary.best_failure_probability_bruteforce(cfg, small),
             lambda: adversary.max_conditional_failure(cfg, small, events),
             lambda: adversary.conditional_failure_probability(cfg, small, events, adversary.StrategyS(0, 0, 0, 0, 0, 0)),
@@ -445,6 +443,25 @@ class TestEngine:
                 continue
             assert rows.ood[r] == 0
             assert achieved[r] == (classify_weak_broadcast(cfg, t.x_s, t.y0, t.y1) is ACH)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mu,lam", [("0.3", "0.8"), ("0.272", "0.94"), ("0.25", "0.9")])
+    @pytest.mark.parametrize("cfg", CONFIGS[1:], ids=lambda c: c.value)
+    def test_kernel_weighs_failures_inside_and_outside_the_domain(self, cfg, mu, lam, m):
+        # row 0 is the weight of the Events whose transcript fails, row 1 of
+        # those run_protocol finds outside the strategy domain
+        p = ProtocolParams.create(mu, lam, m)
+        got, want = np.zeros(2, np.int64), [0, 0]
+        for codes, nums in adversary._event_blocks(m):
+            got += protocol._failed_weights(cfg, p, codes, nums)[:, 0]
+            for row, num in zip(codes.tolist(), nums.tolist()):
+                try:
+                    t = run_protocol(Event(tuple(row)), p, cfg)
+                except OutOfDomainError:
+                    want[1] += num
+                    continue
+                want[0] += num * (classify_weak_broadcast(cfg, t.x_s, t.y0, t.y1) is FAIL)
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("m", [12, 130], ids=["one-word", "three-words"])
     def test_r0_classes_are_the_where_formula(self, m):
