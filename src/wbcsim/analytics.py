@@ -56,13 +56,13 @@ from __future__ import annotations
 
 import enum
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, gammaln
 
 from .adversary import _DENOMINATOR, _event_blocks
 from .protocol import AdversaryConfig, ProtocolParams, _checked_config, _failed_weights
@@ -222,10 +222,14 @@ def _exact(k, n, q: _Rate, tail=None) -> _Smooth:
     return _Smooth(np.array(num, dtype=object).reshape(shape), (top * q.e[0], top * q.e[1], top * q.e[2]))
 
 
+# scipy.special, imported on the first float call: it is about half of a command's start-up
+_special = functools.cache(lambda: importlib.import_module("scipy.special"))
+
+
 @functools.cache
 def _log_factorials(size: int) -> np.ndarray:
     """log(i!) for 0 <= i < size, read-only; sizes are powers of two, one table per doubling of m."""
-    table = gammaln(np.arange(size) + 1.0)
+    table = _special().gammaln(np.arange(size) + 1.0)
     table.flags.writeable = False
     return table
 
@@ -263,8 +267,8 @@ _EXACT = _Binomial(
 # bdtr gives nan for k < 0 (fmax makes it 0) and both give nan for k > n (taken at k = n)
 _FLOAT = _Binomial(
     pmf=_float_pmf,
-    cdf=lambda k, n, q: np.fmax(bdtr(np.minimum(k, n), n, q.float), 0.0),
-    sf=lambda k, n, q: bdtrc(np.minimum(k, n), n, q.float),
+    cdf=lambda k, n, q: np.fmax(_special().bdtr(np.minimum(k, n), n, q.float), 0.0),
+    sf=lambda k, n, q: _special().bdtrc(np.minimum(k, n), n, q.float),
     scalar=lambda q: q.float,
 )
 

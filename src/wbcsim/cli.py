@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy
-import scipy
 
 from . import __version__, analytics, metrics, montecarlo, optimizer, security
 from .analytics import BoundKind
@@ -108,6 +107,7 @@ def _write_manifest(args) -> None:
         return
     manifest = {key: value for key, value in vars(args).items() if key not in ("func", "format", "output")}
     manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    import scipy  # here, not at start-up: see analytics._special
     manifest["versions"] = {
         "wbcsim": __version__,
         "python": platform.python_version(),
@@ -230,11 +230,10 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_region(args) -> None:
+    mus = optimizer.even_grid(Fraction(0), Fraction(1, 3), args.steps)
     lams = optimizer.even_grid(Fraction(1, 2), Fraction(1), args.steps)
-    rows = []
-    for mu in optimizer.even_grid(Fraction(0), Fraction(1, 3), args.steps):
-        for lam in lams:
-            rows.append([float(mu), float(lam), int(security.in_guaranteed_region(mu, lam))])
+    inside = security._region_grid(mus, lams)
+    rows = [[float(mu), float(lam), int(x)] for mu, row in zip(mus, inside) for lam, x in zip(lams, row)]
     _emit_table(["mu", "lambda", "inside"], rows, args)
 
 

@@ -17,8 +17,8 @@ from typing import Union
 import numpy as np
 
 from . import analytics
-from .protocol import AdversaryConfig, ParameterError, ProtocolParams, _fraction, _thresholds
-from .security import in_guaranteed_region
+from .protocol import AdversaryConfig, ParameterError, _fraction, _lam, _mu, _thresholds
+from .security import _region_grid, in_guaranteed_region
 from .source import _is_count
 
 NOT_FOUND = "NOT_FOUND"
@@ -61,36 +61,44 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[di
     A row a configuration skips reads "not below". A cell leaves the scan
     after the run that holds its overall crossing: there every bound is
     below the target, so each per-configuration crossing is already
-    recorded. Bound monotonicity in m is not assumed.
+    recorded. Bound monotonicity in m is not assumed. T comes from each
+    distinct mu, Q from each distinct lambda and T; a row's key, its place in
+    the run and its T and Q indices, sorts as (m, T, Q) and fits int64 for any m.
     """
-    cells = [(p.mu, p.lam) for p in (ProtocolParams.create(mu, lam, 1) for mu, lam in cells)]  # range checks
+    mu_index, lam_index = {}, {}  # each distinct value's index, in first-seen order
+    mu_at = np.array([mu_index.setdefault(mu, len(mu_index)) for mu, _ in cells], dtype=np.intp)
+    lam_at = np.array([lam_index.setdefault(lam, len(lam_index)) for _, lam in cells], dtype=np.intp)
+    mus, lams = [_mu(mu) for mu in mu_index], [_lam(lam) for lam in lam_index]  # range checks
     names = [cfg.value for cfg in AdversaryConfig] + ["overall"]
-    out: list[dict[str, Verdict]] = [dict.fromkeys(names, NOT_FOUND) for _ in cells]
-    open_cells = list(range(len(cells)))
+    missing = len(ms)  # the found index of a crossing not found
+    found, open_cells = np.full((len(names), len(cells)), missing), np.arange(len(cells))
     for lo in range(0, len(ms), _RUN):
-        if not open_cells:
+        if not len(open_cells):
             break
-        run = ms[lo : lo + _RUN]
-        m_column = np.array(run).astype(object)  # Python ints, also from numpy candidates
-        keys = np.concatenate(
-            [np.stack([m_column, *_thresholds(*cells[i], m_column)], axis=1) for i in open_cells]
-        ).astype(np.int64)  # T and Q are at most m
-        rows, index = np.unique(keys, axis=0, return_inverse=True)
-        index = index.reshape(len(open_cells), len(run))
+        run = np.array(ms[lo : lo + _RUN])
+        # _thresholds at lambda = 1 gives T alone, and at mu = 1 with m = T, Q at each T
+        T = np.array([_thresholds(mu, 1, run.astype(object))[0] for mu in mus], dtype=np.int64)
+        t_values, t_at = np.unique(T, return_inverse=True)
+        Q = np.array([_thresholds(1, lam, t_values.astype(object))[1] for lam in lams], dtype=np.int64)
+        q_values, q_at = np.unique(Q, return_inverse=True)
+        t_cell = t_at.reshape(T.shape)[mu_at[open_cells]]  # (open cells, run)
+        q_cell = q_at.reshape(Q.shape)[lam_at[open_cells, None], t_cell]
+        key = (np.arange(len(run)) * len(t_values) + t_cell) * len(q_values) + q_cell
+        keys = np.unique(key)
+        index = np.searchsorted(keys, key)
+        at_m, at_t = divmod(keys // len(q_values), len(t_values))
+        rows = np.stack([run[at_m], t_values[at_t], q_values[keys % len(q_values)]], axis=1)
         s_open = np.zeros(len(rows), dtype=bool)  # rows of a cell still without its S crossing
-        s_open[index[[out[i][AdversaryConfig.S_FAULTY.value] == NOT_FOUND for i in open_cells]]] = True
+        s_open[index[found[names.index(AdversaryConfig.S_FAULTY.value), open_cells] == missing]] = True
         no_faulty = _below(AdversaryConfig.NO_FAULTY, rows, np.ones(len(rows), dtype=bool), p_target)
         r0 = _below(AdversaryConfig.R0_FAULTY, rows, no_faulty, p_target)
         s = _below(AdversaryConfig.S_FAULTY, rows, no_faulty & (s_open | r0), p_target)
         below = np.stack([no_faulty, s, r0])[:, index]
         below = np.concatenate([below, below.all(axis=0, keepdims=True)])
-        crossed, at = below.any(axis=2), below.argmax(axis=2)
-        for j, i in enumerate(open_cells):
-            for k, name in enumerate(names):
-                if crossed[k, j] and out[i][name] == NOT_FOUND:
-                    out[i][name] = run[at[k, j]]
-        open_cells = [i for i in open_cells if out[i]["overall"] == NOT_FOUND]
-    return out
+        first = np.where(below.any(axis=2), lo + below.argmax(axis=2), missing)
+        found[:, open_cells] = np.minimum(found[:, open_cells], first)
+        open_cells = open_cells[found[-1, open_cells] == missing]
+    return [dict(zip(names, [ms[i] if i < missing else NOT_FOUND for i in at])) for at in found.T.tolist()]
 
 
 def _below(cfg: AdversaryConfig, rows: np.ndarray, keep: np.ndarray, p_target: float) -> np.ndarray:
@@ -176,6 +184,6 @@ def grid_search(g: GridSpec) -> list[tuple[Fraction, Fraction, Verdict]]:
     """Evaluate every cell: OUTSIDE_REGION, the minimal sufficient candidate
     m, or NOT_FOUND. Ordered row-major by grid indices (mu outer)."""
     mus, lams = g.mu_values(), g.lambda_values()
-    cells = [(mu, lam, in_guaranteed_region(mu, lam)) for mu in mus for lam in lams]
+    cells = [(mu, lam, inside) for mu, row in zip(mus, _region_grid(mus, lams)) for lam, inside in zip(lams, row)]
     found = iter(_scan([(mu, lam) for mu, lam, inside in cells if inside], g.p_target, g.m_candidates))
     return [(mu, lam, next(found)["overall"] if inside else OUTSIDE_REGION) for mu, lam, inside in cells]

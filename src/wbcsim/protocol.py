@@ -60,6 +60,14 @@ def _mu(value) -> Fraction:
     return mu
 
 
+def _lam(value) -> Fraction:
+    """lambda as a Fraction if 1/2 < lambda < 1, the protocol's range."""
+    lam = _fraction(value, "lambda")
+    if not Fraction(1, 2) < lam < 1:
+        raise ParameterError(f"lambda={lam} must satisfy 1/2 < lambda < 1")
+    return lam
+
+
 class OutOfDomainError(Exception):
     """The Event's local count list is outside the adversary strategy domain."""
 
@@ -143,9 +151,7 @@ class ProtocolParams:
     Q: int = field(init=False)
 
     def __post_init__(self):
-        mu, lam = _mu(self.mu), _fraction(self.lam, "lambda")
-        if not Fraction(1, 2) < lam < 1:
-            raise ParameterError(f"lambda={lam} must satisfy 1/2 < lambda < 1")
+        mu, lam = _mu(self.mu), _lam(self.lam)
         m = _as_count(self.m, "m", error=ParameterError)
         for name, value in zip(("mu", "lam", "m", "T", "Q"), (mu, lam, m, *_thresholds(mu, lam, m))):
             object.__setattr__(self, name, value)  # frozen

@@ -29,11 +29,14 @@ def lambda_threshold(mu) -> Fraction:
 def in_guaranteed_region(mu, lam) -> bool:
     """True iff 2/9 < mu < 1/3 and (2+9*mu)/(18*mu) < lambda < 1, evaluated
     in exact rational arithmetic."""
-    mu = _fraction(mu, "mu")
-    lam = _fraction(lam, "lambda")
-    if not Fraction(2, 9) < mu < Fraction(1, 3):
-        return False
-    return lambda_threshold(mu) < lam < 1
+    return _region_grid([_fraction(mu, "mu")], [_fraction(lam, "lambda")])[0][0]
+
+
+def _region_grid(mus: list[Fraction], lams: list[Fraction]) -> list[list[bool]]:
+    """in_guaranteed_region for each mu (rows) and lam = c/d (columns), Fractions: each mu's threshold t once,
+    then t < c/d < 1 as integer products; outside 2/9 < mu < 1/3, t = 1, which no lambda below 1 exceeds."""
+    thresholds = [lambda_threshold(mu) if Fraction(2, 9) < mu < Fraction(1, 3) else Fraction(1) for mu in mus]
+    return [[t.numerator * lam.denominator < lam.numerator * t.denominator < t.denominator * lam.denominator for lam in lams] for t in thresholds]
 
 
 def chernoff_no_faulty(mu, m: int) -> float:

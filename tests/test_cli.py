@@ -572,10 +572,23 @@ def _python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of start-up on every command
-    result = _python("-c", "import sys, wbcsim.cli; print('scipy.stats' in sys.modules)")
-    assert result.returncode == 0 and result.stdout.strip() == "False"
+@pytest.mark.parametrize(
+    "argv,loads",
+    [
+        ((), False),
+        (("oracle", "--config", "s-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "3"), False),
+        (("simulate", "--config", "r0-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "8", "--trials", "50"), False),
+        (("mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05"), True),
+    ],
+    ids=["import", "oracle", "simulate", "mmin"],
+)
+def test_cli_import_does_not_load_scipy_stats(argv, loads):
+    # scipy.stats costs about a second of start-up on every command, and
+    # scipy.special about half of the rest: it loads on the first float bound
+    code = "import sys, wbcsim.cli; wbcsim.cli.build_parser(); argv = sys.argv[1:]; argv and wbcsim.cli.main(argv); "
+    code += "print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)), file=sys.stderr)"
+    result = _python("-c", code, *argv)
+    assert result.returncode == 0 and result.stderr.strip() == str(["scipy.special"] if loads else [])
 
 
 def test_module_entry_point_exits_with_the_code_of_main():

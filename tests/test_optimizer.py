@@ -349,6 +349,33 @@ class TestScanRules:
         assert scanned == [naive_crossings(cell, p_target, ms) for cell in cells]
 
 
+class TestLargeM:
+    # a row key (m * B + T) * B + Q with B = max(m) + 1 leaves int64 from
+    # m ~ 2 * 10^6; the scan's keys are indices into the run's rows
+    def test_keys_hold_at_m_three_million(self):
+        assert m_min_table(MU, LAM, 0.05, 2999990, 3000000) == dict.fromkeys(["no-faulty", "s-faulty", "r0-faulty", "overall"], 2999990)
+
+    @pytest.mark.slow
+    def test_grid_at_m_three_million_matches_each_cell(self):
+        ms = range(2999990, 3000001)
+        g = GridSpec(("0.27", "0.272", 2), ("0.94", "0.95", 2), ms, 0.05)
+        table = grid_search(g)
+        assert [verdict for _, _, verdict in table] == [m_min_table(mu, lam, 0.05, ms[0], ms[-1])["overall"] for mu, lam, _ in table]
+        assert {verdict for _, _, verdict in table} == {2999990}
+
+
+@pytest.mark.slow
+def test_heatmap_matches_each_cell():
+    # the (mu, lambda) plane at 200 x 200 cells over m = 1..400; every 74th
+    # in-region cell, row-major, against its own scan
+    g = GridSpec(("0.23", "0.33", 200), ("0.75", "0.99", 200), range(1, 401), 0.05)
+    inside = [(mu, lam, verdict) for mu, lam, verdict in grid_search(g) if verdict != OUTSIDE_REGION]
+    assert len(inside) == 14833
+    sample = inside[::74][:200]
+    assert [verdict for _, _, verdict in sample] == [m_min_table(mu, lam, 0.05, 1, 400)["overall"] for mu, lam, _ in sample]
+    assert NOT_FOUND in {verdict for _, _, verdict in sample} and len({verdict for _, _, verdict in sample}) > 5
+
+
 @pytest.mark.slow
 def test_smallest_advertised_target_up_to_m_15000():
     # the 1e-30 target: about 1 s, where evaluating every row on certified

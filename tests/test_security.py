@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from wbcsim.analytics import pf_no_faulty_exact, pf_R_bounds, pf_S_bounds
 from wbcsim.montecarlo import estimate_pf
@@ -14,6 +15,7 @@ from wbcsim.security import (
     chernoff_no_faulty,
     chernoff_R,
     chernoff_S,
+    _region_grid,
     in_guaranteed_region,
     lambda_threshold,
 )
@@ -54,6 +56,25 @@ class TestRegion:
                 lam = Fraction(1, 2) + Fraction(1, 2) * Fraction(j, steps - 1)
                 expected = Fraction(2, 9) < mu < Fraction(1, 3) and (2 + 9 * mu) < 18 * mu * lam and lam < 1
                 assert in_guaranteed_region(mu, lam) == expected
+
+    # mu below 0, on 0, and on and beside 2/9 and 1/3; lambda on and beside
+    # each positive mu's threshold, on 1/2 and on 1. lambda_threshold raises
+    # at mu <= 0, where the grid test reads False
+    @example(
+        mus=[Fraction(-1, 4), Fraction(0), Fraction("0.272"), Fraction(1, 2)]
+        + [mu + e for mu in (Fraction(2, 9), Fraction(1, 3)) for e in (-Fraction(1, 10**12), 0, Fraction(1, 10**12))],
+        lams=[Fraction(1, 2), Fraction(1), Fraction(11, 10)]
+        + [lambda_threshold(mu) + e for mu in (Fraction(2, 9), Fraction("0.272"), Fraction(1, 3)) for e in (-Fraction(1, 10**12), 0, Fraction(1, 10**12))],
+    )
+    @given(
+        mus=st.lists(st.fractions(-1, 1, max_denominator=10**4), min_size=1, max_size=6),
+        lams=st.lists(st.fractions(0, 2, max_denominator=10**4), min_size=1, max_size=6),
+    )
+    def test_grid_test_is_the_written_rule(self, mus, lams):
+        # in_guaranteed_region is the one-cell grid; the rule as written, with lambda_threshold only inside (2/9, 1/3)
+        rule = [[Fraction(2, 9) < mu < Fraction(1, 3) and lambda_threshold(mu) < lam < 1 for lam in lams] for mu in mus]
+        assert _region_grid(mus, lams) == rule
+        assert [[in_guaranteed_region(mu, lam) for lam in lams] for mu in mus] == rule
 
 
 class TestChernoffFormulas:
