@@ -95,9 +95,9 @@ def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
 
 def _strategy_ks(cfg: AdversaryConfig, counts: np.ndarray) -> np.ndarray:
     """Every k-vector that draws at most the available indices per class,
-    class-major: one strategy per column."""
-    check_sets = 2 if cfg is AdversaryConfig.S_FAULTY else 1
-    return np.array(list(itertools.product(*[range(b + 1) for b in counts] * check_sets))).T
+    class-major: one strategy per column (a faulty S's pairs sigma0-major)."""
+    ks = np.array(list(itertools.product(*[range(b + 1) for b in counts]))).T
+    return np.vstack([ks.repeat(len(ks[0]), 1), np.tile(ks, len(ks[0]))]) if cfg is AdversaryConfig.S_FAULTY else ks
 
 
 def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]:
@@ -105,18 +105,22 @@ def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, 
     group is its rows' codes, in itertools.product order, with their
     probability numerators over 12^m."""
     blocks = list(_event_blocks(m))
-    sizes = np.concatenate([_view(cfg, codes).sizes for codes, _ in blocks], axis=1).T
+    sizes = np.concatenate([_view(cfg, codes).sizes for codes, _ in blocks], axis=1)
     codes, nums = (np.concatenate(parts) for parts in zip(*blocks))
-    keys, group = np.unique(sizes, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    return {tuple(key): (codes[group == g], nums[group == g]) for g, key in enumerate(keys.tolist())}
+    key = sizes[0] * (m + 1) + sizes[1]  # the list sums to m, so (l1, l2) names it
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    lists = map(tuple, sizes[:, order[np.r_[0, cuts]]].T.tolist())
+    return dict(zip(lists, zip(np.split(codes[order], cuts), np.split(nums[order], cuts))))
 
 
 def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray, counts) -> int:
     """The largest failed weight numerator any strategy reaches on one
     group of Events that share the local count list `counts` (exhaustive
-    enumeration of k-vectors)."""
-    return int(_failed_weights(cfg, p, codes, nums, _strategy_ks(cfg, counts))[0].max())
+    enumeration of k-vectors). A faulty S's pairs go as a (6, K, K) grid."""
+    ks = _strategy_ks(cfg, counts)
+    grid = ks.reshape(6, math.isqrt(ks.shape[1]), -1) if cfg is AdversaryConfig.S_FAULTY else ks
+    return int(_failed_weights(cfg, p, codes, nums, grid)[0].max())
 
 
 def conditional_failure_probability(
@@ -150,9 +154,9 @@ def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams)
     composition, so the optimum factorizes: for every local count list,
     take the best strategy's failed weight; the group's probability times
     its best conditional failure probability is that weight over 12^m.
-    Exact rationals; m is capped because enumeration is 6^m Events times
-    all k-vectors. Faulty configurations only: the no-faulty oracle is
-    analytics.pf_bruteforce.
+    Exact rationals; m is capped: the search costs 6^m Events times K masks
+    per check set, not K^2, K their group's k-vectors. Faulty
+    configurations only: the no-faulty oracle is analytics.pf_bruteforce.
     """
     if p.m > 6:
         raise ValueError("brute force limited to m <= 6")

@@ -289,6 +289,10 @@ class _View(NamedTuple):
     start: np.ndarray
     sizes: np.ndarray
 
+    def rows(self, lo: int, hi: int) -> _View:
+        """The view of rows lo..hi-1; their running counts stay the block's."""
+        return _View(_Planes(*(plane[lo:hi] for plane in self.planes)), *(x[:, lo:hi] for x in self[1:]))
+
 
 def _view(cfg: AdversaryConfig, codes: np.ndarray, x_s: int = 0) -> _View:
     """The faulty party's classes of each row of a block: S's by its pair
@@ -447,9 +451,9 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
     explicit strategies, class-major (6 counts for a faulty S, 3 for a
     faulty R0), each count within its class and broadcast against the
     rows: (k, N) plays one strategy per row, (k, K, 1) each of K strategies
-    on every row, and the outputs are then (K, N). When None, the faulty
-    party plays its optimal incomplete strategy on each row's local count
-    list.
+    on every row, and the outputs are then (K, N); six arrays, sigma0's
+    (K0, 1, 1) and sigma1's (1, K1, 1), give (K0, K1, N) from K0 + K1 masks.
+    When None, the faulty party plays zeta_S or zeta_R on each row.
     """
     n = len(codes)
     ood = np.zeros(n, np.int8)
@@ -501,20 +505,25 @@ def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes, nums, ks=Non
     """The weights (sums of `nums`) of the rows that fail for x_S = 0 inside
     the strategy domain (row 0) and of the rows outside it (row 1), one
     column per column of `ks` (explicit strategies, class-major, which have
-    no outside) or, when None, for the optimal strategy. Each block is ranked
-    once and runs its strategies a few at a time, so no engine call exceeds
-    the block budget."""
+    no outside) or, when None, for the optimal strategy; (2, K0, K1) for a
+    faulty S's (6, K0, K1) grid of sigma0 and sigma1 k-vector pairs. Each
+    block is ranked once and plays every strategy on a few rows at a time,
+    so no engine call exceeds the block budget in (strategy, row) pairs."""
+    grid = (1,) if ks is None else ks.shape[1:]
+    if ks is not None:  # every strategy on every row, a grid's check sets on two axes
+        ks = ks[:, :, None] if ks.ndim == 2 else (*ks[:3, :, :1, None], *ks[3:, :1, :, None])
     step = _block_rows(codes.shape[1])
-    weights = np.zeros((2, 1 if ks is None else ks.shape[1]), np.int64)
+    run = max(1, step // int(np.prod(grid)))  # the search's m <= 6 keeps a grid to 27^2 strategies
+    weights = np.zeros((2, *grid), np.int64)
     for lo in range(0, len(codes), step):
         block = codes[lo : lo + step]
         view = None if cfg is AdversaryConfig.NO_FAULTY else _view(cfg, block)
-        per = max(1, step // len(block))
-        for k in range(0, weights.shape[1], per):
-            rows = _run_rows(block, p, cfg, 0, view, None if ks is None else ks[:, k : k + per, None])
-            inside, w = rows.ood == 0, nums[lo : lo + step]
-            weights[0, k : k + per] += (inside & ~_achieved(cfg, 0, rows.y0, rows.y1)) @ w
-            weights[1, k : k + per] += ~inside @ w
+        for r in range(0, len(block), run):
+            part = view if run >= len(block) else view.rows(r, r + run)
+            rows = _run_rows(block[r : r + run], p, cfg, 0, part, ks)
+            inside, w = rows.ood == 0, nums[lo : lo + step][r : r + run]
+            weights[0] += (inside & ~_achieved(cfg, 0, rows.y0, rows.y1)) @ w
+            weights[1] += ~inside @ w
     return weights
 
 

@@ -175,6 +175,27 @@ def test_criterion_5_strategy_optimality_and_dysfunctional_classes():
                     assert classify_weak_broadcast(R0_FAULTY, t.x_s, t.y0, t.y1) is Outcome.ACHIEVED
 
 
+@pytest.mark.parametrize("mu,lam", [("0.3", "0.8"), ("0.272", "0.94"), ("0.25", "0.9")])
+@pytest.mark.parametrize("m", [5, pytest.param(6, marks=pytest.mark.slow)])
+def test_criterion_5_strategy_optimality_at_larger_m(m, mu, lam):
+    # criterion 5's optimality past m = 4: on every group inside its domain,
+    # zeta_S and zeta_R reach the exhaustive search's maximum (T = 2, Q = 1
+    # at all three pairs, so the domains hold the same groups)
+    with verdict(5, f"zeta_S and zeta_R reach the strategy search's maximum at m={m}, ({mu}, {lam})"):
+        p = params(m, mu, lam)
+        searched = []
+        for cfg, zeta, local_type in ((S_FAULTY, zeta_S, LocalCountListS), (R0_FAULTY, zeta_R, LocalCountListR)):
+            searched.append(0)
+            for counts, events in _events_by_local_list(m, cfg).items():
+                try:
+                    strategy = zeta(local_type(*counts), p)
+                except OutOfDomainError:
+                    continue
+                assert conditional_failure_probability(cfg, p, events, strategy) == max_conditional_failure(cfg, p, events)
+                searched[-1] += 1
+        assert searched == {5: [3, 18], 6: [6, 25]}[m]
+
+
 def test_criterion_6_truth_tables():
     from test_protocol import BROADCAST_TABLE, WEAK_BROADCAST_TABLE, CONFIGS
 

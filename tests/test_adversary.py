@@ -12,6 +12,7 @@ from wbcsim.adversary import (
     StrategyS,
     _all_events,
     _events_by_local_list,
+    _strategy_ks,
     best_failure_probability_bruteforce,
     conditional_failure_probability,
     local_counts_R,
@@ -24,6 +25,7 @@ from wbcsim.protocol import (
     Outcome,
     OutOfDomainError,
     ProtocolParams,
+    _failed_weights,
     classify_weak_broadcast,
     run_protocol,
 )
@@ -221,6 +223,28 @@ class TestOptimality:
                 continue
             best = max_conditional_failure(cfg, p, events)
             assert conditional_failure_probability(cfg, p, events, strategy) == best
+
+    @pytest.mark.parametrize("mu,lam", [("0.3", "0.8"), ("0.272", "0.94")])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_factored_search_equals_one_strategy_runs(self, m, mu, lam):
+        # the search plays a faulty sender's two check sets on separate axes;
+        # every StrategyS the group allows, run alone, reaches the same best
+        p = ProtocolParams.create(mu, lam, m)
+        for (l1, l2, l3), events in _events_by_local_list(m, S_FAULTY).items():
+            half = list(itertools.product(range(l1 + 1), range(l2 + 1), range(l3 + 1)))
+            runs = [conditional_failure_probability(S_FAULTY, p, events, StrategyS(*k0, *k1)) for k0 in half for k1 in half]
+            assert max_conditional_failure(S_FAULTY, p, events) == max(runs)
+            # and pair by pair, sigma0's k-vector major
+            grid = _strategy_ks(S_FAULTY, (l1, l2, l3)).reshape(6, len(half), len(half))
+            weights = _failed_weights(S_FAULTY, p, *events, grid)
+            assert weights.shape == (2, len(half), len(half)) and not weights[1].any()
+            assert [Fraction(int(w), int(events[1].sum())) for w in weights[0].ravel()] == runs
+
+    @pytest.mark.slow
+    def test_brute_force_at_m6_is_pinned(self):
+        p = ProtocolParams.create("0.3", "0.8", 6)
+        assert best_failure_probability_bruteforce(S_FAULTY, p) == Fraction(1193, 2916)
+        assert best_failure_probability_bruteforce(R0_FAULTY, p) == Fraction(8861, 11664)
 
     def test_in_domain_s_failure_is_two_to_minus_q(self):
         p = _small_params(3)  # T = 1, Q = 1
