@@ -24,6 +24,7 @@ from .protocol import (
     StrategyR,
     StrategyS,
     _block_rows,
+    _checked_config,
     _checked_ks,
     _failed_weights,
     _one_row,
@@ -33,7 +34,7 @@ from .protocol import (
     _zeta_R_rows,
     _zeta_S_rows,
 )
-from .source import OUTCOME_PROBS, Event, LocalCountListR, LocalCountListS
+from .source import OUTCOME_PROBS, R0_BIT, S_CLASS, Event, LocalCountListR, LocalCountListS
 
 
 def _strategy_view(zeta_rows, l: LocalCountListS, p: ProtocolParams, kind: type):
@@ -100,17 +101,25 @@ def _strategy_ks(cfg: AdversaryConfig, counts: np.ndarray) -> np.ndarray:
     return np.vstack([ks.repeat(len(ks[0]), 1), np.tile(ks, len(ks[0]))]) if cfg is AdversaryConfig.S_FAULTY else ks
 
 
+# Each code's class for S (by its pair) and for R0 at x_S = 0 (XX0X where R0 measured 0, else 0011 for code 0)
+_CLASSES = {
+    AdversaryConfig.S_FAULTY: S_CLASS,
+    AdversaryConfig.R0_FAULTY: tuple(2 if bit == 0 else int(code != 0) for code, bit in enumerate(R0_BIT)),
+}
+
+
 def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]:
-    """Group all 6^m Events by the faulty party's local count list. Each
-    group is its rows' codes, in itertools.product order, with their
-    probability numerators over 12^m."""
-    blocks = list(_event_blocks(m))
-    sizes = np.concatenate([_view(cfg, codes).sizes for codes, _ in blocks], axis=1)
-    codes, nums = (np.concatenate(parts) for parts in zip(*blocks))
-    key = sizes[0] * (m + 1) + sizes[1]  # the list sums to m, so (l1, l2) names it
+    """Group all 6^m Events by the faulty party's local count list, read
+    off each code's class. Each group is its rows' codes, in
+    itertools.product order, with their probability numerators over 12^m."""
+    if _checked_config(cfg) not in _CLASSES:
+        raise ValueError(f"only a faulty party has a local count list, not {cfg!r}")
+    codes, nums = (np.concatenate(parts) for parts in zip(*_event_blocks(m)))
+    # the list sums to m, so (l1, l2) names it: key l1 * (m + 1) + l2
+    key = np.take(np.array([m + 1, 1, 0], np.int16)[list(_CLASSES[cfg])], codes).sum(axis=1)
     order = np.argsort(key, kind="stable")
     cuts = np.flatnonzero(np.diff(key[order])) + 1
-    lists = map(tuple, sizes[:, order[np.r_[0, cuts]]].T.tolist())
+    lists = [(l1, l2, m - l1 - l2) for l1, l2 in (divmod(k, m + 1) for k in key[order[np.r_[0, cuts]]].tolist())]
     return dict(zip(lists, zip(np.split(codes[order], cuts), np.split(nums[order], cuts))))
 
 

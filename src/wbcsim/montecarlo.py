@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +69,7 @@ def estimate_pf(
     if workers == 1:
         failures = _count_failures(cfg, p, seed, 0, n_trials)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its ~15 ms import
         chunk = -(-n_trials // workers)
         ranges = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

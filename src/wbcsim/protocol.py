@@ -197,9 +197,12 @@ _R0_BITS, _R1_BITS = (np.int8(sum(bit << code for code, bit in enumerate(bits)))
 # Callers pass rows to the engine in blocks of at most _BLOCK_CODES outcome
 # codes and _BLOCK_ROWS rows, so memory stays flat however many rows there
 # are: a block's Monte-Carlo draws take at most 1 MiB, and short rows, each
-# padded to a whole word per plane, do not multiply the rows.
+# padded to a whole word per plane, do not multiply the rows. A search call
+# gets the same 1 MiB, as tracemalloc measures it: per row, 3 int64 counts a
+# byte and 4 words a word for each mask, _PAIR_BYTES for each strategy pair.
 _BLOCK_CODES = 1 << 17
 _BLOCK_ROWS = 1 << 12
+_PAIR_BYTES = 11
 
 
 def _block_rows(m: int) -> int:
@@ -272,6 +275,7 @@ def _checked_config(cfg) -> AdversaryConfig:
 _LOWEST_BITS = np.array(
     [sum(1 << j for j in [j for j in range(8) if b >> j & 1][:n]) for b in range(256) for n in range(9)], np.uint8
 )
+_NONE, _ALL = np.int64(0), np.int64(8)  # a byte's 0..8 members; numpy bounds skip np.clip's dtype-limit check
 
 
 class _View(NamedTuple):
@@ -331,7 +335,7 @@ def _lowest(view: _View, ks) -> np.ndarray:
     ks = np.asarray(ks)
     rows = (3,) + (1,) * (ks.ndim - 2) + view.start.shape[1:]
     need = (ks + view.start.reshape(rows))[..., None] - view.before.reshape(*rows, -1)
-    np.clip(need, 0, 8, out=need)
+    np.clip(need, _NONE, _ALL, out=need)
     need += view.offsets.reshape(*rows, -1)
     kept = np.take(_LOWEST_BITS, need)
     return _as_words(kept[0] | kept[1] | kept[2])
@@ -507,13 +511,14 @@ def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes, nums, ks=Non
     column per column of `ks` (explicit strategies, class-major, which have
     no outside) or, when None, for the optimal strategy; (2, K0, K1) for a
     faulty S's (6, K0, K1) grid of sigma0 and sigma1 k-vector pairs. Each
-    block is ranked once and plays every strategy on a few rows at a time,
-    so no engine call exceeds the block budget in (strategy, row) pairs."""
-    grid = (1,) if ks is None else ks.shape[1:]
-    if ks is not None:  # every strategy on every row, a grid's check sets on two axes
+    block is ranked once and plays every strategy on runs of its rows, as
+    many as the block budget's bytes hold."""
+    grid, m = (1,) if ks is None else ks.shape[1:], codes.shape[1]
+    step = run = _block_rows(m)
+    if ks is not None:  # every strategy on every row, a grid's check sets on two axes; K0 + K1 or K masks
         ks = ks[:, :, None] if ks.ndim == 2 else (*ks[:3, :, :1, None], *ks[3:, :1, :, None])
-    step = _block_rows(codes.shape[1])
-    run = max(1, step // int(np.prod(grid)))  # the search's m <= 6 keeps a grid to 27^2 strategies
+        row_bytes = sum(grid) * 8 * (3 * -(-m // 8) + 4 * -(-m // 64)) + int(np.prod(grid)) * _PAIR_BYTES
+        run = max(1, 8 * _BLOCK_CODES // row_bytes)
     weights = np.zeros((2, *grid), np.int64)
     for lo in range(0, len(codes), step):
         block = codes[lo : lo + step]

@@ -175,8 +175,17 @@ def test_criterion_5_strategy_optimality_and_dysfunctional_classes():
                     assert classify_weak_broadcast(R0_FAULTY, t.x_s, t.y0, t.y1) is Outcome.ACHIEVED
 
 
-@pytest.mark.parametrize("mu,lam", [("0.3", "0.8"), ("0.272", "0.94"), ("0.25", "0.9")])
-@pytest.mark.parametrize("m", [5, pytest.param(6, marks=pytest.mark.slow)])
+@pytest.mark.parametrize(
+    "m,mu,lam",
+    [
+        (5, "0.3", "0.8"),
+        (5, "0.272", "0.94"),
+        (5, "0.25", "0.9"),
+        (6, "0.3", "0.8"),  # about 0.1 s, so tier-1 runs one m = 6 pair
+        pytest.param(6, "0.272", "0.94", marks=pytest.mark.slow),
+        pytest.param(6, "0.25", "0.9", marks=pytest.mark.slow),
+    ],
+)
 def test_criterion_5_strategy_optimality_at_larger_m(m, mu, lam):
     # criterion 5's optimality past m = 4: on every group inside its domain,
     # zeta_S and zeta_R reach the exhaustive search's maximum (T = 2, Q = 1

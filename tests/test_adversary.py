@@ -26,6 +26,7 @@ from wbcsim.protocol import (
     OutOfDomainError,
     ProtocolParams,
     _failed_weights,
+    _view,
     classify_weak_broadcast,
     run_protocol,
 )
@@ -282,6 +283,16 @@ class TestOptimality:
                 event = Event(tuple(row))
                 assert Fraction(num, 12**m) == events[event.codes]
                 assert local_counts_R(event) == LocalCountListR(*counts)
+
+    @pytest.mark.parametrize("cfg", [S_FAULTY, R0_FAULTY], ids=lambda c: c.value)
+    def test_groups_match_the_view(self, cfg):
+        # the grouping reads each Event's local count list off its codes'
+        # classes; the engine's view of every row agrees
+        for m in range(1, 6):
+            groups = _events_by_local_list(m, cfg)
+            assert sum(len(codes) for codes, _ in groups.values()) == 6**m
+            for counts, (codes, _) in groups.items():
+                assert _view(cfg, codes).sizes.T.tolist() == [list(counts)] * len(codes)
 
     def test_brute_force_rejects_large_m(self):
         with pytest.raises(ValueError, match="limited to m <= 6"):

@@ -591,6 +591,20 @@ def test_cli_import_does_not_load_scipy_stats(argv, loads):
     assert result.returncode == 0 and result.stderr.strip() == str(["scipy.special"] if loads else [])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("simulate", "--config", "s-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "8", "--trials", "50", "--jobs", "1")],
+    ids=["import", "simulate"],
+)
+def test_cli_loads_no_process_pool_for_one_worker(argv):
+    # concurrent.futures costs about 15 ms of every fresh interpreter; only
+    # a run with more than one worker process needs it
+    code = "import sys, wbcsim.cli; wbcsim.cli.build_parser(); argv = sys.argv[1:]; argv and wbcsim.cli.main(argv); "
+    code += "print('concurrent.futures' in sys.modules, file=sys.stderr)"
+    result = _python("-c", code, *argv)
+    assert result.returncode == 0 and result.stderr.strip() == "False"
+
+
 def test_module_entry_point_exits_with_the_code_of_main():
     # `python -m wbcsim.cli` runs `sys.exit(main())`, the module's entry point
     argv = ("-m", "wbcsim.cli", "mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05")

@@ -160,7 +160,8 @@ class TestJobs:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        # estimate_pf imports the pool class only when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         serial = estimate_pf(S_FAULTY, params(12), 60, seed=3)
         capped = estimate_pf(S_FAULTY, params(12), 60, seed=3, jobs=10**6)
         assert all(w <= (os.cpu_count() or 1) for w in requested)

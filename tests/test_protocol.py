@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -563,14 +564,17 @@ class TestEngine:
         assert len(seen) > 1  # the block mixes outcomes
 
     def test_blocks_stay_within_the_element_budget(self, monkeypatch):
-        # every engine call, counted in (strategy, row) pairs, and every
-        # row the faulty party's view ranks
+        # every engine call, counted in (strategy, row) pairs, with its rows
+        # and the check-set masks it builds per row, and every row the
+        # faulty party's view ranks
         pairs, ranked = [], []
         run_rows, view = protocol._run_rows, protocol._view
 
-        def spy_rows(codes, *args):
-            rows = run_rows(codes, *args)
-            pairs.append((rows.y1.size, codes.shape[1]))
+        def spy_rows(codes, p, cfg, *args):
+            rows = run_rows(codes, p, cfg, *args)
+            masks = (rows.rho01,) if cfg is AdversaryConfig.R0_FAULTY else (rows.sigma0, rows.sigma1)
+            masks = sum(mask[..., 0].size for mask in masks) // len(codes)
+            pairs.append((rows.y1.size, codes.shape[1], len(codes), masks))
             return rows
 
         def spy_view(cfg, codes, *args):
@@ -589,13 +593,44 @@ class TestEngine:
         adversary.best_failure_probability_bruteforce(s_faulty, ProtocolParams.create("0.272", "0.94", 4))
         searched = sum(len(codes) * adversary._strategy_ks(s_faulty, key).shape[1] for key, (codes, _) in groups.items())
         for blocks, total, m in ((monte_carlo, 10_000, 280), (oracle, 6**6, 6), (pairs, searched, 4)):
-            assert len(blocks) > 1 and sum(n for n, _ in blocks) == total
-            assert all(width == m and n * width <= protocol._BLOCK_CODES for n, width in blocks)
-            assert all(n <= protocol._BLOCK_ROWS for n, _ in blocks)
-        # the search ranks each group once, not once per strategy: the
-        # grouping and the engine rank every Event once, and the strategies
-        # come from each group's local count list
-        assert sum(ranked) == 2 * 6**4
+            assert len(blocks) > 1 and sum(n for n, *_ in blocks) == total
+            assert all(width == m and rows <= protocol._BLOCK_ROWS for _, width, rows, _ in blocks)
+        # Monte-Carlo and oracle blocks: one strategy per row, at most
+        # _BLOCK_CODES codes and _BLOCK_ROWS rows
+        for n, width, rows, _ in monte_carlo + oracle:
+            assert n == rows and n * width <= protocol._BLOCK_CODES
+        # a search call holds, per row, each mask's three int64 counts per
+        # byte and four words per word, and its pairs' verdicts: in bytes,
+        # within the 1 MiB of a block's draws
+        for n, width, rows, masks in pairs:
+            mask_bytes = 8 * (3 * math.ceil(width / 8) + 4 * math.ceil(width / 64))
+            assert rows * masks * mask_bytes + n * protocol._PAIR_BYTES <= 8 * protocol._BLOCK_CODES
+        # the search ranks each Event once: the grouping reads the local
+        # count lists off the codes' classes, the engine ranks each group
+        # once, and the strategies come from each group's local count list
+        assert sum(ranked) == 6**4
+
+    @pytest.mark.parametrize("cfg", [AdversaryConfig.S_FAULTY, AdversaryConfig.R0_FAULTY], ids=lambda c: c.value)
+    def test_search_calls_hold_at_most_the_block_budget(self, cfg, monkeypatch):
+        # what each engine call of the m = 5 search holds, as tracemalloc
+        # measures it, stays within the 1 MiB of a Monte-Carlo block's
+        # draws; the budget cuts some group into runs of rows
+        peaks, run_rows = [], protocol._run_rows
+
+        def spy_rows(codes, *args):
+            tracemalloc.start()
+            try:
+                rows = run_rows(codes, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return rows
+
+        monkeypatch.setattr(protocol, "_run_rows", spy_rows)
+        groups = adversary._events_by_local_list(5, cfg)
+        adversary.best_failure_probability_bruteforce(cfg, ProtocolParams.create("0.3", "0.8", 5))
+        assert max(peaks) <= 8 * protocol._BLOCK_CODES
+        assert len(peaks) > len(groups)
 
 
 def _direct_members(cfg, codes, x_s):
