@@ -414,11 +414,17 @@ def _report_rows(cfg: AdversaryConfig, rows, exact: bool = False) -> dict[BoundK
     return {BoundKind.LOWER: lower, BoundKind.UPPER: upper}
 
 
+def _reports(cfg: AdversaryConfig, ps: list[ProtocolParams], exact: bool = False) -> list[tuple[FailureReport, ...]]:
+    """A configuration's reports at each p of ps, from one block of rows:
+    (EXACT,) with no faulty component, (LOWER, UPPER) otherwise."""
+    values = _report_rows(cfg, [(p.m, p.T, p.Q) for p in ps], exact)
+    return [tuple(FailureReport(cfg, kind, v[i : i + 1].item(), p) for kind, v in values.items()) for i, p in enumerate(ps)]
+
+
 def failure_reports(cfg: AdversaryConfig, p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, ...]:
     """A configuration's reports at one p: (EXACT,) with no faulty
-    component, (LOWER, UPPER) otherwise. A one-row view of the formulas."""
-    values = _report_rows(cfg, [(p.m, p.T, p.Q)], exact)
-    return tuple(FailureReport(cfg, kind, v.item(), p) for kind, v in values.items())
+    component, (LOWER, UPPER) otherwise. A one-row view of `_reports`."""
+    return _reports(cfg, [p], exact)[0]
 
 
 def pf_no_faulty_exact(p: ProtocolParams, exact: bool = False) -> FailureReport:

@@ -143,12 +143,17 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_exact(args) -> None:
     cfg = AdversaryConfig(args.config)
-    rows = []
-    for m in _parse_m_list(args.m):
-        for report in analytics.failure_reports(cfg, _params_from(args, m)):
-            # no-faulty has one exact report, shown whatever --kind asks for
-            if report.kind is BoundKind.EXACT or args.kind in ("both", report.kind.value):
-                rows.append([m, cfg.value, report.kind.value, repr(float(report.value))])
+    ms = _parse_m_list(args.m)
+    # each distinct m is one row of one block: a value depends on its row alone
+    distinct = dict.fromkeys(ms)
+    reports = dict(zip(distinct, analytics._reports(cfg, [_params_from(args, m) for m in distinct])))
+    # no-faulty has one exact report, shown whatever --kind asks for
+    rows = [
+        [m, cfg.value, report.kind.value, repr(float(report.value))]
+        for m in ms
+        for report in reports[m]
+        if report.kind is BoundKind.EXACT or args.kind in ("both", report.kind.value)
+    ]
     _emit_table(["m", "config", "kind", "value"], rows, args)
 
 

@@ -77,9 +77,11 @@ def _scan(cells: Sequence[tuple], p_target: float, ms: Sequence[int]) -> list[di
             break
         run = np.array(ms[lo : lo + _RUN])
         # _thresholds at lambda = 1 gives T alone, and at mu = 1 with m = T, Q at each T
-        T = np.array([_thresholds(mu, 1, run.astype(object))[0] for mu in mus], dtype=np.int64)
+        run_ints = run.astype(object)
+        T = np.array([_thresholds(mu, 1, run_ints)[0] for mu in mus], dtype=np.int64)
         t_values, t_at = np.unique(T, return_inverse=True)
-        Q = np.array([_thresholds(1, lam, t_values.astype(object))[1] for lam in lams], dtype=np.int64)
+        t_ints = t_values.astype(object)
+        Q = np.array([_thresholds(1, lam, t_ints)[1] for lam in lams], dtype=np.int64)
         q_values, q_at = np.unique(Q, return_inverse=True)
         t_cell = t_at.reshape(T.shape)[mu_at[open_cells]]  # (open cells, run)
         q_cell = q_at.reshape(Q.shape)[lam_at[open_cells, None], t_cell]
@@ -164,8 +166,8 @@ class GridSpec:
     p_target: float
 
     def __post_init__(self):
-        for lo, hi, steps in (self.mu_range, self.lambda_range):
-            even_grid(lo, hi, steps)
+        # each axis is built once, here, where building it checks its range
+        object.__setattr__(self, "_axes", tuple(even_grid(*axis) for axis in (self.mu_range, self.lambda_range)))
         # an iterator would be used up here, and grid_search needs the counts again
         ms = list(self.m_candidates) if isinstance(self.m_candidates, (Sequence, np.ndarray)) else []
         if not ms or not all(map(_is_count, ms)) or ms != sorted(set(ms)):
@@ -174,10 +176,10 @@ class GridSpec:
         object.__setattr__(self, "m_candidates", tuple(map(int, ms)))  # frozen; Verdicts are Python ints
 
     def mu_values(self) -> list[Fraction]:
-        return even_grid(*self.mu_range)
+        return list(self._axes[0])
 
     def lambda_values(self) -> list[Fraction]:
-        return even_grid(*self.lambda_range)
+        return list(self._axes[1])
 
 
 def grid_search(g: GridSpec) -> list[tuple[Fraction, Fraction, Verdict]]:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -68,6 +69,10 @@ def assert_design_scan(calls, p_target=0.05, crossings=(143, 246, 280)):
     assert evaluated["s-faulty"] == [m for m in ms if below["no-faulty"][m] and (s_open[m] or below["r0-faulty"][m])]
     assert evaluated["r0-faulty"][0] == evaluated["s-faulty"][0] == no_faulty_crossing
 
+
+# sha256 of the `value` strings `exact --kind both` prints, one per line, over
+# FORMATS.md's 2280-value set, as one call per m printed them
+EXACT_FLOATS_SHA256 = "c4a4b396b85afb0bb640482863ff21e535ede910a54d3d867230a81f424bdee5"
 
 # verdicts of the default `optimize` grid: mu -> verdict at each lambda
 DEFAULT_LAMBDAS = ("0.9325", "0.935", "0.9375", "0.94", "0.9425", "0.945", "0.9475")
@@ -306,6 +311,44 @@ class TestCommands:
             [m, config, kind] for m in ("50", "100") for kind in ("lower", "upper")
         ]
         assert bound_calls == {(config, 50): 1, (config, 100): 1}
+        assert bound_calls.blocks == [(config, [50, 100])]  # one formula call for the whole list
+
+    @pytest.mark.parametrize("config", ["no-faulty", "s-faulty", "r0-faulty"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exact_list_is_one_block_with_the_bits_of_one_call_per_m(self, capsys, monkeypatch, bound_calls, config, fmt):
+        ms = [100, 98, 99, 100, 101, 102, 450, 2000, 100, 1]
+        common = ("--config", config, "--mu", "0.272", "--lambda", "0.94", "--kind", "both", "--format", fmt)
+        code, out, _ = run(capsys, "exact", *common, "--m", "100,98..102,450,2000,100,1")
+        assert code == EXIT_OK
+        # one formula call per command, each distinct m once, in first-seen order
+        assert bound_calls.blocks == [(config, [100, 98, 99, 101, 102, 450, 2000, 1])]
+        bound_calls.blocks.clear()
+        alone = [run(capsys, "exact", *common, "--m", str(m))[1] for m in ms]
+        assert bound_calls.blocks == [(config, [m]) for m in ms]
+        if fmt == "json":
+            assert json.loads(out) == [row for one in alone for row in json.loads(one)]
+            assert out == json.dumps([row for one in alone for row in json.loads(one)], indent=2) + "\n"
+        else:
+            header = alone[0].splitlines()[0]
+            assert out.splitlines() == [header] + [line for one in alone for line in one.splitlines()[1:]]
+        # every printed value still passes FailureReport's [0, 1] check
+        checked, check = [], analytics.FailureReport.__post_init__
+        monkeypatch.setattr(analytics.FailureReport, "__post_init__", lambda report: checked.append(report) or check(report))
+        run(capsys, "exact", *common, "--m", "100,98..102,450,2000,100,1")
+        assert len(checked) == 8 * (1 if config == "no-faulty" else 2)
+
+    def test_exact_prints_the_pinned_float_bits(self, capsys):
+        """FORMATS.md's 2280-value set, one call per (mu, lambda) pair and configuration."""
+        ms = "1..60,280," + ",".join(str(m) for m in range(1000, 15001, 1000))
+        digest, count = hashlib.sha256(), 0
+        for mu, lam in (("0.272", "0.94"), ("0.3", "0.8"), ("0.25", "0.9"), ("0.1", "0.6"), ("0.26", "0.94"), ("0.30", "0.95")):
+            for config in ("no-faulty", "s-faulty", "r0-faulty"):
+                code, out, _ = run(capsys, "exact", "--config", config, "--mu", mu, "--lambda", lam, "--m", ms, "--kind", "both")
+                assert code == EXIT_OK
+                for line in out.splitlines()[1:]:
+                    digest.update(line.split(",")[3].encode() + b"\n")
+                    count += 1
+        assert count == 2280 and digest.hexdigest() == EXACT_FLOATS_SHA256
 
     def test_exact_value_below_target(self, capsys):
         code, out, _ = run(capsys, "exact", "--config", "no-faulty", "--mu", "0.272", "--lambda", "0.94", "--m", "143")

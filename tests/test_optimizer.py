@@ -196,12 +196,13 @@ class TestGridSearch:
                 assert loose == OUTSIDE_REGION
 
     def test_each_axis_is_built_once(self, monkeypatch):
-        # the lambda axis used to be built once per mu: 8 even_grid calls on this 7x7 grid
-        g = GridSpec((Fraction("0.269"), Fraction("0.275"), 7), (Fraction("0.9325"), Fraction("0.9475"), 7), range(270, 301), 0.05)
+        # the lambda axis used to be built once per mu: 8 even_grid calls on this 7x7 grid;
+        # then twice per axis, to check it in GridSpec and again to search it
+        axes = (Fraction("0.269"), Fraction("0.275"), 7), (Fraction("0.9325"), Fraction("0.9475"), 7)
         expected = [
             (mu, lam, m_min_upper(mu, lam, 0.05, 270, 300) if in_guaranteed_region(mu, lam) else OUTSIDE_REGION)
-            for mu in even_grid(*g.mu_range)
-            for lam in even_grid(*g.lambda_range)
+            for mu in even_grid(*axes[0])
+            for lam in even_grid(*axes[1])
         ]
         calls = []
 
@@ -210,8 +211,9 @@ class TestGridSearch:
             return _fn(*args)
 
         monkeypatch.setattr(optimizer, "even_grid", spy)
-        assert grid_search(g) == expected
-        assert calls == [g.mu_range, g.lambda_range]
+        g = GridSpec(*axes, range(270, 301), 0.05)
+        assert grid_search(g) == expected and g.mu_values() == even_grid(*axes[0])
+        assert calls == list(axes)
 
     def test_refinement_preserves_shared_points(self):
         coarse = GridSpec((Fraction("0.271"), Fraction("0.273"), 3), (Fraction("0.9375"), Fraction("0.945"), 2), [280], 0.05)
