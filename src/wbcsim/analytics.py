@@ -133,8 +133,9 @@ class _Smooth:
     def __init__(self, num, e=(0, 0, 0)):  # num: an object array
         self.num, self.e = num, e
 
-    def item(self) -> Fraction:
-        return Fraction(self.num.item(), _power(self.e))
+    def tolist(self) -> list[Fraction]:  # of a 1-D array
+        d = _power(self.e)
+        return [Fraction(x, d) for x in self.num.tolist()]
 
     def __getitem__(self, index):
         return _Smooth(self.num[index], self.e)
@@ -214,12 +215,14 @@ def _walk_sum(k: int, n: int, q: _Rate, top: int, tail: str) -> int:
 def _exact(k, n, q: _Rate, tail=None) -> _Smooth:
     """P(X = k), one `_walk` over the broadcast k and n in row order (tails step n at one k, weights k
     at one n); or with tail "sf" or "cdf", P(X > k) or P(X <= k), each a walk down k from n or min(k, n)."""
-    shape = max(k.shape, n.shape)  # k and n differ at most in a last axis of length 1
-    ks = (k if k.shape == shape else k.repeat(shape[-1], axis=-1)).ravel().tolist()
-    ns = (n if n.shape == shape else n.repeat(shape[-1], axis=-1)).ravel().tolist()
+    if k.shape != n.shape:  # broadcast both into one full array
+        full = np.empty((2, *np.broadcast(k, n).shape), dtype=np.int64)
+        full[0], full[1] = k, n
+        k, n = full
+    ks, ns = k.ravel().tolist(), n.ravel().tolist()
     top = max(max(ns), 0)
     num = _walk(ks, ns, q, top) if tail is None else [_walk_sum(k_, n_, q, top, tail) for k_, n_ in zip(ks, ns)]
-    return _Smooth(np.array(num, dtype=object).reshape(shape), (top * q.e[0], top * q.e[1], top * q.e[2]))
+    return _Smooth(np.array(num, dtype=object).reshape(k.shape), (top * q.e[0], top * q.e[1], top * q.e[2]))
 
 
 # scipy.special, imported on the first float call: it is about half of a command's start-up
@@ -235,7 +238,7 @@ def _log_factorials(size: int) -> np.ndarray:
 
 
 def _float_pmf(k, n, q: _Rate):
-    """P(X = k) for X ~ Binom(n, q), 0 outside 0 <= k <= n."""
+    """P(X = k) for X ~ Binom(n, q), 0 outside 0 <= k <= n, over the broadcast k and n."""
     n_k = n - k
     log_fact = _log_factorials(1 << int(n.max()).bit_length())
     # log_fact[n] - log_fact[k] - log_fact[n_k] + k log q + n_k log(1 - q); outside, the table
@@ -245,7 +248,8 @@ def _float_pmf(k, n, q: _Rate):
     pmf += k * q.log
     pmf += n_k * q.log1m
     np.copyto(pmf, 0.0, where=(outside := np.minimum(k, n_k) < 0))
-    return np.where(outside, 0.0, np.exp(pmf, out=pmf))
+    np.copyto(np.exp(pmf, out=pmf), 0.0, where=outside)
+    return pmf
 
 
 class _Binomial(NamedTuple):
@@ -277,21 +281,20 @@ def _tail(b: _Binomial, ks: tuple, n, q: _Rate, valid, upper: bool) -> list:
     """P(X_n > k) if upper else P(X_n <= k), X_n ~ Binom(n, q), for each k array of ks (one k per row),
     on rows of consecutive ascending n, valid on a prefix and 0 after it (n < 0 counts as 0). The
     recurrence in n: an sf anchor at a row's first n and a forward cumulative sum for the upper tail, a
-    cdf anchor at its last valid n and a reverse one for the lower. The rows are stacked once per k and
-    split after one pass; each row is still summed alone, so each tail keeps the bits of its own call."""
-    k = np.concatenate(ks)
-    if len(ks) > 1:  # the rows, once per k
-        n, valid = np.concatenate([n] * len(ks)), np.concatenate([valid] * len(ks))
+    cdf anchor at its last valid n and a reverse one for the lower. The ks are one leading axis that
+    broadcasts against the rows, so one pass serves them all; each row is still summed alone, so each
+    tail keeps the bits of its own call."""
+    k = np.array(ks)[:, :, None]
     if upper:
-        terms = b.scalar(q) * b.pmf(k[:, None], n - 1, q)
-        terms[:, 0] = b.sf(k, np.maximum(n[:, 0], 0), q)
-        tails = terms.cumsum(axis=1) * valid
+        terms = b.scalar(q) * b.pmf(k, n - 1, q)
+        terms[..., 0] = b.sf(k[..., 0], np.maximum(n[:, 0], 0), q)
+        tails = terms.cumsum(axis=-1) * valid
     else:
-        terms = b.scalar(q) * b.pmf(k[:, None], n, q)
+        terms = b.scalar(q) * b.pmf(k, n, q)
         rows, last = np.arange(len(n)), valid.sum(axis=1) - 1
-        terms[rows, last] = b.cdf(k, np.maximum(n[rows, last], 0), q)
-        tails = (terms * valid)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return [tails[i : i + len(ks[0])] for i in range(0, len(n), len(ks[0]))]
+        terms[:, rows, last] = b.cdf(k[..., 0], np.maximum(n[rows, last], 0), q)
+        tails = (terms * valid)[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return [tails[i] for i in range(len(ks))]
 
 
 def _no_faulty_rows(m, T, Q, b: _Binomial):
@@ -312,13 +315,13 @@ def _window(b: _Binomial, m, lo, hi, q: _Rate, z):
         n_lo, n_hi = np.maximum(lo, mode - h), np.minimum(hi, mode + h)
         left_out = np.where(n_lo > lo, b.sf(m - n_lo, m, q), 0.0) + np.where(n_hi < hi, b.cdf(m - n_hi - 1, m, q), 0.0)
         lo, hi = n_lo, n_hi
-    n = lo[:, None] + np.arange(max(1, (hi - lo).max() + 1))
+    n = lo[:, None] + np.arange(max(0, int((hi - lo).max())) + 1)
     return n, n <= hi[:, None], left_out
 
 
 def _half_width(m, q: _Rate, z):
     """Entries a window keeps on each side of the mode: z sd of Binom(m, q), at least _MIN_HALF_WIDTH."""
-    return np.ceil(np.clip(z * np.sqrt(m * q.var), _MIN_HALF_WIDTH, m)).astype(np.int64)
+    return np.ceil(np.minimum(np.maximum(z * np.sqrt(m * q.var), float(_MIN_HALF_WIDTH)), m)).astype(np.int64)
 
 
 def _row_width(m, z=_Z0):
@@ -391,7 +394,7 @@ def _certified(formula, m, T, Q, z=None):
         ms, Ts, Qs = m[rows], T[rows], Q[rows]
         whole = ms.max() <= _MIN_HALF_WIDTH  # every window is the whole row and leaves nothing out
         lower, upper, *moved = formula(ms, Ts, Qs, _FLOAT, None if whole else z)
-        lower, upper = np.minimum(lower, 1), np.minimum(upper, 1)
+        lower, upper = np.minimum(lower, 1.0), np.minimum(upper, 1.0)
         if not whole:
             wide = (moved[0] > _CERTIFIED * lower) | (moved[1] > _CERTIFIED * upper)
             if wide.any():
@@ -418,7 +421,8 @@ def _reports(cfg: AdversaryConfig, ps: list[ProtocolParams], exact: bool = False
     """A configuration's reports at each p of ps, from one block of rows:
     (EXACT,) with no faulty component, (LOWER, UPPER) otherwise."""
     values = _report_rows(cfg, [(p.m, p.T, p.Q) for p in ps], exact)
-    return [tuple(FailureReport(cfg, kind, v[i : i + 1].item(), p) for kind, v in values.items()) for i, p in enumerate(ps)]
+    columns = [(kind, v.tolist()) for kind, v in values.items()]
+    return [tuple([FailureReport(cfg, kind, column[i], p) for kind, column in columns]) for i, p in enumerate(ps)]
 
 
 def failure_reports(cfg: AdversaryConfig, p: ProtocolParams, exact: bool = False) -> tuple[FailureReport, ...]:

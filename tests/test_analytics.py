@@ -197,7 +197,7 @@ class TestBlockPartitions:
             blocked = _report_rows(cfg, rows, exact=True)
             for i, row in enumerate(rows):
                 for kind, values in _report_rows(cfg, row[None], exact=True).items():
-                    assert fractions(blocked[kind])[i] == values.item(), (cfg, kind, row)
+                    assert [fractions(blocked[kind])[i]] == values.tolist(), (cfg, kind, row)
 
     def test_windowed_float_values_do_not_depend_on_the_block(self, monkeypatch):
         # past m = 400 rows are cut to windows; at (0.25, 0.9) and m >= 8000
