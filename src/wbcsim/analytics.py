@@ -343,12 +343,13 @@ def _s_rows(m, T, Q, b: _Binomial, z=None):
     fail with probability 2^-Q. Upper bound adds the out-of-domain mass: l3
     outside its range, or l1 in either tail given l3. Row entries run over
     n = T .. m - T; by the symmetry of q = 1/2, P(l1 > n - Q) = P(l1 <= Q - 1)."""
-    n, valid, left_out = _window(b, m, T, m - T, _THIRD, z)
+    m_T = m - T
+    n, valid, left_out = _window(b, m, T, m_T, _THIRD, z)
     w = b.pmf(m[:, None] - n, m[:, None], _THIRD) * valid  # P(l3 = m - n)
     below, above = _tail(b, (T - Q - 1, Q - 1), n, _HALF, valid, upper=False)  # P(l1 < T - Q), P(l1 > n - Q)
     l1_tails = below + above
     dom = _row_sum(w * (1 - l1_tails))
-    out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + _row_sum(w * l1_tails)
+    out = b.cdf(T - 1, m, _THIRD) + b.sf(m_T, m, _THIRD) + _row_sum(w * l1_tails)
     two_to_minus_q = b.scalar(_HALF) ** Q
     lower = dom * two_to_minus_q
     # a left-out entry adds at most its weight to UPPER and 2^-Q times it to LOWER
@@ -370,10 +371,11 @@ def _r_rows(m, T, Q, b: _Binomial, z=None):
     entries run over n = m - l2 = T .. m; larger l2 leaves l1 < T."""
     n, valid, left_out = _window(b, m, T, m, _SIXTH, z)
     w = b.pmf(m[:, None] - n, m[:, None], _SIXTH) * valid  # P(l2 = m - n)
-    above_lo, above_hi = _tail(b, (T - 1, m - T), n, _TWO_FIFTHS, valid, upper=True)
+    T_1, m_T = T - 1, m - T
+    above_lo, above_hi = _tail(b, (T_1, m_T), n, _TWO_FIFTHS, valid, upper=True)
     window = above_lo - above_hi  # P(T <= l1 <= m - T)
-    (lucky,) = _tail(b, (Q - 1,), n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
-    pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
+    (lucky,) = _tail(b, (Q - 1,), n - m_T[:, None], _THIRD, valid, upper=False)  # T - l2 picks
+    pink, green = b.cdf(T_1, m, _THIRD), b.sf(m_T, m, _THIRD)
     lower = pink + _row_sum(w * window * lucky)
     # a left-out entry adds at most its weight to either bound
     return lower, lower + green + left_out, left_out, left_out
