@@ -225,30 +225,39 @@ def _exact(k, n, q: _Rate, tail=None) -> _Smooth:
     return _Smooth(np.array(num, dtype=object).reshape(k.shape), (top * q.e[0], top * q.e[1], top * q.e[2]))
 
 
+# exp(x) is exactly 0 below log(2^-1075) = -745.13...; a pmf's log sum reads _LOG_BIG for a
+# negative k or n - k, which takes it far below that
+_LOG_TINY, _LOG_BIG = -746.0, 1e300
+
 # scipy.special, imported on the first float call: it is about half of a command's start-up
 _special = functools.cache(lambda: importlib.import_module("scipy.special"))
 
 
 @functools.cache
 def _log_factorials(size: int) -> np.ndarray:
-    """log(i!) for 0 <= i < size, read-only; sizes are powers of two, one table per doubling of m."""
-    table = _special().gammaln(np.arange(size) + 1.0)
+    """log(i!) for 0 <= i < size, then 2 * size entries _LOG_BIG, which an index -2 * size < i < 0
+    reads when it wraps; read-only. Sizes are powers of two, one table per doubling of m."""
+    table = np.full(3 * size, _LOG_BIG)
+    table[:size] = _special().gammaln(np.arange(size) + 1.0)
     table.flags.writeable = False
     return table
 
 
-def _float_pmf(k, n, q: _Rate):
-    """P(X = k) for X ~ Binom(n, q), 0 outside 0 <= k <= n, over the broadcast k and n."""
+def _float_pmf(k, n, q: _Rate, log_fact=None):
+    """P(X = k) for X ~ Binom(n, q), 0 outside 0 <= k <= n, over the broadcast k and n; log_fact is
+    a `_log_factorials` table whose size exceeds every |k| and |n| (by default, the smallest such)."""
     n_k = n - k
-    log_fact = _log_factorials(1 << int(n.max()).bit_length())
-    # log_fact[n] - log_fact[k] - log_fact[n_k] + k log q + n_k log(1 - q); outside, the table
-    # reads are clipped into range and the sum set to 0, as exp of -inf takes a slow path
-    pmf = log_fact.take(n, mode="clip") - log_fact.take(k, mode="clip")
-    pmf -= log_fact.take(n_k, mode="clip")
+    if log_fact is None:
+        log_fact = _log_factorials(1 << int(max(np.abs(k).max(), np.abs(n).max())).bit_length())
+    # log_fact[n] - log_fact[k] - log_fact[n_k] + k log q + n_k log(1 - q). Outside, a read of a
+    # negative k or n_k wraps to _LOG_BIG, so the sum is below _LOG_TINY, as where exp underflows
+    # to 0: the pmf is 0 at both, and the sums are set to 0 before exp, which is slow on them
+    pmf = log_fact.take(n, mode="clip") - log_fact.take(k, mode="wrap")
+    pmf -= log_fact.take(n_k, mode="wrap")
     pmf += k * q.log
     pmf += n_k * q.log1m
-    np.copyto(pmf, 0.0, where=(outside := np.minimum(k, n_k) < 0))
-    np.copyto(np.exp(pmf, out=pmf), 0.0, where=outside)
+    np.copyto(pmf, 0.0, where=(zero := pmf < _LOG_TINY))
+    np.copyto(np.exp(pmf, out=pmf), 0.0, where=zero)
     return pmf
 
 
@@ -275,6 +284,13 @@ _FLOAT = _Binomial(
     sf=lambda k, n, q: _special().bdtrc(np.minimum(k, n), n, q.float),
     scalar=lambda q: q.float,
 )
+
+
+@functools.cache
+def _float_rows(size: int) -> _Binomial:
+    """The float backend for a block of rows of 2m < size, its pmfs reading one `_log_factorials`
+    table: a formula's k and n, padding included, lie within 2m of 0."""
+    return _FLOAT._replace(pmf=functools.partial(_float_pmf, log_fact=_log_factorials(size)))
 
 
 def _tail(b: _Binomial, ks: tuple, n, q: _Rate, valid, upper: bool) -> list:
@@ -394,8 +410,9 @@ def _certified(formula, m, T, Q, z=None):
     blocks = []
     for rows in (slice(lo, lo + step) for lo in range(0, len(m), step)):
         ms, Ts, Qs = m[rows], T[rows], Q[rows]
-        whole = ms.max() <= _MIN_HALF_WIDTH  # every window is the whole row and leaves nothing out
-        lower, upper, *moved = formula(ms, Ts, Qs, _FLOAT, None if whole else z)
+        top = int(ms.max())
+        whole = top <= _MIN_HALF_WIDTH  # every window is the whole row and leaves nothing out
+        lower, upper, *moved = formula(ms, Ts, Qs, _float_rows(1 << (2 * top).bit_length()), None if whole else z)
         lower, upper = np.minimum(lower, 1.0), np.minimum(upper, 1.0)
         if not whole:
             wide = (moved[0] > _CERTIFIED * lower) | (moved[1] > _CERTIFIED * upper)
