@@ -13,8 +13,9 @@ Out-of-domain masses are summed from their own tails, never as
 
 Each formula evaluates a block of integer (m, T, Q) rows, the whole state
 a bound reads, and sums each row in index order, so a value depends on its
-row alone; `failure_reports` and `pf_*` are one-row blocks. The formulas
-are plain arithmetic (`x * valid` masks, `x.cumsum(axis=1)` sums).
+row alone. `_reports` gives a block's reports (`wbcsim exact` hands it
+its whole m list); `failure_reports` and `pf_*` are one-row blocks. The
+formulas are plain arithmetic (`x * valid` masks, `x.cumsum(axis=1)` sums).
 
 Every tail inside a sum is a binomial tail at a fixed k whose trial count
 n runs along the row. One recurrence in n computes all of them,
@@ -25,8 +26,9 @@ n runs along the row. One recurrence in n computes all of them,
 anchored by one cdf (at the row's largest n) or sf (at its smallest n)
 and continued by a cumulative sum of these positive terms. A formula's
 tails of one q and direction (S's two lower tails, R0's two upper ones)
-are one `_tail` call on the rows stacked once per k, so a one-row call
-pays for its pmf and anchors once. `exact=` only chooses the backend:
+are one `_tail` call, its ks a leading axis that broadcasts against the
+rows, so a call pays for one pmf and one anchor call per q. `exact=` only
+chooses the backend:
 
 - exact rationals, ground truth for the test oracles: integer numerators
   over one 2^a 3^b 5^c denominator per array (`_Smooth`), which every q
@@ -359,13 +361,12 @@ def _s_rows(m, T, Q, b: _Binomial, z=None):
     fail with probability 2^-Q. Upper bound adds the out-of-domain mass: l3
     outside its range, or l1 in either tail given l3. Row entries run over
     n = T .. m - T; by the symmetry of q = 1/2, P(l1 > n - Q) = P(l1 <= Q - 1)."""
-    m_T = m - T
-    n, valid, left_out = _window(b, m, T, m_T, _THIRD, z)
+    n, valid, left_out = _window(b, m, T, m - T, _THIRD, z)
     w = b.pmf(m[:, None] - n, m[:, None], _THIRD) * valid  # P(l3 = m - n)
     below, above = _tail(b, (T - Q - 1, Q - 1), n, _HALF, valid, upper=False)  # P(l1 < T - Q), P(l1 > n - Q)
     l1_tails = below + above
     dom = _row_sum(w * (1 - l1_tails))
-    out = b.cdf(T - 1, m, _THIRD) + b.sf(m_T, m, _THIRD) + _row_sum(w * l1_tails)
+    out = b.cdf(T - 1, m, _THIRD) + b.sf(m - T, m, _THIRD) + _row_sum(w * l1_tails)
     two_to_minus_q = b.scalar(_HALF) ** Q
     lower = dom * two_to_minus_q
     # a left-out entry adds at most its weight to UPPER and 2^-Q times it to LOWER
@@ -387,11 +388,10 @@ def _r_rows(m, T, Q, b: _Binomial, z=None):
     entries run over n = m - l2 = T .. m; larger l2 leaves l1 < T."""
     n, valid, left_out = _window(b, m, T, m, _SIXTH, z)
     w = b.pmf(m[:, None] - n, m[:, None], _SIXTH) * valid  # P(l2 = m - n)
-    T_1, m_T = T - 1, m - T
-    above_lo, above_hi = _tail(b, (T_1, m_T), n, _TWO_FIFTHS, valid, upper=True)
+    above_lo, above_hi = _tail(b, (T - 1, m - T), n, _TWO_FIFTHS, valid, upper=True)
     window = above_lo - above_hi  # P(T <= l1 <= m - T)
-    (lucky,) = _tail(b, (Q - 1,), n - m_T[:, None], _THIRD, valid, upper=False)  # T - l2 picks
-    pink, green = b.cdf(T_1, m, _THIRD), b.sf(m_T, m, _THIRD)
+    (lucky,) = _tail(b, (Q - 1,), n - (m - T)[:, None], _THIRD, valid, upper=False)  # T - l2 picks
+    pink, green = b.cdf(T - 1, m, _THIRD), b.sf(m - T, m, _THIRD)
     lower = pink + _row_sum(w * window * lucky)
     # a left-out entry adds at most its weight to either bound
     return lower, lower + green + left_out, left_out, left_out
