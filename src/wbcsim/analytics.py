@@ -26,9 +26,8 @@ n runs along the row. One recurrence in n computes all of them,
 anchored by one cdf (at the row's largest n) or sf (at its smallest n)
 and continued by a cumulative sum of these positive terms. A formula's
 tails of one q and direction (S's two lower tails, R0's two upper ones)
-are one `_tail` call, its ks a leading axis that broadcasts against the
-rows, so a call pays for one pmf and one anchor call per q. `exact=` only
-chooses the backend:
+are one `_tail` call on the rows stacked once per k, so a one-row call
+pays for its pmf and anchors once. `exact=` only chooses the backend:
 
 - exact rationals, ground truth for the test oracles: integer numerators
   over one 2^a 3^b 5^c denominator per array (`_Smooth`), which every q
@@ -217,14 +216,12 @@ def _walk_sum(k: int, n: int, q: _Rate, top: int, tail: str) -> int:
 def _exact(k, n, q: _Rate, tail=None) -> _Smooth:
     """P(X = k), one `_walk` over the broadcast k and n in row order (tails step n at one k, weights k
     at one n); or with tail "sf" or "cdf", P(X > k) or P(X <= k), each a walk down k from n or min(k, n)."""
-    if k.shape != n.shape:  # broadcast both into one full array
-        full = np.empty((2, *np.broadcast(k, n).shape), dtype=np.int64)
-        full[0], full[1] = k, n
-        k, n = full
-    ks, ns = k.ravel().tolist(), n.ravel().tolist()
+    shape = max(k.shape, n.shape)  # k and n differ at most in a last axis of length 1
+    ks = (k if k.shape == shape else k.repeat(shape[-1], axis=-1)).ravel().tolist()
+    ns = (n if n.shape == shape else n.repeat(shape[-1], axis=-1)).ravel().tolist()
     top = max(max(ns), 0)
     num = _walk(ks, ns, q, top) if tail is None else [_walk_sum(k_, n_, q, top, tail) for k_, n_ in zip(ks, ns)]
-    return _Smooth(np.array(num, dtype=object).reshape(k.shape), (top * q.e[0], top * q.e[1], top * q.e[2]))
+    return _Smooth(np.array(num, dtype=object).reshape(shape), (top * q.e[0], top * q.e[1], top * q.e[2]))
 
 
 # exp(x) is exactly 0 below log(2^-1075) = -745.13...; a pmf's log sum reads _LOG_BIG for a
@@ -299,20 +296,21 @@ def _tail(b: _Binomial, ks: tuple, n, q: _Rate, valid, upper: bool) -> list:
     """P(X_n > k) if upper else P(X_n <= k), X_n ~ Binom(n, q), for each k array of ks (one k per row),
     on rows of consecutive ascending n, valid on a prefix and 0 after it (n < 0 counts as 0). The
     recurrence in n: an sf anchor at a row's first n and a forward cumulative sum for the upper tail, a
-    cdf anchor at its last valid n and a reverse one for the lower. The ks are one leading axis that
-    broadcasts against the rows, so one pass serves them all; each row is still summed alone, so each
-    tail keeps the bits of its own call."""
-    k = np.array(ks)[:, :, None]
+    cdf anchor at its last valid n and a reverse one for the lower. The rows are stacked once per k and
+    split after one pass; each row is still summed alone, so each tail keeps the bits of its own call."""
+    k = np.concatenate(ks)
+    if len(ks) > 1:  # the rows, once per k
+        n, valid = np.concatenate([n] * len(ks)), np.concatenate([valid] * len(ks))
     if upper:
-        terms = b.scalar(q) * b.pmf(k, n - 1, q)
-        terms[..., 0] = b.sf(k[..., 0], np.maximum(n[:, 0], 0), q)
-        tails = terms.cumsum(axis=-1) * valid
+        terms = b.scalar(q) * b.pmf(k[:, None], n - 1, q)
+        terms[:, 0] = b.sf(k, np.maximum(n[:, 0], 0), q)
+        tails = terms.cumsum(axis=1) * valid
     else:
-        terms = b.scalar(q) * b.pmf(k, n, q)
+        terms = b.scalar(q) * b.pmf(k[:, None], n, q)
         rows, last = np.arange(len(n)), valid.sum(axis=1) - 1
-        terms[:, rows, last] = b.cdf(k[..., 0], np.maximum(n[rows, last], 0), q)
-        tails = (terms * valid)[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    return [tails[i] for i in range(len(ks))]
+        terms[rows, last] = b.cdf(k, np.maximum(n[rows, last], 0), q)
+        tails = (terms * valid)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return [tails[i : i + len(ks[0])] for i in range(0, len(n), len(ks[0]))]
 
 
 def _no_faulty_rows(m, T, Q, b: _Binomial):
