@@ -187,6 +187,17 @@ class TestBlockPartitions:
                 assert joined.tobytes() == np.concatenate([values[kind] for values in alone]).tobytes(), (cfg, kind)
 
 
+    def test_rows_of_one_m_and_different_thresholds_share_a_block(self):
+        # a block is as wide as its widest row, so a row with a larger T runs
+        # past its m; those padded entries must stay finite and masked
+        rows = np.concatenate([block(mu, "0.501", (31, 63)) for mu in ("0.15", "0.194", "0.33")])
+        assert rows[:, 1].tolist() == [5, 10, 7, 13, 11, 21]
+        for cfg in AdversaryConfig:
+            blocked = _report_rows(cfg, rows)
+            alone = [_report_rows(cfg, row[None]) for row in rows]
+            for kind in blocked:
+                assert blocked[kind].tobytes() == np.concatenate([values[kind] for values in alone]).tobytes(), (cfg, kind)
+
     @settings(max_examples=25, deadline=None)
     @given(pair=st.sampled_from(WINDOW_PAIRS), ms=st.lists(st.integers(1, 80), min_size=2, max_size=8, unique=True))
     def test_exact_values_do_not_depend_on_the_block(self, pair, ms):
@@ -410,6 +421,23 @@ def smooth_arrays(draw, shape):
     num = np.array(draw(st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size)), dtype=object)
     values = _Smooth(num.reshape(shape), draw(st.tuples(*[st.integers(0, 40)] * 3)))
     return values, fractions(values)
+
+
+class TestFloatPmf:
+    @pytest.mark.parametrize("q", [analytics._HALF, analytics._TWO_FIFTHS, _THIRD, analytics._SIXTH])
+    def test_matches_math_comb_and_is_zero_outside_or_below_the_smallest_float(self, q):
+        k = np.arange(-3, 1200)[:, None]
+        n = np.array([[-2, 0, 1, 7, 50, 400, 1100]])
+        got = analytics._float_pmf(k, n, q)
+        # any table larger than every |k| and |n| gives the same bits
+        assert got.tobytes() == analytics._float_pmf(k, n, q, analytics._log_factorials(1 << 14)).tobytes()
+        for (i, j), value in np.ndenumerate(got):
+            k_, n_ = int(k[i, 0]), int(n[0, j])
+            want = math.comb(n_, k_) * q**k_ * (1 - q) ** (n_ - k_) if 0 <= k_ <= n_ else Fraction(0)
+            if want < Fraction(1, 2**1074):  # 0 outside, and where exp of the log sum underflows
+                assert value == 0 or want >= Fraction(1, 2**1076), (k_, n_)
+            else:
+                assert abs(value - want) <= 1e-14 * n_ * want, (k_, n_)  # the log-factorials' rounding
 
 
 class TestExactBackend:

@@ -463,6 +463,39 @@ class TestParserReuse:
         per_build = len(added)
         assert build_parser() is not first and len(added) == 2 * per_build
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            EXACT,
+            ("exact", "--config", "s-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "5", "--format", "json"),
+            ("exact", "--conf", "no-faulty", "--mu", "0.3", "--lam", "0.8", "--m", "5", "--inexact"),
+            ("simulate", "--config", "r0-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "8", "--trials", "50"),
+            ("bounds", "--mu", "0.3", "--lambda", "0.8", "--m", "10..12", "--output", "b"),
+            ("optimize",),
+            ("mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "0.05", "--per-config"),
+            ("truth-table", "--kind", "broadcast"),
+            ("fidelity", "--counts", "c.json"),
+            ("oracle", "--config", "s-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "3", "--kind", "lower"),
+            ("region", "--steps", "3"),
+            ("exact", "--config", "r0-faulty", "--mu", "0.272", "--kind", "neither"),
+            ("exact", "--config", "s-faulty", "--mu", "0.3", "--lambda", "0.8", "--m", "5", "extra", "--bogus"),
+            ("mmin", "--mu", "0.272", "--lambda", "0.94", "--pft", "x"),
+            ("exact", "-h"),
+            ("nosuch", "--m", "5"),
+            ("--help",),
+            (),
+        ],
+    )
+    def test_a_subcommand_parses_as_the_whole_parser_parses_it(self, capsys, argv):
+        # main hands a subcommand's arguments straight to its parser
+        def parsed(parse):
+            try:
+                return list(vars(parse(list(argv))).items())  # the manifest keeps this order
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+
+        assert parsed(cli._parse) == parsed(cli._parser().parse_args)
+
     @pytest.mark.parametrize("argv", [("--help",), ("exact", "--help")])
     def test_help_exits_zero(self, capsys, argv):
         for _ in range(2):
