@@ -10,7 +10,6 @@ raise OutOfDomainError, which bound computations score as worst case.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Union
@@ -94,13 +93,6 @@ def _all_events(m: int) -> Iterator[tuple[Event, Fraction]]:
             yield Event(tuple(row)), Fraction(num, den)
 
 
-def _strategy_ks(cfg: AdversaryConfig, counts: np.ndarray) -> np.ndarray:
-    """Every k-vector that draws at most the available indices per class,
-    class-major: one strategy per column (a faulty S's pairs sigma0-major)."""
-    ks = np.array(list(itertools.product(*[range(b + 1) for b in counts]))).T
-    return np.vstack([ks.repeat(len(ks[0]), 1), np.tile(ks, len(ks[0]))]) if cfg is AdversaryConfig.S_FAULTY else ks
-
-
 # Each code's class for S (by its pair) and for R0 at x_S = 0 (XX0X where R0 measured 0, else 0011 for code 0)
 _CLASSES = {
     AdversaryConfig.S_FAULTY: S_CLASS,
@@ -125,11 +117,17 @@ def _events_by_local_list(m: int, cfg: AdversaryConfig) -> dict[tuple[int, int, 
 
 def _best_failed_weight(cfg: AdversaryConfig, p: ProtocolParams, codes: np.ndarray, nums: np.ndarray, counts) -> int:
     """The largest failed weight numerator any strategy reaches on one
-    group of Events that share the local count list `counts` (exhaustive
-    enumeration of k-vectors). A faulty S's pairs go as a (6, K, K) grid."""
-    ks = _strategy_ks(cfg, counts)
-    grid = ks.reshape(6, math.isqrt(ks.shape[1]), -1) if cfg is AdversaryConfig.S_FAULTY else ks
-    return int(_failed_weights(cfg, p, codes, nums, grid)[0].max())
+    group of Events that share the local count list `counts`: every k-vector
+    within it, class-major in itertools.product order (a faulty S's check sets each range over them)."""
+    return int(_failed_weights(cfg, p, codes, nums, np.indices(np.add(counts, 1)).reshape(3, -1))[0].max())
+
+
+def _checked_group(cfg: AdversaryConfig, p: ProtocolParams, events: tuple[np.ndarray, np.ndarray]):
+    """A group's codes, numerators and first row's view, once its Events are checked to be p.m long."""
+    codes, nums = events
+    if codes.shape[1] != p.m:
+        raise ValueError(f"event length {codes.shape[1]} != params m {p.m}")
+    return codes, nums, _view(cfg, codes[:1])
 
 
 def conditional_failure_probability(
@@ -140,8 +138,8 @@ def conditional_failure_probability(
 ) -> Fraction:
     """Exact failure probability of one strategy, conditioned on one
     `_events_by_local_list` group (codes, numerators) of Events."""
-    codes, nums = events
-    ks = _checked_ks(cfg, strategy, _view(cfg, codes[:1]))
+    codes, nums, first = _checked_group(cfg, p, events)
+    ks = _checked_ks(cfg, strategy, first)
     return Fraction(int(_failed_weights(cfg, p, codes, nums, ks)[0, 0]), int(nums.sum()))
 
 
@@ -152,8 +150,8 @@ def max_conditional_failure(
 ) -> Fraction:
     """Best conditional failure probability any strategy achieves on one
     `_events_by_local_list` group (codes, numerators) of Events."""
-    codes, nums = events
-    return Fraction(_best_failed_weight(cfg, p, codes, nums, _view(cfg, codes[:1]).sizes[:, 0]), int(nums.sum()))
+    codes, nums, first = _checked_group(cfg, p, events)
+    return Fraction(_best_failed_weight(cfg, p, codes, nums, first.sizes[:, 0]), int(nums.sum()))
 
 
 def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams) -> Fraction:
@@ -163,9 +161,9 @@ def best_failure_probability_bruteforce(cfg: AdversaryConfig, p: ProtocolParams)
     composition, so the optimum factorizes: for every local count list,
     take the best strategy's failed weight; the group's probability times
     its best conditional failure probability is that weight over 12^m.
-    Exact rationals; m is capped: the search costs 6^m Events times K masks
-    per check set, not K^2, K their group's k-vectors. Faulty
-    configurations only: the no-faulty oracle is analytics.pf_bruteforce.
+    Exact rationals; m is capped: the search costs 6^m Events times K masks,
+    one per k-vector of their group, which a faulty S's two check sets share.
+    Faulty configurations only: the no-faulty oracle is analytics.pf_bruteforce.
     """
     if p.m > 6:
         raise ValueError("brute force limited to m <= 6")

@@ -199,7 +199,7 @@ _R0_BITS, _R1_BITS = (np.int8(sum(bit << code for code, bit in enumerate(bits)))
 # are: a block's Monte-Carlo draws take at most 1 MiB, and short rows, each
 # padded to a whole word per plane, do not multiply the rows. A search call
 # gets the same 1 MiB, as tracemalloc measures it: per row, 3 int64 counts a
-# byte and 4 words a word for each mask, _PAIR_BYTES for each strategy pair.
+# byte and 4 words a word for each mask built, _PAIR_BYTES for each strategy pair.
 _BLOCK_CODES = 1 << 17
 _BLOCK_ROWS = 1 << 12
 _PAIR_BYTES = 11
@@ -455,9 +455,9 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
     explicit strategies, class-major (6 counts for a faulty S, 3 for a
     faulty R0), each count within its class and broadcast against the
     rows: (k, N) plays one strategy per row, (k, K, 1) each of K strategies
-    on every row, and the outputs are then (K, N); six arrays, sigma0's
-    (K0, 1, 1) and sigma1's (1, K1, 1), give (K0, K1, N) from K0 + K1 masks.
-    When None, the faulty party plays zeta_S or zeta_R on each row.
+    on every row, and the outputs are then (K, N); a faulty S's (3, K, 1)
+    plays every (sigma0, sigma1) pair of its K k-vectors from one mask each,
+    (K, K, N). When None, the faulty party plays zeta_S or zeta_R on each row.
     """
     n = len(codes)
     ood = np.zeros(n, np.int8)
@@ -468,7 +468,8 @@ def _run_rows(codes: np.ndarray, p: ProtocolParams, cfg: AdversaryConfig, x_s: i
         if ks is None:
             ood, ks = _zeta_S_rows(view.sizes, p)
         x0, x1 = 0, 1
-        sigma0, sigma1 = _lowest(view, ks[:3]), _lowest(view, ks[3:])
+        masks = _lowest(view, ks[:3])  # sigma0's; 3 counts are both check sets', sigma0's on axis 0, sigma1's on 1
+        sigma0, sigma1 = (masks, _lowest(view, ks[3:])) if len(ks) == 6 else (masks[:, None], masks[None])
     else:
         x0 = x1 = x_s
         sigma0 = sigma1 = _honest_sigma(planes, x_s)
@@ -509,15 +510,15 @@ def _failed_weights(cfg: AdversaryConfig, p: ProtocolParams, codes, nums, ks=Non
     """The weights (sums of `nums`) of the rows that fail for x_S = 0 inside
     the strategy domain (row 0) and of the rows outside it (row 1), one
     column per column of `ks` (explicit strategies, class-major, which have
-    no outside) or, when None, for the optimal strategy; (2, K0, K1) for a
-    faulty S's (6, K0, K1) grid of sigma0 and sigma1 k-vector pairs. Each
-    block is ranked once and plays every strategy on runs of its rows, as
-    many as the block budget's bytes hold."""
-    grid, m = (1,) if ks is None else ks.shape[1:], codes.shape[1]
+    no outside) or, when None, for the optimal strategy; (2, K, K) for a
+    faulty S's (3, K) set of k-vectors, sigma0's k-vector major. Each block
+    is ranked once and plays every strategy on runs of its rows, as many as
+    the block budget's bytes hold."""
+    grid, m = (1,), codes.shape[1]
     step = run = _block_rows(m)
-    if ks is not None:  # every strategy on every row, a grid's check sets on two axes; K0 + K1 or K masks
-        ks = ks[:, :, None] if ks.ndim == 2 else (*ks[:3, :, :1, None], *ks[3:, :1, :, None])
-        row_bytes = sum(grid) * 8 * (3 * -(-m // 8) + 4 * -(-m // 64)) + int(np.prod(grid)) * _PAIR_BYTES
+    if ks is not None:  # every strategy on every row, one mask per k-vector (3 counts each)
+        ks, grid = ks[:, :, None], ks.shape[1:] * (2 if cfg is AdversaryConfig.S_FAULTY and len(ks) == 3 else 1)
+        row_bytes = ks.size // 3 * 8 * (3 * -(-m // 8) + 4 * -(-m // 64)) + int(np.prod(grid)) * _PAIR_BYTES
         run = max(1, 8 * _BLOCK_CODES // row_bytes)
     weights = np.zeros((2, *grid), np.int64)
     for lo in range(0, len(codes), step):

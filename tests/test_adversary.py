@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wbcsim.protocol as protocol
 from wbcsim.adversary import (
     StrategyR,
     StrategyS,
     _all_events,
     _events_by_local_list,
-    _strategy_ks,
     best_failure_probability_bruteforce,
     conditional_failure_probability,
     local_counts_R,
@@ -235,11 +235,51 @@ class TestOptimality:
             half = list(itertools.product(range(l1 + 1), range(l2 + 1), range(l3 + 1)))
             runs = [conditional_failure_probability(S_FAULTY, p, events, StrategyS(*k0, *k1)) for k0 in half for k1 in half]
             assert max_conditional_failure(S_FAULTY, p, events) == max(runs)
-            # and pair by pair, sigma0's k-vector major
-            grid = _strategy_ks(S_FAULTY, (l1, l2, l3)).reshape(6, len(half), len(half))
-            weights = _failed_weights(S_FAULTY, p, *events, grid)
+            # and pair by pair from the group's one (3, K) k-vector set, sigma0's k-vector major
+            weights = _failed_weights(S_FAULTY, p, *events, np.array(half).T)
             assert weights.shape == (2, len(half), len(half)) and not weights[1].any()
             assert [Fraction(int(w), int(events[1].sum())) for w in weights[0].ravel()] == runs
+
+    def test_search_builds_one_mask_per_k_vector(self, monkeypatch):
+        # a faulty sender's two check sets range over the same k-vectors of
+        # the group, so each engine call builds their masks once, in one
+        # _lowest call holding every k-vector of the group's local count list
+        calls, lowest, run_rows = [], protocol._lowest, protocol._run_rows
+
+        def spy_lowest(view, ks):
+            calls[-1].append((view.sizes, np.asarray(ks)))
+            return lowest(view, ks)
+
+        def spy_rows(*args):
+            calls.append([])
+            return run_rows(*args)
+
+        monkeypatch.setattr(protocol, "_lowest", spy_lowest)
+        monkeypatch.setattr(protocol, "_run_rows", spy_rows)
+        best_failure_probability_bruteforce(S_FAULTY, ProtocolParams.create("0.272", "0.94", 4))
+        assert len(calls) >= len(_events_by_local_list(4, S_FAULTY))
+        for built in calls:
+            assert len(built) == 1
+            sizes, ks = built[0]
+            counts = sizes[:, 0].tolist()
+            assert (sizes == sizes[:, :1]).all()  # one group per call
+            assert ks[:, :, 0].T.tolist() == [list(k) for k in itertools.product(*(range(c + 1) for c in counts))]
+
+    @pytest.mark.parametrize(
+        "cfg,counts,want", [(S_FAULTY, (0, 2, 2), Fraction(1, 4)), (R0_FAULTY, (2, 0, 2), Fraction(4, 9))], ids=["s-faulty", "r0-faulty"]
+    )
+    def test_conditional_failure_rejects_a_group_of_another_m(self, cfg, counts, want):
+        # scored under m = 9 thresholds, a group of m = 4 Events would read 0
+        # (S) and 1 (R0); its length is checked where it enters
+        events = _events_by_local_list(4, cfg)[counts]
+        strategy = StrategyS(0, 2, 0, 0, 0, 2) if cfg is S_FAULTY else StrategyR(0, 0, 2)
+        p = _small_params(4)
+        assert max_conditional_failure(cfg, p, events) == conditional_failure_probability(cfg, p, events, strategy) == want
+        wrong = _small_params(9)
+        with pytest.raises(ValueError, match=re.escape("event length 4 != params m 9")):
+            max_conditional_failure(cfg, wrong, events)
+        with pytest.raises(ValueError, match=re.escape("event length 4 != params m 9")):
+            conditional_failure_probability(cfg, wrong, events, strategy)
 
     @pytest.mark.slow
     def test_brute_force_at_m6_is_pinned(self):

@@ -565,16 +565,21 @@ class TestEngine:
 
     def test_blocks_stay_within_the_element_budget(self, monkeypatch):
         # every engine call, counted in (strategy, row) pairs, with its rows
-        # and the check-set masks it builds per row, and every row the
+        # and the check-set masks `_lowest` builds per row (not the views a
+        # faulty sender's two check sets take of them), and every row the
         # faulty party's view ranks
-        pairs, ranked = [], []
-        run_rows, view = protocol._run_rows, protocol._view
+        pairs, ranked, built = [], [], []
+        run_rows, view, lowest = protocol._run_rows, protocol._view, protocol._lowest
 
-        def spy_rows(codes, p, cfg, *args):
-            rows = run_rows(codes, p, cfg, *args)
-            masks = (rows.rho01,) if cfg is AdversaryConfig.R0_FAULTY else (rows.sigma0, rows.sigma1)
-            masks = sum(mask[..., 0].size for mask in masks) // len(codes)
-            pairs.append((rows.y1.size, codes.shape[1], len(codes), masks))
+        def spy_lowest(*args):
+            masks = lowest(*args)
+            built.append(masks[..., 0].size)
+            return masks
+
+        def spy_rows(codes, *args):
+            built.clear()
+            rows = run_rows(codes, *args)
+            pairs.append((rows.y1.size, codes.shape[1], len(codes), sum(built) // len(codes)))
             return rows
 
         def spy_view(cfg, codes, *args):
@@ -582,6 +587,7 @@ class TestEngine:
             return view(cfg, codes, *args)
 
         monkeypatch.setattr(protocol, "_run_rows", spy_rows)
+        monkeypatch.setattr(protocol, "_lowest", spy_lowest)
         for module in (protocol, adversary):
             monkeypatch.setattr(module, "_view", spy_view)
         estimate_pf(AdversaryConfig.R0_FAULTY, ProtocolParams.create("0.272", "0.94", 280), 10_000, seed=1)
@@ -591,7 +597,8 @@ class TestEngine:
         groups = adversary._events_by_local_list(4, s_faulty)
         oracle, pairs[:], ranked[:] = pairs[:], [], []
         adversary.best_failure_probability_bruteforce(s_faulty, ProtocolParams.create("0.272", "0.94", 4))
-        searched = sum(len(codes) * adversary._strategy_ks(s_faulty, key).shape[1] for key, (codes, _) in groups.items())
+        # every (sigma0, sigma1) pair of the group's k-vectors on every row
+        searched = sum(len(codes) * math.prod(k + 1 for k in key) ** 2 for key, (codes, _) in groups.items())
         for blocks, total, m in ((monte_carlo, 10_000, 280), (oracle, 6**6, 6), (pairs, searched, 4)):
             assert len(blocks) > 1 and sum(n for n, *_ in blocks) == total
             assert all(width == m and rows <= protocol._BLOCK_ROWS for _, width, rows, _ in blocks)
